@@ -1,42 +1,42 @@
-"""Match kernels — bitset vs merge vs scalar, and the auto dispatcher.
+"""Match join — the owner-probe join against the pairwise reference.
 
-The candidate-match join has three representation tiers
-(``repro.clustering.numeric``): ``scalar`` (pairwise Python set
-intersections), ``merge`` (sorted int-id arrays, one merge-intersection
-per scanned pair), and ``bitset`` (object ids packed into ``uint64``
-words over a per-tick dense remap; intersections are word-AND plus
-popcount over a whole block at once).  ``auto`` is the
-:class:`~repro.clustering.numeric.KernelDispatch` policy: it measures
-per-tick cost, fits a per-kernel cost model, and picks the cheapest —
-never batching below its exploration floor, which is precisely the
-small-delta regime where batch overhead used to lose (the 0.83x row of
-``BENCH_vector_kernel.json``).
+CMC's candidate step joins every live candidate ``v`` with every
+snapshot cluster ``c`` on ``|c ∩ v| >= m``.
+:func:`repro.core.candidates.match_candidates` answers it as one join:
+density clusters are disjoint, so a cluster sharing ``m`` of a
+candidate's ``n`` objects must own one of any ``n - m + 1`` of them,
+and a job whose ``n - m + 1`` owner lookups (plus a constant margin)
+undercut its *fan* — the clusters it would scan — probes an owner table
+instead of intersecting pairwise.
+:func:`~repro.core.candidates.match_candidates_pairwise` is the
+reference loop it must equal.
 
-Two timing regimes, each preceded by identical *untimed warmup ticks*
-(so ``auto``'s exploration probes are not billed against it and every
-kernel's timed window starts from the same steady state):
+Both run inside the candidate tracker, driven directly over
+precomputed clusterings so the measured per-tick cost is the tracker's
+plan → match → apply step and nothing else.  Two regimes, each preceded
+by identical *untimed warmup ticks*:
 
 * ``dense`` — the hotspot-drift workload
   (:func:`repro.streaming.hotspot_drift_scenario`, 10^5 objects in the
-  full run): large stable packs replayed as the per-tick clustering, so
-  the cost is almost entirely the candidate join over thousands of
-  large-set pairs.  Acceptance: ``bitset`` must clear ``BITSET_BAR``
-  (3x) snapshots/sec over ``merge`` here.
-* ``small-delta`` — the incremental pipeline on a churn stream, where
-  per-tick deltas are tiny and the scalar kernel wins.
+  full run): large stable packs replayed as every tick's clustering
+  through the classic ``advance``, so every job scans every cluster and
+  the join takes its probe side.
+* ``small-delta`` — an incremental clusterer's ``(clusters, delta)``
+  pairs on a churn stream replayed through ``advance_delta``: stable
+  candidates splice through, and the rest scan only the few dirty
+  clusters, so most jobs stay on the pairwise side.  Acceptance: the
+  join must reach ``SMALL_DELTA_BAR`` of the pairwise rate here — the
+  probe/scan rule may not tax the regime it does not help.
 
-In *both* regimes ``auto`` must reach ``AUTO_BAR`` (0.95x) of the best
-fixed kernel — the dispatcher is only accepted if adaptivity is nearly
-free everywhere.
-
-Every run additionally asserts tick-for-tick equivalence of all four
-kernels against the scalar baseline across the shipping transports:
-unsharded, sharded serial/process, and resident serial/process.
+Every run asserts identical convoys tick for tick between the join and
+the reference, and the join's emissions equal across the shipping
+transports: unsharded, sharded serial/process, and resident
+serial/process.
 
 Run ``python benchmarks/bench_match_kernel.py`` for the table,
 ``--smoke`` for a seconds-long CI-sized run (equivalence assertions
-only), and ``--json PATH`` for the machine-readable record CI uploads
-as a perf-trajectory artifact (``BENCH_match_kernel.json``).
+only), and ``--json PATH`` for the machine-readable record
+(``BENCH_match_kernel.json``).
 """
 
 import argparse
@@ -47,7 +47,8 @@ import time
 from benchmarks.bench_sharded_scaling import ReplayClusterer
 from benchmarks.common import print_report, safe_rate, write_bench_json
 from repro.bench import format_table
-from repro.clustering.numeric import have_numpy
+from repro.clustering.incremental import IncrementalSnapshotClusterer
+from repro.core.candidates import CandidateTracker, match_candidates_pairwise
 from repro.streaming import (
     StreamingConvoyMiner,
     churn_stream,
@@ -56,30 +57,33 @@ from repro.streaming import (
 
 M, K, EPS = 3, 8, 10.0
 
-KERNELS = ("scalar", "merge", "bitset", "auto")
 
-#: bitset must clear this speedup over merge on the dense regime (full
-#: mode, numpy available).
-BITSET_BAR = 3.0
-#: auto must reach this fraction of the best fixed kernel's rate in
-#: every measured regime.
-AUTO_BAR = 0.95
+class PairwiseTracker(CandidateTracker):
+    """The candidate tracker with its join swapped for the reference."""
 
-#: warmup ticks are fed before the timer starts, identically for every
-#: kernel; 8 covers auto's exploration probes (2 rounds x 3 kernels)
-#: with margin, so the timed window measures the settled policy.
-#: 200 hotspots over an 8k hot population keeps per-tick work high
-#: enough (~30ms bitset ticks) that the 0.95x auto bar is measurable
-#: above container timing noise, while the 40-object packs keep merge's
-#: per-pair overhead dominant (bitset >3x merge).
+    def _match_live(self, members, jobs):
+        return match_candidates_pairwise(members, jobs, self._m)
+
+
+TRACKERS = {"join": CandidateTracker, "pairwise": PairwiseTracker}
+KERNELS = tuple(TRACKERS)
+
+#: The join must reach this fraction of the pairwise rate on the
+#: small-delta regime ("no slower", less the estimator's noise).
+SMALL_DELTA_BAR = 0.95
+
+#: 200 hotspots of ~40 objects among 10^5 keep the dense tick at a few
+#: ms for the join and tens of ms for the pairwise loop.
 FULL_DENSE = dict(n_objects=100_000, n_snapshots=28, hotspots=200,
-                  background=0.92, warmup=8)
+                  background=0.92, warmup=8, reps=5)
 SMOKE_DENSE = dict(n_objects=3_000, n_snapshots=10, hotspots=12,
-                   background=0.9, warmup=3)
-#: 2.5k objects put the small-delta scalar tick at ~25ms — like the
-#: dense shape, sized so the auto bar clears container timing noise.
-FULL_SMALL = dict(n_objects=2500, n_snapshots=36, churn=0.15, warmup=8)
-SMOKE_SMALL = dict(n_objects=120, n_snapshots=12, churn=0.15, warmup=3)
+                   background=0.9, warmup=3, reps=1)
+#: Small-delta steps take a few ms, so more reps are cheap and steady
+#: the per-step minimum that the acceptance bar reads.
+FULL_SMALL = dict(n_objects=2500, n_snapshots=36, churn=0.15, warmup=8,
+                  reps=15)
+SMOKE_SMALL = dict(n_objects=120, n_snapshots=12, churn=0.15, warmup=3,
+                   reps=1)
 
 #: (shards, executor, resident) transports of the equivalence grid.
 TRANSPORTS = (
@@ -92,193 +96,144 @@ TRANSPORTS = (
 
 
 def make_dense_workload(scale, seed=42):
-    """Materialize the hotspot-drift ticks and their planted clustering.
+    """The hotspot-drift packs as every tick's clustering.
 
-    The planted packs *are* the per-tick clusters (each pack is
-    density-connected by construction), so a :class:`ReplayClusterer`
-    feeds them directly and the measured per-tick cost is the candidate
-    join, not DBSCAN.
+    The planted packs *are* the clusters (each pack is density-connected
+    by construction), so each step is ``(packs, None)`` — no delta, the
+    classic full join.
     """
-    scenario = list(hotspot_drift_scenario(
+    _t, _snapshot, groups = next(iter(hotspot_drift_scenario(
         scale["n_objects"], scale["n_snapshots"], seed=seed, eps=EPS,
         hotspots=scale["hotspots"], background=scale["background"],
-    ))
-    ticks = [(t, snapshot) for t, snapshot, _groups in scenario]
-    packs = [set(group) for group in scenario[0][2]]
-    clusters = [packs] * len(ticks)
-    return ticks, clusters
+    )))
+    packs = [set(group) for group in groups]
+    return [(packs, None)] * scale["n_snapshots"]
 
 
 def make_small_workload(scale, seed=42):
-    """Materialize the churn ticks of the small-delta regime."""
+    """The churn ticks of the small-delta regime."""
     return list(churn_stream(
         scale["n_objects"], scale["n_snapshots"], seed=seed, eps=EPS,
         churn=scale["churn"], area=36.0 * EPS,
     ))
 
 
-def run_timed(make_miner, ticks, warmup):
-    """One engine run, timing every tick past the first ``warmup``.
+def make_delta_steps(ticks):
+    """Each tick's incremental ``(clusters, delta)``, computed once."""
+    clusterer = IncrementalSnapshotClusterer(EPS, M)
+    return [clusterer.cluster_with_delta(snapshot) for _t, snapshot in ticks]
 
-    Returns ``(per-tick emissions incl. flush, counters, tick secs)``.
-    The flush is outside the timed window (its cost is per-candidate
-    teardown, identical for every kernel), but inside the emissions so
-    the equivalence assertions cover the whole answer.
 
-    The cyclic collector is off for the duration of the run (after a
-    full collect, so every run starts from the same heap state): with a
-    10^5-object workload resident, a collection pass costs more than a
-    whole tick, and *when* it fires depends on incidental per-tick
-    allocation counts — measured at a systematic ~10% penalty against
-    whichever variant allocates a handful more objects per tick, which
-    is exactly the kind of artifact a kernel comparison must exclude.
+def run_timed(tracker_cls, steps, warmup):
+    """One tracker run over ``steps``, timing every step past ``warmup``.
+
+    Returns ``(per-step convoys incl. flush, step secs)``.  The flush
+    is outside the timed window but inside the emissions, so the
+    equivalence assertions cover the whole answer.  The cyclic
+    collector is off for the run (after a full collect, so every run
+    starts from the same heap state): when a collection fires depends
+    on incidental allocation counts, which would bill one variant for
+    the other's garbage.
     """
-    if not warmup < len(ticks):
-        raise ValueError(f"warmup {warmup} must be < ticks {len(ticks)}")
+    if not warmup < len(steps):
+        raise ValueError(f"warmup {warmup} must be < steps {len(steps)}")
     gc.collect()
     gc.disable()
     try:
-        miner = make_miner()
-        emitted = []
-        tick_seconds = []
-        with miner:
-            for i, (t, snapshot) in enumerate(ticks):
-                started = time.perf_counter()
-                emitted.append(miner.feed(t, snapshot))
-                if i >= warmup:
-                    tick_seconds.append(time.perf_counter() - started)
-            emitted.append(miner.flush())
-        return emitted, dict(miner.counters), tick_seconds
+        tracker = tracker_cls(M, K)
+        closed = []
+        step_seconds = []
+        for t, (clusters, delta) in enumerate(steps):
+            started = time.perf_counter()
+            closed.append(tracker.advance_delta(clusters, delta, t, t))
+            if t >= warmup:
+                step_seconds.append(time.perf_counter() - started)
+        closed.append(tracker.flush())
     finally:
         gc.enable()
+    emitted = [[record.as_convoy() for record in batch] for batch in closed]
+    return emitted, step_seconds
 
 
-def run_regime(regime, make_miner, ticks, warmup, reps):
-    """Time every kernel on one regime; assert identical emissions.
+def run_regime(regime, steps, warmup, reps):
+    """Time the join and the reference on one regime; assert equality.
 
-    The kernels are *interleaved* across ``reps`` full runs each, with
-    the order *rotated* every rep, and rated by the median across tick
-    positions of the **minimum** per-tick time over the reps.
-    Interleaving keeps whole-process drift (allocator warmup,
-    frequency scaling, a stray GC pause) from folding into whichever
-    kernel ran during it; rotation keeps any *systematic*
-    position-in-cycle effect (measured at up to ~15% between cycle
-    slots on a noisy container) from always taxing the same kernel;
-    the per-tick min is the standard noise-robust estimator —
-    scheduling noise only ever *adds* time, so the best observation of
-    a deterministic tick is the closest to its true cost.
+    The variants are *interleaved* across ``reps`` full runs each, with
+    the order *rotated* every rep, and rated by the median across step
+    positions of the **minimum** per-step time over the reps.
+    Interleaving keeps whole-process drift from folding into whichever
+    variant ran during it; rotation keeps a systematic position effect
+    from always taxing the same one; the per-step minimum is the
+    noise-robust estimator — scheduling noise only ever *adds* time.
     """
     times = {kernel: [] for kernel in KERNELS}
-    dispatch = {kernel: None for kernel in KERNELS}
     baseline = None
     for rep in range(reps):
         rotated = KERNELS[rep % len(KERNELS):] + KERNELS[:rep % len(KERNELS)]
         for kernel in rotated:
-            emitted, counters, tick_seconds = run_timed(
-                lambda: make_miner(kernel), ticks, warmup
-            )
+            emitted, step_seconds = run_timed(TRACKERS[kernel], steps, warmup)
             if baseline is None:
                 baseline = emitted
             else:
                 assert emitted == baseline, (
-                    f"{kernel} diverged from scalar on the "
-                    f"{regime} regime"
+                    f"{kernel} diverged on the {regime} regime"
                 )
-            times[kernel].append(tick_seconds)
-            if kernel == "auto":
-                counts = dispatch[kernel] or dict.fromkeys(
-                    ("scalar", "merge", "bitset"), 0
-                )
-                for name in counts:
-                    counts[name] += counters.get(f"dispatch_{name}", 0)
-                dispatch[kernel] = counts
+            times[kernel].append(step_seconds)
     convoys = sum(len(batch) for batch in baseline)
     rows = []
     for kernel in KERNELS:
         reps_seconds = times[kernel]
-        best_per_tick = [min(col) for col in zip(*reps_seconds)]
-        median = statistics.median(best_per_tick)
+        best_per_step = [min(col) for col in zip(*reps_seconds)]
         rows.append({
             "regime": regime,
             "kernel": kernel,
             "snapshots": sum(len(rep) for rep in reps_seconds),
             "seconds": sum(sum(rep) for rep in reps_seconds),
-            "rate": safe_rate(1, median),
+            "rate": safe_rate(1, statistics.median(best_per_step)),
             "convoys": convoys,
-            "dispatch_ticks": dispatch[kernel],
         })
     return rows
 
 
-def check_transports(ticks, clusters):
-    """Assert tick-for-tick equivalence across kernels x transports."""
-    baseline = None
-    for kernel in KERNELS:
-        for shards, executor, resident in TRANSPORTS:
-            miner = StreamingConvoyMiner(
-                M, K, EPS, clusterer=ReplayClusterer(clusters),
-                match_kernel=kernel, shards=shards, executor=executor,
-                resident=resident,
-            )
-            emitted = []
-            with miner:
-                for t, snapshot in ticks:
-                    emitted.append(miner.feed(t, snapshot))
-                emitted.append(miner.flush())
-            if baseline is None:
-                baseline = emitted
-            else:
-                assert emitted == baseline, (
-                    f"kernel {kernel} diverged on transport "
-                    f"(shards={shards}, executor={executor}, "
-                    f"resident={resident})"
-                )
-    return len(KERNELS) * len(TRANSPORTS)
+def check_transports(steps):
+    """Assert the join's emissions equal the reference on every
+    transport of the streaming engine."""
+    expected, _seconds = run_timed(PairwiseTracker, steps, 0)
+    clusters = [step_clusters for step_clusters, _delta in steps]
+    for shards, executor, resident in TRANSPORTS:
+        miner = StreamingConvoyMiner(
+            M, K, EPS, clusterer=ReplayClusterer(clusters), shards=shards,
+            executor=executor, resident=resident,
+        )
+        emitted = []
+        with miner:
+            for t, members in enumerate(clusters):
+                # The replayed clusters ignore positions; any snapshot
+                # of at least m objects lets the tick reach them.
+                snapshot = dict.fromkeys(set().union(*members), (0.0, 0.0))
+                emitted.append(miner.feed(t, snapshot))
+            emitted.append(miner.flush())
+        assert emitted == expected, (
+            f"join diverged from the reference on transport "
+            f"(shards={shards}, executor={executor}, resident={resident})"
+        )
+    return len(TRANSPORTS)
 
 
 def run_all(smoke):
     dense_scale = SMOKE_DENSE if smoke else FULL_DENSE
     small_scale = SMOKE_SMALL if smoke else FULL_SMALL
-    reps = 1 if smoke else 5
-    dense_ticks, dense_clusters = make_dense_workload(dense_scale)
-    small_ticks = make_small_workload(small_scale)
-
-    def dense_miner(kernel):
-        return StreamingConvoyMiner(
-            M, K, EPS, clusterer=ReplayClusterer(dense_clusters),
-            match_kernel=kernel,
-        )
-
-    def small_miner(kernel):
-        return StreamingConvoyMiner(
-            M, K, EPS, clusterer="incremental", match_kernel=kernel,
-        )
-
     rows = run_regime(
-        "dense", dense_miner, dense_ticks, dense_scale["warmup"], reps
+        "dense", make_dense_workload(dense_scale), dense_scale["warmup"],
+        dense_scale["reps"],
     )
+    small_steps = make_delta_steps(make_small_workload(small_scale))
     rows.extend(run_regime(
-        "small-delta", small_miner, small_ticks, small_scale["warmup"],
-        reps,
+        "small-delta", small_steps, small_scale["warmup"],
+        small_scale["reps"],
     ))
-    grid_ticks, grid_clusters = make_dense_workload(SMOKE_DENSE)
-    grid_runs = check_transports(grid_ticks, grid_clusters)
+    grid_runs = check_transports(make_dense_workload(SMOKE_DENSE))
     return dense_scale, small_scale, rows, grid_runs
-
-
-def fmt_rate(rate):
-    return round(rate, 1) if rate is not None else "-"
-
-
-def fmt_dispatch(dispatch):
-    if dispatch is None:
-        return "-"
-    return "/".join(str(dispatch[name])
-                    for name in ("scalar", "merge", "bitset"))
-
-
-def regime_rows(rows, regime):
-    return [row for row in rows if row["regime"] == regime]
 
 
 def main(argv=None):
@@ -291,35 +246,26 @@ def main(argv=None):
     parser.add_argument(
         "--json", metavar="PATH", default=None,
         help="also write the results as machine-readable JSON "
-        "(rates, dispatch counts, git SHA)",
+        "(rates, git SHA)",
     )
     args = parser.parse_args(argv)
-    numpy_available = have_numpy()
     dense_scale, small_scale, rows, grid_runs = run_all(args.smoke)
+    by_key = {(row["regime"], row["kernel"]): row for row in rows}
     table_rows = []
-    for regime in ("dense", "small-delta"):
-        group = regime_rows(rows, regime)
-        scalar_rate = group[0]["rate"]
-        for row in group:
-            relative = (
-                f"{row['rate'] / scalar_rate:.2f}x"
-                if row["rate"] is not None and scalar_rate
-                else "-"
-            )
-            table_rows.append([
-                row["regime"], row["kernel"], row["snapshots"],
-                fmt_rate(row["rate"]), relative,
-                fmt_dispatch(row["dispatch_ticks"]),
-            ])
+    for row in rows:
+        reference = by_key[(row["regime"], "pairwise")]["rate"]
+        rate = row["rate"]
+        table_rows.append([
+            row["regime"], row["kernel"], row["snapshots"],
+            "-" if rate is None else f"{1000.0 / rate:.2f}",
+            f"{rate / reference:.2f}x" if rate and reference else "-",
+        ])
     print_report(
         format_table(
-            "Match kernels by regime "
-            f"(m={M}, k={K}, e={EPS:g}, numpy="
-            f"{'yes' if numpy_available else 'no — fallback kernels'}; "
-            f"identical convoys asserted across {grid_runs} "
-            "kernel-x-transport runs)",
-            ["regime", "kernel", "timed snaps", "snap/s", "vs scalar",
-             "dispatch s/m/b"],
+            f"Match join vs pairwise reference (m={M}, k={K}, e={EPS:g}; "
+            f"identical convoys asserted, and across {grid_runs} "
+            "transports)",
+            ["regime", "kernel", "timed steps", "ms/step", "vs pairwise"],
             table_rows,
         )
     )
@@ -327,47 +273,26 @@ def main(argv=None):
         write_bench_json(
             args.json, "match_kernel",
             dict(m=M, k=K, eps=EPS, smoke=args.smoke,
-                 numpy=numpy_available, dense_scale=dense_scale,
-                 small_scale=small_scale, bitset_bar=BITSET_BAR,
-                 auto_bar=AUTO_BAR, transport_runs=grid_runs),
+                 dense_scale=dense_scale, small_scale=small_scale,
+                 small_delta_bar=SMALL_DELTA_BAR, transport_runs=grid_runs),
             rows,
         )
         print(f"json results written to {args.json}")
     if args.smoke:
-        print("smoke ok: every kernel agrees with the scalar baseline "
-              "on every regime and transport")
+        print("smoke ok: the join agrees with the pairwise reference on "
+              "every regime and transport")
         return 0
-    if not numpy_available:
-        print(
-            "note: numpy unavailable — the pure-Python bitset tier only "
-            f"promises equivalence, so the {BITSET_BAR:.1f}x dense bar "
-            "is skipped"
-        )
-        return 0
-    by_key = {(row["regime"], row["kernel"]): row for row in rows}
-    bitset = by_key[("dense", "bitset")]["rate"]
-    merge = by_key[("dense", "merge")]["rate"]
-    if not bitset or not merge or bitset < BITSET_BAR * merge:
+    join = by_key[("small-delta", "join")]["rate"]
+    pairwise = by_key[("small-delta", "pairwise")]["rate"]
+    if not join or not pairwise or join < SMALL_DELTA_BAR * pairwise:
         raise SystemExit(
-            f"acceptance failure: bitset reached "
-            f"{(bitset or 0) / (merge or 1):.2f}x merge on the dense "
-            f"regime, below the {BITSET_BAR:.1f}x bar"
+            f"acceptance failure: the join reached "
+            f"{(join or 0) / (pairwise or 1):.2f}x the pairwise rate on "
+            f"the small-delta regime, below the {SMALL_DELTA_BAR:.2f}x bar"
         )
-    for regime in ("dense", "small-delta"):
-        group = regime_rows(rows, regime)
-        fixed = [row["rate"] for row in group
-                 if row["kernel"] != "auto" and row["rate"]]
-        auto = by_key[(regime, "auto")]["rate"]
-        if not fixed or not auto or auto < AUTO_BAR * max(fixed):
-            raise SystemExit(
-                f"acceptance failure: auto reached "
-                f"{(auto or 0) / max(fixed):.2f}x the best fixed kernel "
-                f"on the {regime} regime, below the {AUTO_BAR:.2f}x bar"
-            )
     print(
-        f"acceptance ok: bitset {bitset / merge:.2f}x merge on dense "
-        f"(bar {BITSET_BAR:.1f}x); auto within {AUTO_BAR:.2f}x of the "
-        "best fixed kernel in every regime"
+        f"acceptance ok: the join runs at {join / pairwise:.2f}x the "
+        f"pairwise rate on small-delta (bar {SMALL_DELTA_BAR:.2f}x)"
     )
     return 0
 

@@ -151,6 +151,13 @@ class ReplayDeltaClusterer:
 
 def make_workload(scale, hotspots=None, seed=42):
     """Materialize snapshots and their per-tick clusterings once."""
+    snapshots = make_snapshots(scale, hotspots, seed)
+    clusters = [dbscan(snapshot, EPS, M) for snapshot in snapshots]
+    return snapshots, clusters
+
+
+def make_snapshots(scale, hotspots=None, seed=42):
+    """Materialize the workload's snapshots alone."""
     if hotspots is None:
         ticks = synthetic_stream(
             scale["n_objects"], scale["n_snapshots"], seed=seed, eps=EPS,
@@ -163,9 +170,7 @@ def make_workload(scale, hotspots=None, seed=42):
             scale["n_objects"], scale["n_snapshots"], seed=seed, eps=EPS,
             churn=0.2, area=36.0 * EPS, hotspots=hotspots,
         )
-    snapshots = [snapshot for _t, snapshot in ticks]
-    clusters = [dbscan(snapshot, EPS, M) for snapshot in snapshots]
-    return snapshots, clusters
+    return [snapshot for _t, snapshot in ticks]
 
 
 def make_delta_workload(n_groups, group_size, n_snapshots, dirty_groups,

@@ -1,25 +1,18 @@
 """Vector numeric backend — kernel-level speedup over the python backend.
 
-The vector backend (``repro.clustering.numeric``) rewrites the three
-per-tick hot kernels — neighborhood search, incremental cluster
-patching, and candidate matching — over contiguous numeric arrays.  Its
-contract is bit-for-bit equivalence (proven exhaustively by
+The vector backend (``repro.clustering.numeric``) rewrites the two
+snapshot-clustering kernels — neighborhood search and incremental
+cluster patching — over contiguous numeric arrays.  Its contract is
+bit-for-bit equivalence (proven exhaustively by
 ``tests/streaming/test_vector_equivalence.py``); this bench answers the
 only remaining question: **is it actually faster, and by how much?**
 
-Three workloads, each isolating a different kernel mix:
+Two workloads, each isolating a different kernel:
 
-* ``tracker`` — the tracker-bound replay workload from the sharding
-  bench: snapshots are clustered once up front and replayed, so the
-  per-tick cost is almost entirely ``match_candidates`` joining
-  hundreds of clusters against >1000 live candidates.  This is the
-  acceptance row: the vector backend must clear ``VECTOR_BAR`` (3x)
-  unsharded snapshots/sec over the python backend when numpy is
-  available.
 * ``dbscan`` — fresh density clustering of every snapshot (batch
   neighborhood search dominating).
 * ``incremental`` — the full incremental pipeline on a churn stream
-  (delta patching plus matching).
+  (delta patching).
 
 Every workload's per-tick emissions are asserted equal between the two
 backends on every run, so the speedups carry no semantic caveats.
@@ -39,36 +32,18 @@ from benchmarks.bench_sharded_scaling import (
     K,
     M,
     SMOKE_SCALE,
-    ReplayClusterer,
-    make_workload,
+    make_snapshots,
 )
 from benchmarks.common import print_report, safe_rate, write_bench_json
 from repro.bench import format_table
 from repro.clustering.numeric import have_numpy
 from repro.streaming import StreamingConvoyMiner, churn_stream
 
-#: vector backend must clear this speedup on the tracker-bound workload
-#: (full mode, numpy available).
-VECTOR_BAR = 3.0
-
 FULL_CHURN = dict(n_objects=900, n_snapshots=50)
 SMOKE_CHURN = dict(n_objects=120, n_snapshots=12)
 
 
-def run_tracker(snapshots, clusters, backend):
-    """Tracker-bound run: precomputed clusters, cost ~= matching only."""
-    miner = StreamingConvoyMiner(
-        M, K, EPS, clusterer=ReplayClusterer(clusters), backend=backend,
-    )
-    emitted = []
-    started = time.perf_counter()
-    for t, snapshot in enumerate(snapshots):
-        emitted.append(miner.feed(t, snapshot))
-    emitted.append(miner.flush())
-    return emitted, time.perf_counter() - started
-
-
-def run_dbscan(snapshots, _clusters, backend):
+def run_dbscan(snapshots, backend):
     """Clustering-bound run: fresh DBSCAN per tick, tiny candidate set."""
     miner = StreamingConvoyMiner(M, K, EPS, backend=backend)
     emitted = []
@@ -79,27 +54,17 @@ def run_dbscan(snapshots, _clusters, backend):
     return emitted, time.perf_counter() - started
 
 
-def run_incremental(ticks, backend, match_kernel=None, warmup=0):
-    """Full incremental pipeline on a churn stream (delta + matching).
-
-    ``warmup`` leading ticks are fed but not timed — the dispatch
-    comparison excludes the auto kernel's exploration probes the same
-    way ``bench_match_kernel.py`` does, so it measures the settled
-    policy rather than the cold start.
-    """
+def run_incremental(ticks, backend):
+    """Full incremental pipeline on a churn stream (delta patching)."""
     miner = StreamingConvoyMiner(
         M, K, EPS, clusterer="incremental", backend=backend,
-        match_kernel=match_kernel,
     )
     emitted = []
-    seconds = 0.0
-    for i, (t, snapshot) in enumerate(ticks):
-        started = time.perf_counter()
+    started = time.perf_counter()
+    for t, snapshot in ticks:
         emitted.append(miner.feed(t, snapshot))
-        if i >= warmup:
-            seconds += time.perf_counter() - started
     emitted.append(miner.flush())
-    return emitted, seconds
+    return emitted, time.perf_counter() - started
 
 
 def compare_backends(workload, runner, n_snapshots):
@@ -121,27 +86,21 @@ def compare_backends(workload, runner, n_snapshots):
         "python_seconds": python_seconds,
         "vector_seconds": vector_seconds,
         "convoys": sum(len(batch) for batch in python_emitted),
-        "dispatch": None,
     }
 
 
 def run_all(smoke):
     scale = SMOKE_SCALE if smoke else FULL_SCALE
     churn_scale = SMOKE_CHURN if smoke else FULL_CHURN
-    snapshots, clusters = make_workload(scale)
+    snapshots = make_snapshots(scale)
     ticks = list(churn_stream(
         churn_scale["n_objects"], churn_scale["n_snapshots"], seed=42,
         eps=EPS, churn=0.15, area=36.0 * EPS,
     ))
     rows = [
         compare_backends(
-            "tracker",
-            lambda backend: run_tracker(snapshots, clusters, backend),
-            len(snapshots),
-        ),
-        compare_backends(
             "dbscan",
-            lambda backend: run_dbscan(snapshots, clusters, backend),
+            lambda backend: run_dbscan(snapshots, backend),
             len(snapshots),
         ),
         compare_backends(
@@ -150,29 +109,6 @@ def run_all(smoke):
             len(ticks),
         ),
     ]
-    # The incremental row is the small-delta regime where the batched
-    # vector join loses (the historical 0.83x): re-run it under the
-    # auto kernel dispatcher and record the ratio.  The dispatcher
-    # settles on the scalar kernel here; the residual loss it cannot
-    # recover is the vector backend's delta-patching overhead, which no
-    # match-kernel choice touches — the clean kernel-policy comparison
-    # (same backend, kernels only) is bench_match_kernel's small-delta
-    # regime, asserted at >=0.95x there.  Both sides of this ratio
-    # exclude the same warmup window so the dispatcher's one-time
-    # exploration probes are not billed to the settled policy.
-    warmup = min(8, len(ticks) // 2)
-    _, python_warm = run_incremental(ticks, "python", warmup=warmup)
-    auto_emitted, auto_warm = run_incremental(
-        ticks, "vector", "auto", warmup=warmup
-    )
-    incremental = rows[-1]
-    assert (
-        sum(len(batch) for batch in auto_emitted)
-        == incremental["convoys"]
-    ), "auto dispatch diverged on the incremental workload"
-    incremental["dispatch"] = (
-        python_warm / auto_warm if auto_warm > 0 else None
-    )
     return scale, churn_scale, rows
 
 
@@ -217,7 +153,7 @@ def main(argv=None):
         write_bench_json(
             args.json, "vector_kernel",
             dict(m=M, k=K, eps=EPS, smoke=args.smoke,
-                 numpy=numpy_available, tracker_scale=scale,
+                 numpy=numpy_available, dbscan_scale=scale,
                  churn_scale=churn_scale),
             rows,
         )
@@ -225,21 +161,6 @@ def main(argv=None):
     if args.smoke:
         print("smoke ok: vector backend agrees with the python backend "
               "on every workload")
-        return 0
-    tracker = rows[0]
-    if not numpy_available:
-        print(
-            "note: numpy unavailable — the fallback kernels only promise "
-            f"equivalence, so the {VECTOR_BAR:.1f}x tracker bar is "
-            f"skipped (observed {tracker['speedup']:.2f}x)"
-        )
-        return 0
-    if tracker["speedup"] is None or tracker["speedup"] < VECTOR_BAR:
-        raise SystemExit(
-            f"acceptance failure: vector backend reached "
-            f"{tracker['speedup']:.2f}x on the tracker-bound workload, "
-            f"below the {VECTOR_BAR:.1f}x bar"
-        )
     return 0
 
 

@@ -36,7 +36,7 @@ import sys
 import time
 
 from repro.clustering.incremental import IncrementalSnapshotClusterer
-from repro.clustering.numeric import MATCH_KERNELS, NUMERIC_BACKENDS, have_numpy
+from repro.clustering.numeric import NUMERIC_BACKENDS, have_numpy
 from repro.core.cmc import cmc
 from repro.core.cuts import VARIANTS, cuts
 from repro.core.verification import normalize_convoys
@@ -167,18 +167,10 @@ def build_parser():
     )
     stream.add_argument(
         "--backend", default="python", choices=list(NUMERIC_BACKENDS),
-        help="numeric backend for the per-tick hot kernels: pure-Python "
-        "dict/set loops, or batched contiguous-array kernels "
+        help="numeric backend for the snapshot-clustering kernels: "
+        "pure-Python dict loops, or batched contiguous-array kernels "
         "(numpy-accelerated when available; identical convoys either "
         "way; default: python)",
-    )
-    stream.add_argument(
-        "--match-kernel", default=None, choices=list(MATCH_KERNELS),
-        help="candidate-match kernel for the per-tick join: 'auto' learns "
-        "per tick from measured costs, or pin 'scalar' (pairwise sets), "
-        "'merge' (sorted merge-intersect), or 'bitset' (packed-word "
-        "AND+popcount); identical convoys either way (default: follow "
-        "--backend)",
     )
     stream.add_argument(
         "--pace", type=float, default=0.0, metavar="SECONDS",
@@ -415,8 +407,7 @@ def _cmd_stream(args, out):
             paper_semantics=args.paper_semantics, window=args.window,
             clusterer=clusterer, reorder=reorder, shards=args.shards,
             executor=args.executor, resident=args.resident,
-            backend=args.backend, match_kernel=args.match_kernel,
-            store=args.store,
+            backend=args.backend, store=args.store,
         )
     except ValueError as exc:
         print(f"bad query parameters: {exc}", file=out)
@@ -505,16 +496,6 @@ def _cmd_stream(args, out):
             "array('d')/memoryview fallback kernels",
             file=out,
         )
-    if args.match_kernel == "auto":
-        ticks = {
-            name: counters.get(f"dispatch_{name}", 0)
-            for name in ("scalar", "merge", "bitset")
-        }
-        print(
-            "match kernel dispatch: "
-            + ", ".join(f"{n} x{c}" for n, c in ticks.items()),
-            file=out,
-        )
     if miner.shards is not None:
         mode = "resident " if args.resident else ""
         print(
@@ -582,7 +563,6 @@ def _write_answer_json(args, convoys, miner, elapsed):
             "executor": args.executor if args.shards is not None else None,
             "resident": bool(args.resident),
             "backend": args.backend,
-            "match_kernel": args.match_kernel,
         },
         "elapsed_seconds": elapsed,
         "convoys": [

@@ -2,8 +2,9 @@
 
 This is the ``DBSCAN(O_t, e, m)`` call of CMC: cluster the locations of the
 objects alive at one time point, with distance threshold ``e`` and minimum
-cluster density ``m``.  Neighbourhood queries go through
-:class:`repro.clustering.grid_index.GridIndex`; the clustering skeleton is
+cluster density ``m``.  Every point's neighbourhood comes from one
+per-cell batch pass over :class:`repro.clustering.grid_index.GridIndex`
+(or its vector twin); the clustering skeleton is
 :func:`repro.clustering.generic_dbscan.density_cluster`.
 """
 
@@ -22,11 +23,11 @@ def dbscan(points, eps, min_pts, backend="python"):
         eps: the distance threshold ``e`` of the convoy query.
         min_pts: the ``m`` of the convoy query; an object is a core object
             when at least ``m`` objects (itself included) lie within ``e``.
-        backend: numeric backend for the neighbourhood queries —
-            ``"python"`` (default) walks the grid point by point through
-            :class:`~repro.clustering.grid_index.GridIndex`;
-            ``"vector"`` answers every point's eps-disk in one batched
-            pass over contiguous storage
+        backend: numeric backend for the neighbourhood pass —
+            ``"python"`` (default) runs
+            :meth:`~repro.clustering.grid_index.GridIndex.all_neighbors`;
+            ``"vector"`` runs the same per-cell pass over contiguous
+            storage
             (:class:`~repro.clustering.numeric.VectorGridIndex`).  The
             clustering depends only on the neighbour *sets*, which both
             backends compute identically, so the answer is bit-for-bit
@@ -43,30 +44,19 @@ def dbscan(points, eps, min_pts, backend="python"):
         raise ValueError(f"eps must be positive, got {eps}")
     if not points:
         return []
-    ids = list(points.keys())
-    id_to_idx = {object_id: i for i, object_id in enumerate(ids)}
-
-    if backend == "vector":
-        index = VectorGridIndex(eps, points)
-        by_id = index.all_neighbors(eps)
-        lists = [
-            [id_to_idx[q] for q in by_id[object_id]] for object_id in ids
-        ]
-        clusters = density_cluster(len(ids), lists.__getitem__, min_pts)
-        return [{ids[i] for i in members} for members in clusters]
-
-    index = GridIndex(eps, points)
-    cache = {}
-
-    def neighbors_fn(item):
-        cached = cache.get(item)
-        if cached is None:
-            found = index.neighbors_of(ids[item], eps)
-            cached = [id_to_idx[object_id] for object_id in found]
-            cache[item] = cached
-        return cached
-
-    clusters = density_cluster(len(ids), neighbors_fn, min_pts)
+    ids = list(points)
+    # Keyed by dense position, the grid pass hands density_cluster its
+    # neighbour lists as index lists directly — no id remap per tick.
+    grid = VectorGridIndex if backend == "vector" else GridIndex
+    try:
+        index = grid(eps, dict(enumerate(points.values())))
+    except ValueError:
+        # The grid named a position; name the offending object instead.
+        for object_id, xy in points.items():
+            GridIndex._check_finite(object_id, xy)
+        raise
+    neighbors = index.all_neighbors(eps)
+    clusters = density_cluster(len(ids), neighbors.__getitem__, min_pts)
     return [{ids[i] for i in members} for members in clusters]
 
 

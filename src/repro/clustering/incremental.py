@@ -511,14 +511,9 @@ class IncrementalSnapshotClusterer:
         """Rebuild everything from scratch (first call or high churn)."""
         self.counters["full_passes"] += 1
         eps = self._eps
-        if self._backend == "vector":
-            index = VectorGridIndex(eps, snapshot)  # validates coordinates
-            self._index = index
-            self._nbrs = index.all_neighbors(eps)
-        else:
-            index = GridIndex(eps, snapshot)  # validates coordinates
-            self._index = index
-            self._nbrs = {o: index.neighbors_of(o, eps) for o in snapshot}
+        grid = VectorGridIndex if self._backend == "vector" else GridIndex
+        self._index = grid(eps, snapshot)  # validates coordinates
+        self._nbrs = self._index.all_neighbors(eps)
         self.counters["refreshed_neighborhoods"] += len(snapshot)
         self._core = set()
         self._comp_of = {}

@@ -70,8 +70,8 @@ per step, and are only materialized when a chain closes.
 Diff-aware stepping
 -------------------
 
-:meth:`CandidateTracker.advance` re-intersects every live candidate
-against every cluster, even when the clustering barely changed since the
+:meth:`CandidateTracker.advance` matches every live candidate against
+every cluster, even when the clustering barely changed since the
 previous step.  :meth:`CandidateTracker.advance_delta` accepts the
 :class:`~repro.clustering.incremental.ClusterDelta` the incremental
 clusterer produces anyway and exploits two facts:
@@ -130,19 +130,11 @@ The flag is off by default so the unsharded hot path records nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from time import perf_counter
+from itertools import islice
 
 from repro.clustering.incremental import UNCHANGED
-from repro.clustering.numeric import (
-    KernelDispatch,
-    MatchPlanStats,
-    match_candidates_bitset,
-    match_candidates_merge,
-    match_candidates_vector,
-    validate_backend,
-    validate_match_kernel,
-)
 from repro.core.convoy import Convoy
 
 #: Counter keys a tracker maintains in its ``counters`` dict.
@@ -154,6 +146,15 @@ COUNTER_KEYS = (
 )
 
 
+#: A job probes the owner table only when its probe count plus this
+#: margin is below its fan.  Measured once on recorded match calls of
+#: the dense and small-delta regimes of ``benchmarks/bench_match_kernel.py``
+#: and of the fresh-DBSCAN pack stream: below 8 the small-delta calls,
+#: whose few tiny candidates gain little from probing, pay more for the
+#: owner table than probing saves; 8 to 16 time alike elsewhere.
+_PROBE_MARGIN = 8
+
+
 def match_candidates(members, jobs, min_objects):
     """Pure matching kernel shared by the serial path and shard workers.
 
@@ -161,95 +162,96 @@ def match_candidates(members, jobs, min_objects):
     sharded tracker ships to executor backends (one call per shard batch),
     and exactly what the unsharded tracker runs inline.
 
+    One join, two access paths per job.  Density clusters are disjoint,
+    so a cluster sharing at least ``m`` of a candidate's ``n`` objects
+    must own one of *any* ``n - m + 1`` of them: looking those objects up
+    in an owner table (built lazily, once per call) names every cluster
+    that can match, and only those are intersected — a semijoin in place
+    of the ``jobs x clusters`` pairwise scan.  A job takes that probe
+    path when ``n - m + 1`` lookups (plus a small constant margin) are
+    cheaper than its *fan*, the number of clusters it would scan;
+    otherwise it intersects pairwise exactly as
+    :func:`match_candidates_pairwise` does.  An overlapping cluster
+    family — legal here, never produced by DBSCAN — has no owner table,
+    and the whole call falls back to the pairwise loop.
+
     Args:
         members: list of cluster member ``frozenset``s for this step.
         jobs: list of ``(pos, objects, scan)`` triples — a candidate's
-            position in the live list, its object set, and the cluster
-            indexes to scan (``None`` scans every cluster).
+            position in the live list, its object set, and the distinct
+            cluster indexes to scan, in any order (``None`` scans every
+            cluster).
         min_objects: the convoy query's ``m``.
 
     Returns:
         List of ``(pos, matches)`` pairs in job order, where ``matches``
         lists the ``(cluster_index, intersection)`` pairs with
-        ``len(intersection) >= min_objects``, in scan order.
+        ``len(intersection) >= min_objects``, in scan order — exactly
+        what :func:`match_candidates_pairwise` returns.
     """
+    n_clusters = len(members)
+    # A job probes when n - m + 1 + _PROBE_MARGIN < fan, i.e. when its fan
+    # exceeds n + reach; m < 1 matches clusters no object names, so never.
+    reach = _PROBE_MARGIN + 1 - min_objects if min_objects >= 1 else math.inf
+    owner = None
     out = []
-    full_scan = range(len(members))
+    append = out.append
     for pos, objects, scan in jobs:
-        matches = []
-        for index in (full_scan if scan is None else scan):
-            common = objects & members[index]
-            if len(common) >= min_objects:
-                matches.append((index, common))
-        out.append((pos, matches))
+        fan = n_clusters if scan is None else len(scan)
+        if fan <= len(objects) + reach:
+            append((pos, _scan_pairs(members, objects, scan, min_objects)))
+            continue
+        probes = len(objects) - min_objects + 1
+        if probes <= 0:
+            append((pos, []))  # fewer than m objects: nothing can match
+            continue
+        if owner is None:
+            owner = _owner_table(members)
+            if owner is None:  # overlapping clusters: pairwise from here on
+                reach = math.inf
+                append((pos, _scan_pairs(members, objects, scan, min_objects)))
+                continue
+        hit = set(map(owner.get, islice(objects, probes)))
+        hit.discard(None)
+        if scan is None:
+            indexes = sorted(hit)
+        else:
+            indexes = [index for index in scan if index in hit]
+        append((pos, _scan_pairs(members, objects, indexes, min_objects)))
     return out
 
 
-#: The fixed (per-tick-stateless) match kernels by name; ``auto`` is
-#: deliberately absent — it is a per-tick *policy* over these three,
-#: resolved by the tracker's :class:`~repro.clustering.numeric.
-#: KernelDispatch` before any kernel name ships to a shard.
-FIXED_MATCH_KERNELS = {
-    "scalar": match_candidates,
-    "merge": match_candidates_merge,
-    "bitset": match_candidates_bitset,
-}
+def match_candidates_pairwise(members, jobs, min_objects):
+    """The pairwise matching loop: one set intersection per scanned pair.
 
-
-def resolve_match_kernel(backend, kernel=None):
-    """Map a numeric backend (plus optional kernel name) to its kernel.
-
-    Module-level (hence picklable by reference): shard workers resolve
-    the kernel from the backend and kernel *names* shipped in their
-    task, so the task payload stays a plain data tuple.  With ``kernel``
-    None the backend decides (``"python"`` → the scalar kernel,
-    ``"vector"`` → the owner-join batch kernel); a fixed kernel name
-    (``"scalar"`` / ``"merge"`` / ``"bitset"``) overrides the backend.
-    Unknown names raise a :class:`ValueError` listing the valid choices
-    — never a bare :class:`KeyError` — and ``"auto"`` is rejected here
-    because dispatch is stateful and resolves per tick in the tracker.
+    Same contract as :func:`match_candidates`, for any cluster family.
+    :func:`match_candidates` runs it for jobs too small to probe and for
+    overlapping families; the tests hold the join equal to it.
     """
-    kernel = validate_match_kernel(kernel)
-    if kernel == "auto":
-        raise ValueError(
-            "auto dispatch resolves per tick inside the tracker; "
-            "resolve_match_kernel accepts only the fixed kernels "
-            f"{tuple(FIXED_MATCH_KERNELS)} or None"
-        )
-    if kernel is not None:
-        return FIXED_MATCH_KERNELS[kernel]
-    if validate_backend(backend) == "vector":
-        return match_candidates_vector
-    return match_candidates
+    return [
+        (pos, _scan_pairs(members, objects, scan, min_objects))
+        for pos, objects, scan in jobs
+    ]
 
 
-def match_plan_stats(members, jobs):
-    """Measure one tick's match-join shape for the kernel dispatcher.
+def _scan_pairs(members, objects, scan, min_objects):
+    """One job's matches by intersecting it with every scanned cluster."""
+    matches = []
+    for index in (range(len(members)) if scan is None else scan):
+        common = objects & members[index]
+        if len(common) >= min_objects:
+            matches.append((index, common))
+    return matches
 
-    Computed by the plan pass (over the very jobs list it just built)
-    before any kernel runs: job/cluster/pair counts, total candidate and
-    member id volume, per-scan candidate-id volume, and the candidate
-    population bound.  Deliberately O(jobs + clusters) — only ``len()``
-    arithmetic, no per-object work — so the measuring pass costs nothing
-    next to even the cheapest kernel on a tiny tick.  ``population`` is
-    therefore the *total* job id count, an upper bound on the bitset
-    remap width that is exact when candidates are disjoint; the
-    dispatcher's cost fit only needs the feature to scale consistently.
-    See :class:`~repro.clustering.numeric.MatchPlanStats`.
-    """
-    n_clusters = len(members)
-    member_ids = sum(len(cluster) for cluster in members)
-    pairs = job_ids = scan_ids = 0
-    for _pos, objects, scan in jobs:
-        size = len(objects)
-        fan = n_clusters if scan is None else len(scan)
-        pairs += fan
-        job_ids += size
-        scan_ids += fan * size
-    return MatchPlanStats(
-        jobs=len(jobs), clusters=n_clusters, pairs=pairs, job_ids=job_ids,
-        member_ids=member_ids, scan_ids=scan_ids, population=job_ids,
-    )
+
+def _owner_table(members):
+    """``{object: cluster index}``, or None when clusters overlap."""
+    owner = {}
+    size = 0
+    for index, cluster in enumerate(members):
+        owner.update(dict.fromkeys(cluster, index))
+        size += len(cluster)
+    return owner if len(owner) == size else None
 
 
 @dataclass(frozen=True)
@@ -341,21 +343,6 @@ class CandidateTracker:
         counters: optional dict receiving bookkeeping totals (the
             ``COUNTER_KEYS``); a fresh dict is created when omitted and is
             always available as :attr:`counters`.
-        backend: numeric backend for the matching kernel — ``"python"``
-            (default) runs :func:`match_candidates`'s pairwise set
-            intersections; ``"vector"`` runs the batch join of
-            :func:`~repro.clustering.numeric.match_candidates_vector`.
-            Both produce identical matches, so the tracker's output is
-            bit-for-bit the same either way.
-        match_kernel: optional match-kernel override — one of
-            :data:`~repro.clustering.numeric.MATCH_KERNELS`.  A fixed
-            name (``"scalar"`` / ``"merge"`` / ``"bitset"``) pins that
-            kernel regardless of backend; ``"auto"`` lets a
-            :class:`~repro.clustering.numeric.KernelDispatch` pick per
-            tick from the plan pass's measured join shape (and counts
-            its choices in ``dispatch_scalar`` / ``dispatch_merge`` /
-            ``dispatch_bitset``).  Every kernel produces identical
-            matches, so this knob only moves time, never output.
 
     Usage: call :meth:`advance` (or, with cluster diffs available,
     :meth:`advance_delta`) once per time step (or partition) with the
@@ -364,17 +351,7 @@ class CandidateTracker:
     """
 
     def __init__(self, min_objects, min_lifetime, paper_semantics=False,
-                 counters=None, backend="python", match_kernel=None):
-        self._numeric_backend = validate_backend(backend)
-        self._match_kernel = validate_match_kernel(match_kernel)
-        if self._match_kernel == "auto":
-            self._dispatch = KernelDispatch()
-            self._kernel = None
-        else:
-            self._dispatch = None
-            self._kernel = resolve_match_kernel(
-                self._numeric_backend, self._match_kernel
-            )
+                 counters=None):
         if min_objects < 1:
             raise ValueError(f"m must be >= 1, got {min_objects}")
         if min_lifetime < 1:
@@ -392,9 +369,6 @@ class CandidateTracker:
         self.counters = counters if counters is not None else {}
         for key in COUNTER_KEYS:
             self.counters.setdefault(key, 0)
-        if self._dispatch is not None:
-            for name in KernelDispatch.KERNELS:
-                self.counters.setdefault(f"dispatch_{name}", 0)
 
     def _begin_step(self, window_start, window_end):
         """Validate one step's window against the step-ordering contract."""
@@ -444,15 +418,7 @@ class CandidateTracker:
         executor backends; result order is irrelevant (the caller keys by
         position), so any merge of the per-shard outputs is legal.
         """
-        if self._dispatch is None:
-            return self._kernel(members, jobs, self._m)
-        stats = match_plan_stats(members, jobs)
-        name = self._dispatch.choose(stats)
-        self.counters[f"dispatch_{name}"] += 1
-        started = perf_counter()
-        out = FIXED_MATCH_KERNELS[name](members, jobs, self._m)
-        self._dispatch.observe(name, stats, perf_counter() - started)
-        return out
+        return match_candidates(members, jobs, self._m)
 
     def advance(self, clusters, window_start, window_end):
         """Process one time step covering ``[window_start, window_end]``.

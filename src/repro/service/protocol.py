@@ -61,7 +61,7 @@ from __future__ import annotations
 import json
 
 from repro.core.convoy import Convoy
-from repro.store.base import encode_object_id
+from repro.store.base import check_object_id, encode_object_id
 
 
 class ProtocolError(ValueError):
@@ -130,7 +130,7 @@ def decode_snapshot(triples):
             )
         object_id, x, y = triple
         try:
-            encode_object_id(object_id)
+            check_object_id(object_id)
         except TypeError as exc:
             raise ProtocolError(str(exc)) from None
         if not isinstance(x, (int, float)) or not isinstance(

@@ -39,8 +39,8 @@ from repro.core.convoy import Convoy
 TOP_K_KEYS = ("size", "duration")
 
 
-def encode_object_id(object_id):
-    """Encode one object id as canonical text, preserving its type.
+def check_object_id(object_id):
+    """Reject an object id that :func:`encode_object_id` cannot encode.
 
     Only types JSON round-trips exactly are accepted (``str`` and
     ``int`` — what the CSV loader and the synthetic sources produce);
@@ -52,6 +52,12 @@ def encode_object_id(object_id):
             "convoy store object ids must be str or int (JSON round-trips "
             f"them exactly), got {type(object_id).__name__}: {object_id!r}"
         )
+
+
+def encode_object_id(object_id):
+    """Encode one object id as canonical text, preserving its type
+    (ids :func:`check_object_id` rejects raise ``TypeError``)."""
+    check_object_id(object_id)
     return json.dumps(object_id)
 
 

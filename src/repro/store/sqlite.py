@@ -55,14 +55,15 @@ PostgreSQL backend's job.
 from __future__ import annotations
 
 import heapq
+import operator
 import os
 import sqlite3
+from itertools import chain, repeat
 
 from repro.geometry.bbox import BoundingBox
 from repro.store.base import (
     ConvoyStore,
     convoy_identity,
-    encode_members,
     encode_object_id,
     rank_key,
     row_to_convoy,
@@ -107,6 +108,42 @@ CREATE TABLE IF NOT EXISTS convoy_members (
 
 _ROW_FIELDS = "t_start, t_end, members_json"
 
+#: Member rows per multi-row INSERT.  One statement carrying many rows
+#: costs about a third less per row than ``executemany``, whose per-row
+#: bind and step round trip dominates a two-column row; 2 × 250
+#: parameters stay under the 999 that older SQLite builds allow.
+_MEMBER_ROWS_PER_INSERT = 250
+
+#: Id types whose encodings a batch may reuse by equality: exactly
+#: ``str`` and ``int`` (``True == 1``, so a bool must never hit a cached
+#: int; subclasses and rejected types take the uncached path).
+_PLAIN_ID_TYPES = frozenset((str, int))
+
+
+#: Relative widening of a REAL bound read in SQL.  The bounds are stored
+#: as Python ``repr`` text, and SQLite's text-to-REAL conversion can land
+#: one ulp below the float that text was written from (about 1 value in
+#: 10^4).  A narrowing bound may only err wide, so a REAL bound is read
+#: times 1 + 2**-40, far above those ulps and far below any real extent.
+_REAL_BOUND_SLACK = 1 + 2**-40
+
+
+def _meta_bound(key, kind="INTEGER"):
+    """A scalar subquery reading one aggregate bound from ``store_meta``.
+
+    Readers evaluate the bounds inside the statement that reads the
+    rows, so a store opened before another connection's writes still
+    narrows by the bounds those writes committed (NULL on a store that
+    never stored the bound, which matches no row).  A ``REAL`` bound is
+    widened by :data:`_REAL_BOUND_SLACK`.
+    """
+    bound = (
+        f"(SELECT CAST(value AS {kind}) FROM store_meta WHERE key = '{key}')"
+    )
+    if kind == "REAL":
+        return f"({bound} * {_REAL_BOUND_SLACK!r})"
+    return bound
+
 
 class SQLiteConvoyStore(ConvoyStore):
     """A :class:`~repro.store.base.ConvoyStore` over one SQLite file.
@@ -150,13 +187,7 @@ class SQLiteConvoyStore(ConvoyStore):
         self._closed = False
         self._in_batch = False
         self._con.executescript(_SCHEMA)
-        self._meta = dict(
-            self._con.execute("SELECT key, value FROM store_meta")
-        )
-        # Parsed-number cache over _meta: _bump_bounds consults the
-        # aggregate bounds on every insert, so str->int parsing there
-        # would be per-convoy write-through overhead.
-        self._parsed = {}
+        self._meta = self._read_meta()
         version = int(self._meta.get("schema_version", SCHEMA_VERSION))
         if version != SCHEMA_VERSION:
             raise ValueError(
@@ -172,6 +203,16 @@ class SQLiteConvoyStore(ConvoyStore):
 
     # -- metadata ----------------------------------------------------
 
+    def _read_meta(self):
+        return dict(self._con.execute("SELECT key, value FROM store_meta"))
+
+    def _roll_back(self):
+        """ROLLBACK the open transaction, and with it the bounds it
+        wrote: the cached meta must match what is committed, or a
+        retried batch would skip widening a bound that never landed."""
+        self._con.execute("ROLLBACK")
+        self._meta = self._read_meta()
+
     def _write_meta(self, **updates):
         """Upsert meta keys (inside the caller's transaction, if any)."""
         rows = [(key, str(value)) for key, value in updates.items()]
@@ -180,39 +221,16 @@ class SQLiteConvoyStore(ConvoyStore):
             "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
             rows,
         )
-        for key, value in updates.items():
-            self._meta[key] = str(value)
-            self._parsed.pop(key, None)
-
-    def _meta_int(self, key):
-        return self._meta_number(key, int)
-
-    def _meta_float(self, key):
-        return self._meta_number(key, float)
+        self._meta.update(rows)
 
     def _meta_number(self, key, parse):
-        value = self._parsed.get(key)
-        if value is None:
-            raw = self._meta.get(key)
-            if raw is None:
-                return None
-            value = self._parsed[key] = parse(raw)
-        return value
+        raw = self._meta.get(key)
+        return None if raw is None else parse(raw)
 
     # -- writing -----------------------------------------------------
 
     def add(self, convoy, bbox=None):
-        self._check_open()
-        if self._in_batch:
-            return self._insert(convoy, bbox)
-        self._con.execute("BEGIN IMMEDIATE")
-        try:
-            inserted = self._insert(convoy, bbox)
-        except BaseException:
-            self._con.execute("ROLLBACK")
-            raise
-        self._con.execute("COMMIT")
-        return inserted
+        return self.add_batch([convoy], [bbox]) == 1
 
     def add_batch(self, convoys, bboxes=None):
         self._check_open()
@@ -223,12 +241,12 @@ class SQLiteConvoyStore(ConvoyStore):
         if not pairs:
             return 0
         if self._in_batch:
-            return sum(self._insert(c, b) for c, b in pairs)
+            return self._insert(pairs)
         self._con.execute("BEGIN IMMEDIATE")
         try:
-            stored = sum(self._insert(c, b) for c, b in pairs)
+            stored = self._insert(pairs)
         except BaseException:
-            self._con.execute("ROLLBACK")
+            self._roll_back()
             raise
         self._con.execute("COMMIT")
         return stored
@@ -238,55 +256,80 @@ class SQLiteConvoyStore(ConvoyStore):
         transaction (the write-through sink's per-tick commit unit)."""
         return _Batch(self)
 
-    def _insert(self, convoy, bbox):
-        # One encoding pass serves both the identity and the payload —
-        # the identity is, by construction, interval + member text.
-        members_json = encode_members(convoy.objects)
-        identity = f"{convoy.t_start}:{convoy.t_end}:{members_json}"
-        if bbox is None:
-            box_cols = (None, None, None, None)
-        else:
-            box_cols = (bbox.min_x, bbox.min_y, bbox.max_x, bbox.max_y)
-        cursor = self._con.execute(
-            "INSERT INTO convoys (identity, t_start, t_end, segment, size,"
-            " lifetime, members_json, min_x, min_y, max_x, max_y)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
-            " ON CONFLICT(identity) DO NOTHING",
-            (identity, convoy.t_start, convoy.t_end,
-             convoy.t_start // self.segment_length, convoy.size,
-             convoy.lifetime, members_json, *box_cols),
-        )
-        if cursor.rowcount != 1:
-            return False  # identity already stored: the idempotent path
-        convoy_id = cursor.lastrowid
-        self._con.executemany(
-            "INSERT OR IGNORE INTO convoy_members (object_id, convoy_id)"
-            " VALUES (?, ?)",
-            [(encode_object_id(o), convoy_id) for o in convoy.objects],
-        )
-        self._bump_bounds(convoy, bbox)
-        return True
+    def _insert(self, pairs):
+        """Insert ``(convoy, bbox)`` pairs; returns how many were new.
 
-    def _bump_bounds(self, convoy, bbox):
+        Convoys closing in one tick share most of their members, so
+        each distinct id is encoded once per call; the member rows of
+        every new convoy go in through multi-row INSERTs, and the
+        aggregate bounds widen once for the whole call.
+        """
+        encoded = {}  # plain str/int id -> its encoding
+        member_rows = []
+        stored = []
+        execute = self._con.execute
+        for convoy, bbox in pairs:
+            objects = convoy.objects
+            if _PLAIN_ID_TYPES.issuperset(map(type, objects)):
+                for object_id in objects:
+                    if object_id not in encoded:
+                        encoded[object_id] = encode_object_id(object_id)
+                texts = sorted(map(encoded.__getitem__, objects))
+            else:
+                # Subclasses encode uncached; rejected types raise here.
+                texts = sorted(map(encode_object_id, objects))
+            # The identity and payload texts of convoy_identity /
+            # encode_members, from one encoding pass.
+            members_json = "[" + ",".join(texts) + "]"
+            identity = f"{convoy.t_start}:{convoy.t_end}:{members_json}"
+            if bbox is None:
+                box_cols = (None, None, None, None)
+            else:
+                box_cols = (bbox.min_x, bbox.min_y, bbox.max_x, bbox.max_y)
+            cursor = execute(
+                "INSERT INTO convoys (identity, t_start, t_end, segment, size,"
+                " lifetime, members_json, min_x, min_y, max_x, max_y)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+                " ON CONFLICT(identity) DO NOTHING",
+                (identity, convoy.t_start, convoy.t_end,
+                 convoy.t_start // self.segment_length, convoy.size,
+                 convoy.lifetime, members_json, *box_cols),
+            )
+            if cursor.rowcount != 1:
+                continue  # identity already stored: the idempotent path
+            member_rows += zip(texts, repeat(cursor.lastrowid))
+            stored.append((convoy, bbox))
+        for lo in range(0, len(member_rows), _MEMBER_ROWS_PER_INSERT):
+            chunk = member_rows[lo:lo + _MEMBER_ROWS_PER_INSERT]
+            execute(
+                "INSERT OR IGNORE INTO convoy_members (object_id, convoy_id)"
+                " VALUES " + ", ".join(["(?, ?)"] * len(chunk)),
+                list(chain.from_iterable(chunk)),
+            )
+        if stored:
+            self._bump_bounds(stored)
+        return len(stored)
+
+    def _bump_bounds(self, stored):
         """Maintain the aggregate bounds the narrowing tricks rely on
         (same transaction as the insert, so they are never stale)."""
         updates = {}
-        max_lifetime = self._meta_int("max_lifetime")
-        if max_lifetime is None or convoy.lifetime > max_lifetime:
-            updates["max_lifetime"] = convoy.lifetime
-        min_t = self._meta_int("min_t")
-        if min_t is None or convoy.t_start < min_t:
-            updates["min_t"] = convoy.t_start
-        max_t = self._meta_int("max_t")
-        if max_t is None or convoy.t_end > max_t:
-            updates["max_t"] = convoy.t_end
-        if bbox is not None:
-            max_width = self._meta_float("max_width")
-            if max_width is None or bbox.width > max_width:
-                updates["max_width"] = bbox.width
-            max_height = self._meta_float("max_height")
-            if max_height is None or bbox.height > max_height:
-                updates["max_height"] = bbox.height
+
+        def widen(key, value, parse, wider):
+            current = self._meta_number(key, parse)
+            if current is None or wider(value, current):
+                updates[key] = value
+
+        widen("max_lifetime", max(c.lifetime for c, _ in stored), int,
+              operator.gt)
+        widen("min_t", min(c.t_start for c, _ in stored), int, operator.lt)
+        widen("max_t", max(c.t_end for c, _ in stored), int, operator.gt)
+        boxes = [bbox for _, bbox in stored if bbox is not None]
+        if boxes:
+            widen("max_width", max(b.width for b in boxes), float,
+                  operator.gt)
+            widen("max_height", max(b.height for b in boxes), float,
+                  operator.gt)
         if updates:
             self._write_meta(**updates)
 
@@ -311,17 +354,15 @@ class SQLiteConvoyStore(ConvoyStore):
                 (t1, t2),
             )
             return [row_to_convoy(*row) for row in rows]
-        max_lifetime = self._meta_int("max_lifetime")
-        if max_lifetime is None:
-            return []  # empty store
         # Bounded-extent narrowing: alive at t1 implies
         # t_start > t1 - max_lifetime, so the predicate is a two-sided
         # range on the (t_start, t_end, identity) index.
         rows = self._con.execute(
             f"SELECT {_ROW_FIELDS} FROM convoys"
-            " WHERE t_start >= ? AND t_start <= ? AND t_end >= ?"
+            f" WHERE t_start >= ? - {_meta_bound('max_lifetime')} + 1"
+            " AND t_start <= ? AND t_end >= ?"
             " ORDER BY t_start, t_end, identity",
-            (t1 - max_lifetime + 1, t2, t1),
+            (t1, t2, t1),
         )
         return [row_to_convoy(*row) for row in rows]
 
@@ -339,21 +380,18 @@ class SQLiteConvoyStore(ConvoyStore):
 
     def intersecting(self, bbox):
         self._check_open()
-        max_width = self._meta_float("max_width")
-        if max_width is None:
-            return []  # no convoy was ever stored with a bounding box
         # Same bounded-extent trick along x: an intersecting box has
-        # min_x <= query.max_x and min_x > query.min_x - max_width,
+        # min_x <= query.max_x and min_x >= query.min_x - max_width,
         # served by the (min_x) index; y and the exact x overlap are
-        # residual filters.
+        # residual filters.  No box ever stored: max_width is NULL.
         rows = self._con.execute(
             f"SELECT {_ROW_FIELDS} FROM convoys"
             " WHERE min_x IS NOT NULL"
-            " AND min_x >= ? AND min_x <= ?"
+            f" AND min_x >= ? - {_meta_bound('max_width', 'REAL')}"
+            " AND min_x <= ?"
             " AND max_x >= ? AND min_y <= ? AND max_y >= ?"
             " ORDER BY t_start, t_end, identity",
-            (bbox.min_x - max_width, bbox.max_x,
-             bbox.min_x, bbox.max_y, bbox.min_y),
+            (bbox.min_x, bbox.max_x, bbox.min_x, bbox.max_y, bbox.min_y),
         )
         return [row_to_convoy(*row) for row in rows]
 
@@ -372,11 +410,16 @@ class SQLiteConvoyStore(ConvoyStore):
             )
         if k is not None and k < 0:
             raise ValueError(f"k must be >= 0 or None, got {k}")
-        min_t = self._meta_int("min_t")
+        # The segment range needs the bounds before any cursor opens, so
+        # they are read fresh here (writes by other connections count);
+        # the alive filter still reads max_lifetime inside its own rows'
+        # statement.
+        min_t, max_t, max_lifetime = self._con.execute(
+            f"SELECT {_meta_bound('min_t')}, {_meta_bound('max_t')},"
+            f" {_meta_bound('max_lifetime')}"
+        ).fetchone()
         if min_t is None or k == 0:
             return iter(())
-        max_t = self._meta_int("max_t")
-        max_lifetime = self._meta_int("max_lifetime")
         where = ""
         params = ()
         lo_t, hi_t = min_t, max_t
@@ -384,8 +427,11 @@ class SQLiteConvoyStore(ConvoyStore):
             t1, t2 = alive
             if t2 < t1:
                 raise ValueError(f"alive window reversed: [{t1}, {t2}]")
-            where = " AND t_start >= ? AND t_start <= ? AND t_end >= ?"
-            params = (t1 - max_lifetime + 1, t2, t1)
+            where = (
+                f" AND t_start >= ? - {_meta_bound('max_lifetime')} + 1"
+                " AND t_start <= ? AND t_end >= ?"
+            )
+            params = (t1, t2, t1)
             lo_t = max(lo_t, t1 - max_lifetime + 1)
             hi_t = min(hi_t, t2)
             if hi_t < lo_t:
@@ -476,7 +522,7 @@ class SQLiteConvoyStore(ConvoyStore):
             return
         self._in_batch = False
         if self._con.in_transaction:
-            self._con.execute("ROLLBACK")
+            self._roll_back()
 
     def close(self):
         if not self._closed:
@@ -512,7 +558,7 @@ class _Batch:
         if exc_type is None:
             store._con.execute("COMMIT")
         else:
-            store._con.execute("ROLLBACK")
+            store._roll_back()
         return False
 
 

@@ -62,7 +62,7 @@ O(live chains x window).
 from __future__ import annotations
 
 from repro.clustering.incremental import IncrementalSnapshotClusterer
-from repro.clustering.numeric import validate_backend, validate_match_kernel
+from repro.clustering.numeric import validate_backend
 from repro.core.candidates import CandidateTracker
 from repro.streaming.pipeline import (
     ClusterStage,
@@ -146,27 +146,15 @@ class StreamingConvoyMiner:
             batches (see :mod:`repro.streaming.sharding`'s resident
             protocol).  Only meaningful with ``shards``; emissions stay
             bit-for-bit identical.
-        backend: numeric backend for the per-tick hot kernels —
+        backend: numeric backend for the snapshot-clustering kernels —
             ``"python"`` (default) or ``"vector"`` (contiguous-array
             batch kernels, numpy-accelerated when numpy is importable;
             see :mod:`repro.clustering.numeric`).  Threads through the
-            snapshot clustering (fresh DBSCAN or, with
-            ``clusterer="incremental"``, the incremental clusterer) and
-            the candidate tracker's matching kernel; emissions are
-            bit-for-bit identical either way.  A pre-built clusterer
-            instance keeps whatever backend it was constructed with.
-            Introspectable as :attr:`backend`.
-        match_kernel: optional match-kernel override for the candidate
-            tracker — one of
-            :data:`~repro.clustering.numeric.MATCH_KERNELS`.
-            ``"scalar"`` / ``"merge"`` / ``"bitset"`` pin that kernel;
-            ``"auto"`` lets a
-            :class:`~repro.clustering.numeric.KernelDispatch` pick per
-            tick from the measured join shape (learning not to batch
-            small deltas).  ``None`` (default) follows ``backend``.
-            Every kernel produces identical matches, so emissions are
-            bit-for-bit the same; introspectable as
-            :attr:`match_kernel`.
+            fresh DBSCAN or, with ``clusterer="incremental"``, the
+            incremental clusterer; emissions are bit-for-bit identical
+            either way.  A pre-built clusterer instance keeps whatever
+            backend it was constructed with.  Introspectable as
+            :attr:`backend`.
         store: optional write-through persistence.  A
             :class:`~repro.store.base.ConvoyStore` instance, or a path
             (``str``/``os.PathLike``) from which a SQLite store is
@@ -197,12 +185,9 @@ class StreamingConvoyMiner:
 
     def __init__(self, m, k, eps, paper_semantics=False, window=None,
                  counters=None, clusterer=None, reorder=None, shards=None,
-                 executor=None, resident=False, backend=None, store=None,
-                 match_kernel=None):
-        #: The numeric backend driving the hot kernels ("python"/"vector").
+                 executor=None, resident=False, backend=None, store=None):
+        #: The numeric backend of the clustering kernels ("python"/"vector").
         self.backend = validate_backend(backend)
-        #: The match-kernel override (None follows the backend).
-        self.match_kernel = validate_match_kernel(match_kernel)
         if eps <= 0:
             raise ValueError(f"eps must be positive, got {eps}")
         if window is not None and window < k:
@@ -238,15 +223,13 @@ class StreamingConvoyMiner:
         if shards is None:
             tracker = CandidateTracker(
                 m, k, paper_semantics=paper_semantics,
-                counters=self.counters, backend=self.backend,
-                match_kernel=self.match_kernel,
+                counters=self.counters,
             )
         else:
             tracker = ShardedCandidateTracker(
                 m, k, shards=shards, executor=executor,
                 paper_semantics=paper_semantics, counters=self.counters,
-                backend=self.backend, resident=resident,
-                match_kernel=self.match_kernel,
+                resident=resident,
             )
         self.shards = None if shards is None else int(shards)
         self._m = m
@@ -396,8 +379,7 @@ class StreamingConvoyMiner:
 
 def mine_stream(source, m, k, eps, paper_semantics=False, window=None,
                 counters=None, clusterer=None, reorder=None, shards=None,
-                executor=None, resident=False, backend=None, store=None,
-                match_kernel=None):
+                executor=None, resident=False, backend=None, store=None):
     """Drive a :class:`StreamingConvoyMiner` over a snapshot source.
 
     Args:
@@ -409,8 +391,7 @@ def mine_stream(source, m, k, eps, paper_semantics=False, window=None,
             feeds of ``synthetic_stream(..., jitter=)``).
         m, k, eps: the convoy-query parameters.
         paper_semantics, window, counters, clusterer, reorder, shards,
-            executor, resident, backend, store, match_kernel: forwarded
-            to the miner (``store`` persists every convoy as it closes;
+            executor, resident, backend, store: forwarded to the miner (``store`` persists every convoy as it closes;
             a path opens a SQLite store that is closed again before
             returning).
 
@@ -422,7 +403,7 @@ def mine_stream(source, m, k, eps, paper_semantics=False, window=None,
         m, k, eps, paper_semantics=paper_semantics, window=window,
         counters=counters, clusterer=clusterer, reorder=reorder,
         shards=shards, executor=executor, resident=resident,
-        backend=backend, store=store, match_kernel=match_kernel,
+        backend=backend, store=store,
     )
     convoys = []
     # The context manager releases pooled backends even when the source

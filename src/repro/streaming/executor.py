@@ -66,7 +66,7 @@ under a fresh generation.
 
 from __future__ import annotations
 
-from repro.core.candidates import FIXED_MATCH_KERNELS, resolve_match_kernel
+from repro.core.candidates import match_candidates
 
 #: Names accepted by :func:`resolve_executor` and
 #: :func:`resolve_resident_executor`.
@@ -127,50 +127,33 @@ class ResidentShardWorker:
     The worker holds ``chain id -> candidate object-set`` between ticks
     and answers the three protocol messages (plain picklable tuples):
 
-    * ``("init", min_objects, backend, entries)`` — replace the state
-      wholesale with ``entries`` (``(chain_id, objects)`` pairs) and
-      resolve the matching kernel from the numeric backend *name*;
-      returns ``("ok", population)``.
-    * ``("step", members, ops, jobs[, kernel])`` — apply the put/drop
-      ``ops`` (the parent's apply-pass delta), then run the match kernel
-      over ``jobs`` (``(pos, chain_id, scan)`` triples resolved against
-      the resident state) and return ``(pos, match_indexes)`` pairs —
-      match *indexes only*; the parent re-derives the few winning
-      intersections itself, so cluster-sized sets never travel back.
-      The optional fifth element names a fixed kernel for this tick
-      (the parent's ``match_kernel`` or its dispatcher's choice);
-      without it the worker runs the kernel its ``init`` backend
-      implies.
+    * ``("init", min_objects, entries)`` — replace the state wholesale
+      with ``entries`` (``(chain_id, objects)`` pairs); returns
+      ``("ok", population)``.
+    * ``("step", members, ops, jobs)`` — apply the put/drop ``ops``
+      (the parent's apply-pass delta), then run
+      :func:`~repro.core.candidates.match_candidates` over ``jobs``
+      (``(pos, chain_id, scan)`` triples resolved against the resident
+      state) and return ``(pos, match_indexes)`` pairs — match *indexes
+      only*; the parent re-derives the few winning intersections
+      itself, so cluster-sized sets never travel back.
     * ``("snapshot",)`` — return a copy of the resident state, for
       rebalance/close and the differential suite's state checks.
 
-    ``("probe",)`` additionally reports ``(pid, process name, kernel
-    name, population)`` as a health check.
-
-    Alongside the object sets the worker maintains one *bitset row* per
-    chain — a Python ``int`` bitmask over a worker-local dense id remap
-    that grows with first-seen candidate objects — kept patched by the
-    very same put/drop deltas.  A ``bitset``-kernel tick then needs no
-    per-tick remap shipping and no row rebuild: cluster member sets are
-    encoded through the existing remap (ids no resident candidate holds
-    cannot intersect anything and are skipped) and each scanned pair is
-    one C-speed AND + ``int.bit_count``.
+    ``("probe",)`` additionally reports ``(pid, process name,
+    population)`` as a health check.
     """
 
     def __init__(self):
         self._objects = {}
         self._m = None
-        self._kernel = None
-        self._bit_of = {}  # object id -> bit index (first-seen order)
-        self._bits = {}    # chain id -> int bitmask over _bit_of
 
     def handle(self, message):
         tag = message[0]
         if tag == "step":
-            kernel = message[4] if len(message) > 4 else None
-            return self._step(message[1], message[2], message[3], kernel)
+            return self._step(message[1], message[2], message[3])
         if tag == "init":
-            return self._init(message[1], message[2], message[3])
+            return self._init(message[1], message[2])
         if tag == "snapshot":
             return dict(self._objects)
         if tag == "probe":
@@ -180,74 +163,31 @@ class ResidentShardWorker:
             return (
                 os.getpid(),
                 multiprocessing.current_process().name,
-                None if self._kernel is None else self._kernel.__name__,
                 len(self._objects),
             )
         raise ResidentProtocolError(f"unknown resident message {tag!r}")
 
-    def _mask(self, objects):
-        """Pack one object set into a bitmask, growing the remap."""
-        bit_of = self._bit_of
-        mask = 0
-        for obj in objects:
-            bit = bit_of.get(obj)
-            if bit is None:
-                bit = bit_of[obj] = len(bit_of)
-            mask |= 1 << bit
-        return mask
-
-    def bitset_rows(self):
-        """Decode the maintained bitset rows back to object sets.
-
-        Diagnostic/testing surface: the decoded rows must always equal
-        the authoritative ``chain id -> objects`` state (the property
-        suite rebuilds a fresh worker from the current state and holds
-        the two decodings equal after arbitrary put/drop sequences).
-        """
-        name_of = {bit: obj for obj, bit in self._bit_of.items()}
-        rows = {}
-        for chain_id, mask in self._bits.items():
-            objects = set()
-            while mask:
-                low = mask & -mask
-                objects.add(name_of[low.bit_length() - 1])
-                mask ^= low
-            rows[chain_id] = frozenset(objects)
-        return rows
-
-    def _init(self, min_objects, backend, entries):
+    def _init(self, min_objects, entries):
         self._m = min_objects
-        self._kernel = resolve_match_kernel(backend)
         self._objects = {chain_id: objects for chain_id, objects in entries}
-        self._bit_of = {}
-        self._bits = {
-            chain_id: self._mask(objects)
-            for chain_id, objects in self._objects.items()
-        }
         return ("ok", len(self._objects))
 
-    def _step(self, members, ops, jobs, kernel=None):
+    def _step(self, members, ops, jobs):
         objects = self._objects
-        bits = self._bits
         for op in ops:
             if op[0] == "put":
                 objects[op[1]] = op[2]
-                bits[op[1]] = self._mask(op[2])
             elif op[0] == "drop":
                 if objects.pop(op[1], None) is None:
                     raise ResidentProtocolError(
                         f"drop for unknown chain {op[1]}"
                     )
-                del bits[op[1]]
             else:
                 raise ResidentProtocolError(f"unknown delta op {op[0]!r}")
         if not jobs:
             return ()
-        if self._kernel is None:
+        if self._m is None:
             raise ResidentProtocolError("step before init: worker has no state")
-        if kernel == "bitset":
-            return self._step_bitset(members, jobs)
-        fn = self._kernel if kernel is None else FIXED_MATCH_KERNELS[kernel]
         try:
             kernel_jobs = [
                 (pos, objects[chain_id], scan) for pos, chain_id, scan in jobs
@@ -258,35 +198,8 @@ class ResidentShardWorker:
             ) from None
         return tuple(
             (pos, tuple(index for index, _common in matches))
-            for pos, matches in fn(members, kernel_jobs, self._m)
+            for pos, matches in match_candidates(members, kernel_jobs, self._m)
         )
-
-    def _step_bitset(self, members, jobs):
-        """Run a bitset tick straight off the maintained rows."""
-        bit_of = self._bit_of
-        cluster_masks = []
-        for cluster in members:
-            mask = 0
-            for obj in cluster:
-                bit = bit_of.get(obj)
-                if bit is not None:
-                    mask |= 1 << bit
-            cluster_masks.append(mask)
-        full_scan = range(len(members))
-        min_objects = self._m
-        bits = self._bits
-        out = []
-        for pos, chain_id, scan in jobs:
-            row = bits.get(chain_id)
-            if row is None:
-                raise ResidentProtocolError(
-                    f"job references unknown chain {chain_id}"
-                )
-            out.append((pos, tuple(
-                index for index in (full_scan if scan is None else scan)
-                if (row & cluster_masks[index]).bit_count() >= min_objects
-            )))
-        return tuple(out)
 
 
 class SerialExecutor:
@@ -351,8 +264,8 @@ class ProcessExecutor:
     worker inherits whatever interpreter state the parent accumulated
     (lazily imported numpy, RNG state, open handles), so the same match
     kernel could behave differently per platform.  A spawned worker
-    re-imports from scratch and resolves its kernel from the backend
-    *name* in the task, which is exactly what a remote worker would do.
+    re-imports from scratch and receives only plain data in the task,
+    which is exactly what a remote worker would do.
     Workers are named ``repro-shard-worker`` for ps/log readability.
 
     Args:
@@ -469,7 +382,7 @@ class ResidentSerialExecutor:
         ]
 
     def probe(self, shard):
-        """Health check: ``(pid, name, kernel, population)`` for a shard."""
+        """Health check: ``(pid, name, population)`` for a shard."""
         return self._worker(shard).handle(("probe",))
 
     def restart(self, shard):
@@ -605,7 +518,7 @@ class ResidentProcessExecutor:
         return results
 
     def probe(self, shard):
-        """Health check: ``(pid, name, kernel, population)`` for a shard."""
+        """Health check: ``(pid, name, population)`` for a shard."""
         return self.run([(shard, [("probe",)])])[0][0]
 
     def _discard(self, shard):

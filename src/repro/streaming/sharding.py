@@ -70,14 +70,8 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-from time import perf_counter
 
-from repro.clustering.numeric import bitset_remap, match_candidates_bitset
-from repro.core.candidates import (
-    CandidateTracker,
-    match_plan_stats,
-    resolve_match_kernel,
-)
+from repro.core.candidates import CandidateTracker, match_candidates
 from repro.streaming.executor import (
     resolve_executor,
     resolve_resident_executor,
@@ -135,17 +129,11 @@ def _match_shard(task):
     """One shard batch: run the pure kernel over this shard's jobs.
 
     Module-level (hence picklable by reference) so process backends can
-    ship it; the payload is one chunk — the step's cluster member sets,
-    the shard's candidate jobs, the numeric backend and match-kernel
-    *names* (the worker resolves the kernel itself, so the task stays
-    plain data), and, for the bitset kernel, the tick's dense id remap
-    (built once by the parent so every shard packs rows over the same
-    bit positions) — pickled as a single message.
+    ship it; the payload is one chunk — the step's cluster member sets
+    and the shard's candidate jobs — pickled as a single message.
     """
-    members, jobs, min_objects, backend, kernel, remap = task
-    if kernel == "bitset":
-        return match_candidates_bitset(members, jobs, min_objects, remap)
-    return resolve_match_kernel(backend, kernel)(members, jobs, min_objects)
+    members, jobs, min_objects = task
+    return match_candidates(members, jobs, min_objects)
 
 
 class ShardedCandidateTracker(CandidateTracker):
@@ -160,14 +148,8 @@ class ShardedCandidateTracker(CandidateTracker):
     adds the :data:`COUNTER_KEYS` bookkeeping.
 
     Args:
-        min_objects, min_lifetime, paper_semantics, counters, backend,
-        match_kernel:
-            as for :class:`~repro.core.candidates.CandidateTracker`
-            (``backend`` picks the numeric matching kernel the shard
-            workers run; ``match_kernel`` pins a fixed kernel or, with
-            ``"auto"``, lets the dispatcher pick per tick — the chosen
-            kernel *name* ships in the shard tasks, so workers stay
-            stateless; identical matches every way).
+        min_objects, min_lifetime, paper_semantics, counters:
+            as for :class:`~repro.core.candidates.CandidateTracker`.
         shards: number of partitions (``>= 1``; 1 still routes every
             batch through the backend, which is how the scaling bench
             isolates pure layer overhead).
@@ -187,10 +169,10 @@ class ShardedCandidateTracker(CandidateTracker):
 
     def __init__(self, min_objects, min_lifetime, shards,
                  executor="serial", paper_semantics=False, counters=None,
-                 backend="python", resident=False, match_kernel=None):
+                 resident=False):
         super().__init__(
             min_objects, min_lifetime, paper_semantics=paper_semantics,
-            counters=counters, backend=backend, match_kernel=match_kernel,
+            counters=counters,
         )
         shards = int(shards)
         if shards < 1:
@@ -266,38 +248,18 @@ class ShardedCandidateTracker(CandidateTracker):
             self._route_cache[support] = shard
         return shard
 
-    def _choose_kernel(self, members, jobs):
-        """Pick this tick's fixed kernel name to ship to the shards.
-
-        Returns ``(kernel name or None, MatchPlanStats or None)`` —
-        stats are only computed (and the choice only counted) under
-        ``"auto"`` dispatch; the caller feeds the measured tick cost
-        back via :meth:`KernelDispatch.observe` when stats are present.
-        """
-        if self._dispatch is None:
-            return self._match_kernel, None
-        stats = match_plan_stats(members, jobs)
-        name = self._dispatch.choose(stats)
-        self.counters[f"dispatch_{name}"] += 1
-        return name, stats
-
     def _match_live(self, members, jobs):
         """Partition the step's scans into shard batches and execute them."""
         if self._resident:
             return self._match_live_resident(members, jobs)
         if not jobs:
             return []
-        kernel, stats = self._choose_kernel(members, jobs)
-        remap = bitset_remap(jobs) if kernel == "bitset" else None
         candidates = self._candidates
         buckets = [[] for _ in range(self._n_shards)]
         for job in jobs:
             pos = job[0]
             buckets[self._shard_for(pos, candidates[pos].support)].append(job)
-        tasks = [
-            (members, bucket, self._m, self._numeric_backend, kernel, remap)
-            for bucket in buckets if bucket
-        ]
+        tasks = [(members, bucket, self._m) for bucket in buckets if bucket]
         self.counters["shard_steps"] += 1
         self.counters["sharded_candidates"] += len(jobs)
         biggest = max(len(bucket) for bucket in buckets)
@@ -307,10 +269,7 @@ class ShardedCandidateTracker(CandidateTracker):
             self.counters["shipped_bytes"] += len(
                 pickle.dumps(tasks, pickle.HIGHEST_PROTOCOL)
             )
-        started = perf_counter()
         raw = self._backend.map(_match_shard, tasks)
-        if stats is not None:
-            self._dispatch.observe(kernel, stats, perf_counter() - started)
         if self._byte_accounting:
             self.counters["result_bytes"] += len(
                 pickle.dumps(raw, pickle.HIGHEST_PROTOCOL)
@@ -345,44 +304,31 @@ class ShardedCandidateTracker(CandidateTracker):
     def _queue_op(self, shard, op):
         self._pending_ops.setdefault(shard, []).append(op)
 
-    def _shard_messages(self, shard, members=None, jobs=(), kernel=None):
+    def _shard_messages(self, shard, members=None, jobs=()):
         """Build one shard's message batch, handling (re)seeding.
 
         When the transport reports a generation the tracker has not
         seeded (first use, restart, crash recovery), pending deltas are
         discarded and a full ``init`` is sent instead — the worker's
         state is gone, so the only sound move is wholesale replacement
-        from the parent's authoritative live list.  A per-tick kernel
-        name (fixed ``match_kernel`` or the dispatcher's choice) rides
-        as a fifth ``step`` element; without one the message keeps its
-        four-element legacy shape and the worker falls back to the
-        kernel its ``init`` backend implies.
+        from the parent's authoritative live list.
         """
         messages = []
         generation = self._backend.generation(shard)
         if self._seen_gen.get(shard) != generation:
             self._pending_ops.pop(shard, None)
-            messages.append(
-                ("init", self._m, self._numeric_backend,
-                 self._shard_entries(shard))
-            )
+            messages.append(("init", self._m, self._shard_entries(shard)))
             self._seen_gen[shard] = generation
             self.counters["resident_inits"] += 1
             ops = ()
         else:
             ops = tuple(self._pending_ops.pop(shard, ()))
         if ops or jobs:
-            step = ("step", members or (), ops, tuple(jobs))
-            if kernel is not None:
-                step += (kernel,)
-            messages.append(step)
+            messages.append(("step", members or (), ops, tuple(jobs)))
         return messages
 
     def _match_live_resident(self, members, jobs):
         """Ship per-shard step messages; reconstruct matches from indexes."""
-        kernel, stats = self._choose_kernel(members, jobs) if jobs else (
-            None, None
-        )
         candidates = self._candidates
         chains = self._chains
         homes = self._homes
@@ -415,8 +361,7 @@ class ShardedCandidateTracker(CandidateTracker):
                     ]
                     unmap[shard] = used
             messages = self._shard_messages(
-                shard, members=shard_members, jobs=bucket,
-                kernel=kernel if bucket else None,
+                shard, members=shard_members, jobs=bucket
             )
             if messages:
                 batches.append((shard, messages))
@@ -433,10 +378,7 @@ class ShardedCandidateTracker(CandidateTracker):
             self.counters["shipped_bytes"] += len(
                 pickle.dumps(batches, pickle.HIGHEST_PROTOCOL)
             )
-        started = perf_counter()
         responses = self._backend.run(batches)
-        if stats is not None:
-            self._dispatch.observe(kernel, stats, perf_counter() - started)
         if self._byte_accounting:
             self.counters["result_bytes"] += len(
                 pickle.dumps(responses, pickle.HIGHEST_PROTOCOL)

@@ -1,6 +1,7 @@
 """Tests for snapshot DBSCAN — against hand-built cases and the brute-force
 reference implementation."""
 
+import math
 import random
 
 import pytest
@@ -136,3 +137,22 @@ class TestClusterInvariants:
             assert len(cluster) >= min_pts
             assert not (cluster & seen), "clusters must be disjoint"
             seen |= cluster
+
+
+class TestObjectIds:
+    """The grid is keyed by dense position; answers and errors still
+    speak in object ids."""
+
+    @pytest.mark.parametrize("backend", ["python", "vector"])
+    def test_mixed_id_types_survive(self, backend):
+        points = {
+            5: (0.0, 0.0), "5": (0.5, 0.0), "a": (0.0, 0.5),
+            6: (20.0, 20.0),
+        }
+        assert dbscan(points, 1.0, 3, backend=backend) == [{5, "5", "a"}]
+
+    @pytest.mark.parametrize("backend", ["python", "vector"])
+    def test_non_finite_error_names_the_object(self, backend):
+        points = {"ok": (0.0, 0.0), "lost": (math.nan, 1.0), 7: (1.0, 1.0)}
+        with pytest.raises(ValueError, match="finite.*'lost'"):
+            dbscan(points, 1.0, 2, backend=backend)

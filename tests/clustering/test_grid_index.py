@@ -4,10 +4,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering.grid_index import GridIndex
+from repro.clustering.grid_index import GridIndex, block_reach, bucket_side
 
 coord = st.floats(min_value=-200, max_value=200, allow_nan=False)
 
@@ -299,3 +299,144 @@ class TestNonFiniteCoordinates:
     def test_bulk_load_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             GridIndex(1.0, {"a": (0, 0), "b": (math.nan, 1.0)})
+
+
+def predicate_neighbors(points, query, radius):
+    """Ids within ``radius`` of ``query`` under the squared-distance
+    predicate the grid itself evaluates."""
+    qx, qy = query
+    radius2 = radius * radius
+    return {
+        item_id
+        for item_id, (x, y) in points.items()
+        if (x - qx) * (x - qx) + (y - qy) * (y - qy) <= radius2
+    }
+
+
+def as_sets(neighbors):
+    return {item_id: set(found) for item_id, found in neighbors.items()}
+
+
+def scattered_points(rng, cell, count=150):
+    """Uniform points mixed with grid-line and duplicated positions."""
+    points = {}
+    for i in range(count):
+        roll = rng.random()
+        if roll < 0.2:
+            xy = (cell * rng.randint(-6, 6), cell * rng.randint(-6, 6))
+        elif roll < 0.3 and points:
+            xy = points[rng.randrange(len(points))]
+        else:
+            xy = (rng.uniform(-12, 12), rng.uniform(-12, 12))
+        points[i] = xy
+    return points
+
+
+class TestAllNeighbors:
+    """The per-cell batch pass: every point's disk at once, each pair
+    tested once from the earlier of its two cells."""
+
+    def test_empty_index(self):
+        assert GridIndex(1.0).all_neighbors(1.0) == {}
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            GridIndex(1.0, {"a": (0, 0)}).all_neighbors(-0.5)
+
+    def test_isolated_points_list_only_themselves(self):
+        index = GridIndex(1.0, {"a": (0, 0), "b": (5, 5), "c": (0.5, 0)})
+        assert as_sets(index.all_neighbors(1.0)) == {
+            "a": {"a", "c"}, "b": {"b"}, "c": {"a", "c"},
+        }
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0, 1.5, 2.0, 3.5])
+    def test_matches_per_point_queries(self, ratio):
+        """Radii below, at, and several rings beyond the cell size: the
+        forward half of the block covers every pair of the whole block."""
+        cell = 2.0
+        points = scattered_points(random.Random(int(ratio * 10)), cell)
+        index = GridIndex(cell, points)
+        radius = ratio * cell
+        got = as_sets(index.all_neighbors(radius))
+        assert got == {
+            item_id: set(index.neighbors_of(item_id, radius))
+            for item_id in points
+        }
+        assert got == {
+            item_id: predicate_neighbors(points, xy, radius)
+            for item_id, xy in points.items()
+        }
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(coord, coord), max_size=60),
+        st.floats(min_value=0.1, max_value=50),
+        st.floats(min_value=0.0, max_value=4.0),
+    )
+    def test_matches_brute_force(self, pts, cell, ratio):
+        points = dict(enumerate(pts))
+        radius = ratio * cell
+        assert as_sets(GridIndex(cell, points).all_neighbors(radius)) == {
+            item_id: predicate_neighbors(points, xy, radius)
+            for item_id, xy in points.items()
+        }
+
+    def test_follows_mutations(self):
+        """The incremental clusterer's full pass runs on an index it has
+        been moving point by point; the pass sees the current state."""
+        rng = random.Random(5)
+        index = GridIndex(1.5)
+        points = {}
+        for step in range(200):
+            op = rng.random()
+            if op < 0.4 or not points:
+                xy = (rng.uniform(-8, 8), rng.uniform(-8, 8))
+                points[step] = xy
+                index.insert(step, xy)
+            elif op < 0.75:
+                target = rng.choice(sorted(points))
+                points[target] = (rng.uniform(-8, 8), rng.uniform(-8, 8))
+                index.move(target, points[target])
+            else:
+                target = rng.choice(sorted(points))
+                del points[target]
+                index.remove(target)
+            if step % 25 == 0:
+                assert as_sets(index.all_neighbors(1.5)) == {
+                    item_id: predicate_neighbors(points, xy, 1.5)
+                    for item_id, xy in points.items()
+                }
+
+    def test_each_neighbour_listed_once(self):
+        """A pair is recorded once on each side, for same-cell pairs,
+        duplicate positions and pairs across cells alike."""
+        points = {i: (0.25 * (i % 3), 0.0) for i in range(9)}
+        points[9] = (1.2, 0.3)
+        points[10] = (-0.9, -0.9)
+        index = GridIndex(1.0, points)
+        for radius in (0.0, 1.0, 2.5):
+            for found in index.all_neighbors(radius).values():
+                assert len(found) == len(set(found))
+
+
+class TestBucketGeometry:
+    def test_block_reach_is_one_up_to_cell_size(self):
+        for radius in (0.0, 1e-9, 0.5, 1.0):
+            assert block_reach(radius, 1.0) == 1
+        # The engine's configuration, radius == cell_size: a 3x3 block.
+        assert block_reach(10.0, 10.0) == 1
+
+    def test_block_reach_counts_rings_beyond(self):
+        assert block_reach(math.nextafter(1.0, 2.0), 1.0) == 2
+        assert block_reach(2.0, 1.0) == 2
+        assert block_reach(2.5, 1.0) == 3
+        assert block_reach(7.0, 2.0) == 4
+
+    def test_bucket_side_is_a_hair_wider(self):
+        for cell in (1e-3, 0.3, 1.0, 10.0, 1e6):
+            assert cell < bucket_side(cell) <= cell * (1 + 1e-12)
+        # Buckets are keyed on that side: a point on the k * cell_size
+        # line still falls in bucket k - 1.
+        index = GridIndex(10.0)
+        assert index._cell_of((10.0, 20.0)) == (0, 1)
+        assert index._cell_of((bucket_side(10.0), 0.0)) == (1, 0)

@@ -18,6 +18,7 @@ from repro.service.protocol import (
     encode_convoy,
     encode_snapshot,
 )
+from repro.store.base import encode_object_id
 
 
 class TestMessageFraming:
@@ -73,6 +74,23 @@ class TestSnapshots:
             decode_snapshot([["a", "0", 0.0]])
         with pytest.raises(ProtocolError, match="numbers"):
             decode_snapshot([["a", True, 0.0]])
+
+    @pytest.mark.parametrize(
+        "bad_id", [True, False, 1.5, 2.0, None, [1], {"a": 1}]
+    )
+    def test_rejects_ids_the_store_cannot_encode(self, bad_id):
+        """The id check runs without serialising the id, yet rejects
+        exactly what encode_object_id rejects, with the same message."""
+        with pytest.raises(TypeError) as expected:
+            encode_object_id(bad_id)
+        with pytest.raises(ProtocolError) as got:
+            decode_snapshot([["ok", 0.0, 0.0], [bad_id, 1.0, 1.0]])
+        assert str(got.value) == str(expected.value)
+
+    def test_accepts_str_and_int_ids(self):
+        assert decode_snapshot([["a", 1, 2.5], [7, -1.0, 0]]) == {
+            "a": (1.0, 2.5), 7: (-1.0, 0.0),
+        }
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(ProtocolError, match="repeats"):

@@ -11,6 +11,8 @@ transaction dangling.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.convoy import Convoy
 from repro.geometry.bbox import BoundingBox
@@ -49,6 +51,35 @@ class TestCommit:
         assert counters == {"stored_convoys": 0, "replayed_convoys": 0}
 
 
+_MEMBERS = ["a", "b", "c", 1, 2]
+_COORDS = st.floats(-1e6, 1e6, allow_nan=False)
+#: Sparse logs: ticks may be missing, and so may members within a tick.
+_LOGS = st.dictionaries(
+    st.integers(0, 12),
+    st.dictionaries(st.sampled_from(_MEMBERS), st.tuples(_COORDS, _COORDS),
+                    max_size=len(_MEMBERS)),
+    max_size=10,
+)
+_CONVOY_BATCHES = st.lists(
+    st.builds(lambda members, t_start, length: Convoy(
+                  members, t_start, t_start + length),
+              st.frozensets(st.sampled_from(_MEMBERS), min_size=1),
+              st.integers(0, 14), st.integers(0, 6)),
+    max_size=12,
+)
+
+
+def _reference_box(log, convoy):
+    points = [log[t][member]
+              for t in range(convoy.t_start, convoy.t_end + 1) if t in log
+              for member in convoy.objects if member in log[t]]
+    if not points:
+        return None
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    return BoundingBox(min(xs), min(ys), max(xs), max(ys))
+
+
 class TestBoundingBoxes:
     def test_box_covers_members_over_the_interval_only(self, store):
         sink = StoreSink(store)
@@ -78,6 +109,22 @@ class TestBoundingBoxes:
         sink.write([convoy])
         sink.commit()
         assert store.bbox_of(convoy) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(log=_LOGS, convoys=_CONVOY_BATCHES)
+    def test_one_commit_boxes_every_convoy_like_the_reference(
+            self, log, convoys):
+        # Convoys closing together share one backwards sweep per
+        # (member, interval end); each box must still equal the plain
+        # per-convoy min/max over what its members reported.
+        with SQLiteConvoyStore(":memory:") as store:
+            sink = StoreSink(store)
+            for t in sorted(log):
+                sink.observe(t, log[t])
+            sink.write(convoys)
+            sink.commit()
+            for convoy in convoys:
+                assert store.bbox_of(convoy) == _reference_box(log, convoy)
 
 
 class TestPositionLogPruning:

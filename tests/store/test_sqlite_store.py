@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+import repro.store.sqlite as sqlite_backend
 from repro.core.convoy import Convoy
 from repro.geometry.bbox import BoundingBox
 from repro.store import (
@@ -119,6 +120,31 @@ class TestWrites:
             with pytest.raises(TypeError, match="str or int"):
                 store.add(Convoy({("tuple",), "a"}, 0, 4))
             assert store.count() == 0
+
+    def test_batch_rejects_bool_after_equal_int(self, tmp_path):
+        # Ids are encoded once per batch; True == 1 must still be
+        # rejected rather than reuse the encoding of 1.
+        with SQLiteConvoyStore(tmp_path / "c.db") as store:
+            with pytest.raises(TypeError, match="str or int"):
+                store.add_batch([Convoy({1, 2}, 0, 4),
+                                 Convoy({True, 3}, 0, 4)])
+            assert store.count() == 0
+
+    def test_rolled_back_batch_leaves_no_stale_bound(self, tmp_path):
+        # The abandoned batch raised max_lifetime in the writer's view
+        # only; the retry must still commit it, or readers narrowing
+        # by the committed bound miss the long convoy.
+        long_lived = Convoy({"a", "b"}, 10, 60)
+        with SQLiteConvoyStore(tmp_path / "c.db") as store:
+            store.add(Convoy({"a", "b"}, 0, 2))
+            with pytest.raises(RuntimeError, match="abandoned"):
+                with store.batch():
+                    store.add(long_lived)
+                    raise RuntimeError("abandoned tick")
+            assert store.add(long_lived) is True
+            assert store.alive_in(55, 55) == [long_lived]
+            with SQLiteConvoyStore(tmp_path / "c.db") as reader:
+                assert reader.alive_in(55, 55) == [long_lived]
 
 
 class TestAliveIn:
@@ -256,6 +282,61 @@ class TestTopK:
         )
         assert "idx_convoys_rank_size" in plan
         assert "TEMP B-TREE" not in plan
+
+
+class TestCrossConnectionReads:
+    """A long-lived reader must narrow its queries by the bounds other
+    connections committed, not by the bounds it saw when it opened."""
+
+    def test_reader_sees_bounds_written_after_it_opened(self, tmp_path):
+        path = tmp_path / "shared.db"
+        first = Convoy(["a", "b", "c"], 0, 10)
+        later = Convoy(["d", "e", "f"], 10, 60)
+        with SQLiteConvoyStore(path) as writer, \
+                SQLiteConvoyStore(path) as early:
+            writer.add(first, BoundingBox(0.0, 0.0, 5.0, 5.0))
+            assert early.count() == 1
+            assert early.alive_in(5, 5) == [first]
+            assert list(early.top_k(k=3)) == [first]
+            assert early.intersecting(BoundingBox(4.0, 4.0, 6.0, 6.0)) == [
+                first
+            ]
+            with SQLiteConvoyStore(path) as late:
+                writer.add(later, BoundingBox(40.0, 0.0, 90.0, 5.0))
+                for reader in (early, late):
+                    assert reader.alive_in(55, 55) == [later]
+                    assert list(reader.top_k(by="duration", k=1)) == [later]
+                    assert list(reader.top_k(alive=(55, 60))) == [later]
+                    assert reader.intersecting(
+                        BoundingBox(85.0, 0.0, 86.0, 1.0)
+                    ) == [later]
+
+    def test_width_bound_never_reads_below_the_stored_width(self, tmp_path):
+        # SQLite parses this width's repr text one ulp low; a query box
+        # touching the stored box's right edge must still find it.
+        width = 1980.787984371476
+        convoy = Convoy({"a", "b"}, 0, 2)
+        with SQLiteConvoyStore(tmp_path / "c.db") as store:
+            store.add(convoy, BoundingBox(0.0, 0.0, width, 1.0))
+            touching = BoundingBox(width, 0.0, width + 1.0, 1.0)
+            assert store.intersecting(touching) == [convoy]
+
+    def test_reader_plans_stay_on_the_indexes(self, store):
+        """The bounds subqueries keep the range scans index-served."""
+        for sql, index in (
+            (f"SELECT 1 FROM convoys WHERE t_start >= ? - "
+             f"{sqlite_backend._meta_bound('max_lifetime')} + 1"
+             " AND t_start <= ? AND t_end >= ?", "idx_convoys_interval"),
+            (f"SELECT 1 FROM convoys WHERE min_x >= ? - "
+             f"{sqlite_backend._meta_bound('max_width', 'REAL')}"
+             " AND min_x <= ?", "idx_convoys_bbox"),
+        ):
+            plan = " ".join(
+                row[3] for row in store._con.execute(
+                    "EXPLAIN QUERY PLAN " + sql, (0,) * sql.count("?")
+                )
+            )
+            assert "SEARCH convoys USING" in plan and index in plan
 
 
 class TestWholeStoreViews:

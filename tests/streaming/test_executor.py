@@ -6,8 +6,10 @@ import signal
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.candidates import match_candidates, resolve_match_kernel
+from repro.core.candidates import match_candidates, match_candidates_pairwise
 from repro.streaming.executor import (
     BACKENDS,
     ProcessExecutor,
@@ -170,7 +172,7 @@ def _batches(shards=(0, 1)):
     out = []
     for shard in shards:
         out.append((shard, [
-            ("init", 2, "python",
+            ("init", 2,
              [(10 + shard, frozenset({"a", "b", "x"})),
               (20 + shard, frozenset({"d", "e"}))]),
             ("step", members,
@@ -185,6 +187,29 @@ def _batches(shards=(0, 1)):
 _EXPECTED_STEP = ((0, (0,)), (1, (0,)))
 
 
+def random_worker_ops(rng, steps=40):
+    """A random put/drop delta sequence: ``(ops, state after ops)`` pairs
+    over int and str chain ids."""
+    state = {}
+    sequence = []
+    next_chain = 0
+    for _ in range(steps):
+        ops = []
+        for _ in range(rng.randrange(0, 4)):
+            if state and rng.random() < 0.35:
+                victim = rng.choice(sorted(state, key=str))
+                del state[victim]
+                ops.append(("drop", victim))
+            else:
+                chain = f"c{next_chain}" if rng.random() < 0.5 else next_chain
+                next_chain += 1
+                objects = frozenset(rng.sample(range(60), rng.randrange(1, 12)))
+                state[chain] = objects
+                ops.append(("put", chain, objects))
+        sequence.append((ops, dict(state)))
+    return sequence
+
+
 class TestResidentShardWorker:
     def test_protocol_round_trip(self):
         worker = ResidentShardWorker()
@@ -195,15 +220,14 @@ class TestResidentShardWorker:
             10: frozenset({"a", "b", "x"}),
             30: frozenset({"a", "c"}),
         }
-        pid, name, kernel, population = worker.handle(("probe",))
+        pid, name, population = worker.handle(("probe",))
         assert pid == os.getpid()
-        assert kernel == resolve_match_kernel("python").__name__
         assert population == 2
 
     def test_init_replaces_state_wholesale(self):
         worker = ResidentShardWorker()
-        worker.handle(("init", 2, "python", [(1, frozenset({"a", "b"}))]))
-        worker.handle(("init", 2, "python", [(2, frozenset({"c", "d"}))]))
+        worker.handle(("init", 2, [(1, frozenset({"a", "b"}))]))
+        worker.handle(("init", 2, [(2, frozenset({"c", "d"}))]))
         assert worker.handle(("snapshot",)) == {2: frozenset({"c", "d"})}
 
     def test_strict_validation(self):
@@ -211,7 +235,7 @@ class TestResidentShardWorker:
         with pytest.raises(ResidentProtocolError, match="before init"):
             worker.handle(("step", [frozenset({"a", "b"})], (),
                            ((0, 1, None),)))
-        worker.handle(("init", 2, "python", []))
+        worker.handle(("init", 2, []))
         with pytest.raises(ResidentProtocolError, match="unknown chain"):
             worker.handle(("step", (), (("drop", 7),), ()))
         with pytest.raises(ResidentProtocolError, match="unknown chain"):
@@ -221,6 +245,49 @@ class TestResidentShardWorker:
             worker.handle(("step", (), (("merge", 1, 2),), ()))
         with pytest.raises(ResidentProtocolError, match="unknown resident"):
             worker.handle(("rebalance",))
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_state_tracks_random_deltas(self, rng):
+        worker = ResidentShardWorker()
+        worker.handle(("init", 2, []))
+        for ops, expected in random_worker_ops(rng):
+            assert worker.handle(("step", [], ops, [])) == ()
+            assert worker.handle(("snapshot",)) == expected
+            assert worker.handle(("probe",))[2] == len(expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_step_answers_like_the_pairwise_join(self, rng):
+        """A step resolves its jobs against the state its own ops left
+        and answers with the matching cluster indexes, in scan order."""
+        worker = ResidentShardWorker()
+        worker.handle(("init", 2, []))
+        for ops, state in random_worker_ops(rng, steps=20):
+            members = [
+                frozenset(rng.sample(range(60), rng.randrange(1, 12)))
+                for _ in range(rng.randrange(0, 16))
+            ]
+            jobs = []
+            for pos, chain in enumerate(sorted(state, key=str)):
+                if members and rng.random() < 0.5:
+                    scan = tuple(rng.sample(
+                        range(len(members)),
+                        rng.randrange(0, len(members) + 1),
+                    ))
+                else:
+                    scan = None
+                jobs.append((pos, chain, scan))
+            expected = match_candidates_pairwise(
+                members,
+                [(pos, state[chain], scan) for pos, chain, scan in jobs],
+                2,
+            )
+            assert worker.handle(("step", members, ops, jobs)) == tuple(
+                (pos, tuple(index for index, _common in matches))
+                for pos, matches in expected
+            )
 
 
 class TestResidentTransports:
@@ -240,8 +307,7 @@ class TestResidentTransports:
     def test_state_persists_across_runs(self, name):
         backend = resolve_resident_executor(name)
         try:
-            backend.run([(0, [("init", 2, "python",
-                               [(1, frozenset({"a", "b"}))])])])
+            backend.run([(0, [("init", 2, [(1, frozenset({"a", "b"}))])])])
             [[snapshot]] = backend.run([(0, [("snapshot",)])])
             assert snapshot == {1: frozenset({"a", "b"})}
         finally:
@@ -288,23 +354,17 @@ class TestResidentTransports:
 
 
 class TestResidentProcessExecutor:
-    """The spawned per-shard pools: state residency, kernel resolution
-    from the backend *name*, crash semantics.  One class so the
-    expensive pool startups stay few."""
+    """The spawned per-shard pools: state residency and crash
+    semantics.  One class so the expensive pool startups stay few."""
 
     def test_state_resides_in_a_named_spawned_worker(self):
         backend = ResidentProcessExecutor()
         try:
-            backend.run([(0, [("init", 2, "vector",
-                               [(1, frozenset({"a", "b"}))])])])
-            pid, name, kernel, population = backend.probe(0)
+            backend.run([(0, [("init", 2, [(1, frozenset({"a", "b"}))])])])
+            pid, name, population = backend.probe(0)
             # Real process residency, not an in-process fallback.
             assert pid != os.getpid()
             assert name == "repro-resident-shard-0"
-            # The worker resolved its kernel from the backend name
-            # shipped in init — the spawned process imported and chose
-            # the vector kernel itself (nothing callable was pickled).
-            assert kernel == resolve_match_kernel("vector").__name__
             assert population == 1
             # Same worker, same state, next round trip.
             [[snapshot]] = backend.run([(0, [("snapshot",)])])
@@ -317,9 +377,8 @@ class TestResidentProcessExecutor:
         backend = ResidentProcessExecutor()
         try:
             gen = backend.generation(0)
-            backend.run([(0, [("init", 2, "python",
-                               [(1, frozenset({"a", "b"}))])])])
-            pid, _name, _kernel, _population = backend.probe(0)
+            backend.run([(0, [("init", 2, [(1, frozenset({"a", "b"}))])])])
+            pid, _name, _population = backend.probe(0)
             os.kill(pid, signal.SIGKILL)
             deadline = time.monotonic() + 30.0
             with pytest.raises(ShardWorkerCrashed, match="shard 0") as info:

@@ -249,8 +249,8 @@ class TestResidentTransports:
 
     def test_resident_process(self, make_miner):
         """Long-lived spawned workers fed deltas across the pickle
-        boundary, with the vector kernel resolved from its name inside
-        the workers: the round trip loses nothing."""
+        boundary, behind the vector clustering backend: the round trip
+        loses nothing."""
         ticks = list(churn_stream(60, 25, seed=79, eps=8.0, churn=0.12,
                                   area=96.0))
         run_lockstep_pair(

@@ -1,9 +1,9 @@
 """Differential suite: vector numeric backend == python, bit for bit.
 
-The vector backend (:mod:`repro.clustering.numeric`) replaces all three
-per-tick hot kernels — snapshot neighbourhood search, the incremental
-clusterer's dirty-region patching, and the candidate matching join —
-with batched contiguous-array implementations.  Its whole contract is
+The vector backend (:mod:`repro.clustering.numeric`) replaces both
+snapshot-clustering kernels — neighbourhood search and the incremental
+clusterer's dirty-region patching — with batched contiguous-array
+implementations.  Its whole contract is
 that nothing observable moves.  This suite holds a
 ``backend="vector"`` :class:`~repro.streaming.StreamingConvoyMiner`
 equal to the ``backend="python"`` one **tick for tick** — same convoys
@@ -13,8 +13,8 @@ counters — across:
 * all three clusterer pipelines (fresh DBSCAN, incremental clustering,
   incremental + cluster-diff candidate splicing);
 * both ``paper_semantics`` modes;
-* sharded trackers (the vector kernel crossing the executor boundary,
-  including the pickling process path);
+* sharded trackers (vector-backend clusters crossing the executor
+  boundary, including the pickling process path);
 * time gaps, bounded windows, turnover, and jittered feeds through a
   reorder buffer;
 * both kernel modes of the vector backend — numpy and the
@@ -135,8 +135,8 @@ class TestAllPipelines:
 class TestShardedVector:
     @pytest.mark.parametrize("pipeline", PIPELINES)
     def test_serial_shards(self, make_miner, vector_mode, pipeline):
-        """The vector matching kernel inside the shard seam: a sharded
-        vector run must equal the unsharded python run exactly."""
+        """The vector clustering backend feeding the shard seam: a
+        sharded vector run must equal the unsharded python run exactly."""
         ticks = list(churn_stream(70, 35, seed=109, eps=8.0, churn=0.12,
                                   turnover=0.02, area=96.0))
         python_miner, vector_miner = run_backend_pair(
@@ -148,8 +148,8 @@ class TestShardedVector:
         assert vector_miner.counters["sharded_candidates"] > 0
 
     def test_process_executor(self, make_miner):
-        """The backend *name* crosses the pickling boundary and the
-        worker resolves the vector kernel on its side."""
+        """Vector-backend clusters cross the pickling boundary to
+        process shard workers unchanged."""
         ticks = list(churn_stream(60, 25, seed=113, eps=8.0, churn=0.12,
                                   area=96.0))
         run_backend_pair(

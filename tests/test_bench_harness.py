@@ -21,13 +21,13 @@ from benchmarks.bench_sharded_scaling import (
 from benchmarks.bench_match_kernel import (
     KERNELS as MATCH_KERNEL_ORDER,
     SMOKE_SMALL,
+    make_delta_steps,
     make_small_workload,
     run_regime,
 )
 from benchmarks.bench_vector_kernel import run_all
 from benchmarks.common import safe_rate, write_bench_json
 from repro.bench import PhaseTimer, format_series, format_table, time_call
-from repro.streaming import StreamingConvoyMiner
 
 
 class TestPhaseTimer:
@@ -218,14 +218,12 @@ class TestVectorKernelBenchSchema:
 
     ROW_KEYS = {
         "workload", "snapshots", "python_rate", "vector_rate", "speedup",
-        "python_seconds", "vector_seconds", "convoys", "dispatch",
+        "python_seconds", "vector_seconds", "convoys",
     }
 
     def test_rows_are_stable_and_finite(self, tmp_path):
         _scale, _churn, rows = run_all(smoke=True)
-        assert [row["workload"] for row in rows] == [
-            "tracker", "dbscan", "incremental"
-        ]
+        assert [row["workload"] for row in rows] == ["dbscan", "incremental"]
         for row in rows:
             assert set(row) == self.ROW_KEYS
             assert row["snapshots"] > 0
@@ -234,14 +232,6 @@ class TestVectorKernelBenchSchema:
                 assert value is None or (
                     isinstance(value, float) and math.isfinite(value)
                 )
-        # only the incremental (small-delta) row is re-run under the
-        # auto dispatcher; the batch workloads keep the None marker.
-        assert rows[0]["dispatch"] is None
-        assert rows[1]["dispatch"] is None
-        dispatch = rows[2]["dispatch"]
-        assert dispatch is None or (
-            isinstance(dispatch, float) and math.isfinite(dispatch)
-        )
         path = tmp_path / "BENCH_vector_kernel.json"
         write_bench_json(path, "vector_kernel", {"smoke": True}, rows)
         loaded = json.load(open(path))
@@ -251,28 +241,21 @@ class TestVectorKernelBenchSchema:
 
 class TestMatchKernelBenchSchema:
     """Schema guard for ``BENCH_match_kernel.json``: the trajectory
-    consumers chart per-kernel rates and dispatch mixes keyed on these
-    row fields, so the bench's row shape is pinned here alongside the
+    consumers chart the join and pairwise rates keyed on these row
+    fields, so the bench's row shape is pinned here alongside the
     writer's envelope."""
 
     ROW_KEYS = {
         "regime", "kernel", "snapshots", "seconds", "rate", "convoys",
-        "dispatch_ticks",
     }
 
     def rows(self):
         # A tiny churn workload keeps this a schema test, not a bench;
-        # run_regime still times all four kernels and asserts their
+        # run_regime still times both variants and asserts their
         # emissions identical.
         scale = dict(SMOKE_SMALL, n_objects=40, n_snapshots=6, warmup=2)
-        ticks = make_small_workload(scale)
-
-        def miner(kernel):
-            return StreamingConvoyMiner(
-                3, 2, 10.0, clusterer="incremental", match_kernel=kernel
-            )
-
-        return run_regime("schema", miner, ticks, scale["warmup"], reps=1)
+        steps = make_delta_steps(make_small_workload(scale))
+        return run_regime("schema", steps, scale["warmup"], reps=1)
 
     def test_rows_are_stable_and_finite(self, tmp_path):
         rows = self.rows()
@@ -286,15 +269,6 @@ class TestMatchKernelBenchSchema:
             assert rate is None or (
                 isinstance(rate, float) and math.isfinite(rate)
             )
-        # fixed kernels carry no dispatch mix; auto counts every kernel.
-        for row in rows[:-1]:
-            assert row["dispatch_ticks"] is None
-        auto = rows[-1]
-        assert auto["kernel"] == "auto"
-        assert set(auto["dispatch_ticks"]) == {"scalar", "merge", "bitset"}
-        assert all(
-            count >= 0 for count in auto["dispatch_ticks"].values()
-        )
         path = tmp_path / "BENCH_match_kernel.json"
         write_bench_json(path, "match_kernel", {"smoke": True}, rows)
         loaded = json.load(open(path))

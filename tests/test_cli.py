@@ -461,7 +461,7 @@ class TestStreamJson:
         assert payload["params"] == {
             "m": 2, "k": 10, "eps": 2.0, "paper_semantics": False,
             "window": None, "shards": None, "executor": None,
-            "backend": "python", "match_kernel": None, "resident": False,
+            "backend": "python", "resident": False,
         }
         # Round trip: rebuild the CSV rows from the JSON convoys.
         rebuilt = ["t_start,t_end,size,objects"]
@@ -670,43 +670,7 @@ class TestStreamStore:
         assert "convoy(s) matched" in text
 
 
-class TestStreamMatchKernel:
-    def test_rejects_unknown_kernel(self, convoy_csv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["stream", str(convoy_csv), "-m", "2", "-k", "10",
-                     "-e", "2.0", "--match-kernel", "turbo"])
-        assert exc.value.code == 2  # argparse choices reject it up front
-
-    def test_every_kernel_matches_default_answer(self, convoy_csv, tmp_path):
-        base = tmp_path / "base.csv"
-        run_cli(["stream", str(convoy_csv), "-m", "2", "-k", "10",
-                 "-e", "2.0", "--output", str(base)])
-        for kernel in ("scalar", "merge", "bitset", "auto"):
-            out = tmp_path / f"{kernel}.csv"
-            code, text = run_cli(
-                ["stream", str(convoy_csv), "-m", "2", "-k", "10",
-                 "-e", "2.0", "--match-kernel", kernel,
-                 "--output", str(out)]
-            )
-            assert code == 0, text
-            assert out.read_text() == base.read_text()
-
-    def test_auto_reports_dispatch_summary(self, convoy_csv):
-        code, text = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0",
-             "--match-kernel", "auto"]
-        )
-        assert code == 0
-        assert "match kernel dispatch:" in text
-
-    def test_fixed_kernel_has_no_dispatch_summary(self, convoy_csv):
-        code, text = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0",
-             "--match-kernel", "bitset"]
-        )
-        assert code == 0
-        assert "match kernel dispatch:" not in text
-
+class TestStreamBackendNote:
     def test_vector_backend_notes_numpy_fallback(self, convoy_csv,
                                                  monkeypatch):
         import repro.cli as cli_module
