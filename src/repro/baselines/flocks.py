@@ -16,6 +16,8 @@ bench; it is not part of the paper's evaluation tables.
 
 from __future__ import annotations
 
+import math
+
 from repro.clustering.grid_index import GridIndex
 from repro.core.candidates import CandidateTracker
 
@@ -61,8 +63,8 @@ def discover_flocks(database, m, k, radius, time_range=None):
         convoy candidate tracker: a flock persists while at least ``m`` of
         its members remain in a common disc group.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     if len(database) == 0:
         return []
     if time_range is None:

@@ -36,7 +36,6 @@ import sys
 import time
 
 from repro.clustering.incremental import IncrementalSnapshotClusterer
-from repro.clustering.numeric import NUMERIC_BACKENDS, have_numpy
 from repro.core.cmc import cmc
 from repro.core.cuts import VARIANTS, cuts
 from repro.core.verification import normalize_convoys
@@ -166,13 +165,6 @@ def build_parser():
         "(with --shards; identical convoys)",
     )
     stream.add_argument(
-        "--backend", default="python", choices=list(NUMERIC_BACKENDS),
-        help="numeric backend for the snapshot-clustering kernels: "
-        "pure-Python dict loops, or batched contiguous-array kernels "
-        "(numpy-accelerated when available; identical convoys either "
-        "way; default: python)",
-    )
-    stream.add_argument(
         "--pace", type=float, default=0.0, metavar="SECONDS",
         help="sleep SECONDS before each snapshot — replay a recorded "
         "stream at a live cadence (default: 0, as fast as possible)",
@@ -282,14 +274,18 @@ def _cmd_discover(args, out):
         print("input contains no trajectories", file=out)
         return 1
     started = time.perf_counter()
-    if args.algorithm == "cmc":
-        convoys = normalize_convoys(cmc(db, args.m, args.k, args.eps))
-    else:
-        result = cuts(
-            db, args.m, args.k, args.eps,
-            delta=args.delta, lam=args.lam, variant=args.algorithm,
-        )
-        convoys = result.convoys
+    try:
+        if args.algorithm == "cmc":
+            convoys = normalize_convoys(cmc(db, args.m, args.k, args.eps))
+        else:
+            result = cuts(
+                db, args.m, args.k, args.eps,
+                delta=args.delta, lam=args.lam, variant=args.algorithm,
+            )
+            convoys = result.convoys
+    except ValueError as exc:
+        print(f"bad query parameters: {exc}", file=out)
+        return 2
     elapsed = time.perf_counter() - started
     print(
         f"{len(convoys)} convoy(s) found in {elapsed:.2f}s "
@@ -383,9 +379,7 @@ def _cmd_stream(args, out):
         clusterer = None
         if args.incremental:
             if args.churn_threshold is None:
-                clusterer = IncrementalSnapshotClusterer(
-                    args.eps, args.m, backend=args.backend
-                )
+                clusterer = IncrementalSnapshotClusterer(args.eps, args.m)
             else:
                 threshold = args.churn_threshold
                 if threshold != "adaptive":
@@ -400,14 +394,13 @@ def _cmd_stream(args, out):
                         return 2
                 clusterer = IncrementalSnapshotClusterer(
                     args.eps, args.m, churn_threshold=threshold,
-                    backend=args.backend,
                 )
         miner = StreamingConvoyMiner(
             args.m, args.k, args.eps,
             paper_semantics=args.paper_semantics, window=args.window,
             clusterer=clusterer, reorder=reorder, shards=args.shards,
             executor=args.executor, resident=args.resident,
-            backend=args.backend, store=args.store,
+            store=args.store,
         )
     except ValueError as exc:
         print(f"bad query parameters: {exc}", file=out)
@@ -490,12 +483,6 @@ def _cmd_stream(args, out):
             f"{ro['peak_pending']} pending",
             file=out,
         )
-    if args.backend == "vector" and not have_numpy():
-        print(
-            "note: numpy unavailable — the vector backend ran on the "
-            "array('d')/memoryview fallback kernels",
-            file=out,
-        )
     if miner.shards is not None:
         mode = "resident " if args.resident else ""
         print(
@@ -562,7 +549,6 @@ def _write_answer_json(args, convoys, miner, elapsed):
             "shards": args.shards,
             "executor": args.executor if args.shards is not None else None,
             "resident": bool(args.resident),
-            "backend": args.backend,
         },
         "elapsed_seconds": elapsed,
         "convoys": [
@@ -641,7 +627,12 @@ def _cmd_query(args, out):
     if not os.path.exists(args.db):
         print(f"no such store: {args.db}", file=out)
         return 2
-    with open_store(args.db) as store:
+    try:
+        store = open_store(args.db)
+    except ValueError as exc:
+        print(f"bad store: {exc}", file=out)
+        return 2
+    with store:
         if args.top_k is not None:
             convoys = list(store.top_k(by=args.by, k=args.top_k,
                                        alive=window))

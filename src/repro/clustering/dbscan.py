@@ -3,19 +3,20 @@
 This is the ``DBSCAN(O_t, e, m)`` call of CMC: cluster the locations of the
 objects alive at one time point, with distance threshold ``e`` and minimum
 cluster density ``m``.  Every point's neighbourhood comes from one
-per-cell batch pass over :class:`repro.clustering.grid_index.GridIndex`
-(or its vector twin); the clustering skeleton is
+per-cell batch pass over :class:`repro.clustering.grid_index.GridIndex`;
+the clustering skeleton is
 :func:`repro.clustering.generic_dbscan.density_cluster`.
 """
 
 from __future__ import annotations
 
+import math
+
 from repro.clustering.generic_dbscan import density_cluster
 from repro.clustering.grid_index import GridIndex
-from repro.clustering.numeric import VectorGridIndex, validate_backend
 
 
-def dbscan(points, eps, min_pts, backend="python"):
+def dbscan(points, eps, min_pts):
     """Cluster identified points by density connection.
 
     Args:
@@ -23,15 +24,6 @@ def dbscan(points, eps, min_pts, backend="python"):
         eps: the distance threshold ``e`` of the convoy query.
         min_pts: the ``m`` of the convoy query; an object is a core object
             when at least ``m`` objects (itself included) lie within ``e``.
-        backend: numeric backend for the neighbourhood pass —
-            ``"python"`` (default) runs
-            :meth:`~repro.clustering.grid_index.GridIndex.all_neighbors`;
-            ``"vector"`` runs the same per-cell pass over contiguous
-            storage
-            (:class:`~repro.clustering.numeric.VectorGridIndex`).  The
-            clustering depends only on the neighbour *sets*, which both
-            backends compute identically, so the answer is bit-for-bit
-            the same.
 
     Returns:
         List of clusters, each a ``set`` of object ids; noise objects are in
@@ -39,17 +31,15 @@ def dbscan(points, eps, min_pts, backend="python"):
         members, because a cluster contains at least one core object and
         that object's entire neighbourhood.
     """
-    backend = validate_backend(backend)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if not points:
         return []
     ids = list(points)
     # Keyed by dense position, the grid pass hands density_cluster its
     # neighbour lists as index lists directly — no id remap per tick.
-    grid = VectorGridIndex if backend == "vector" else GridIndex
     try:
-        index = grid(eps, dict(enumerate(points.values())))
+        index = GridIndex(eps, dict(enumerate(points.values())))
     except ValueError:
         # The grid named a position; name the offending object instead.
         for object_id, xy in points.items():

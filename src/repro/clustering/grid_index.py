@@ -53,9 +53,7 @@ def bucket_side(cell_size):
 
     Slightly wider than ``cell_size`` so that every pair the
     squared-distance predicate accepts at ``radius <= cell_size`` lies in
-    adjacent buckets (see the module docstring).  Shared by
-    :class:`GridIndex` and :class:`~repro.clustering.numeric.
-    VectorGridIndex`, so both grids bucket every coordinate identically.
+    adjacent buckets (see the module docstring).
     """
     return cell_size * _BUCKET_WIDENING
 

@@ -82,11 +82,11 @@ pre-mutation copy taken on first touch), never merely "probably the same".
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 from repro.clustering.grid_index import GridIndex
-from repro.clustering.numeric import VectorGridIndex, validate_backend
 
 #: :class:`ClusterDelta` classifications.
 UNCHANGED = "unchanged"
@@ -261,23 +261,11 @@ class IncrementalSnapshotClusterer:
         counters: optional dict receiving bookkeeping totals (the
             ``COUNTER_KEYS``); a fresh dict is created when omitted and is
             always available as :attr:`counters`.
-        backend: numeric backend for the neighbourhood queries —
-            ``"python"`` (default) keeps the per-query
-            :class:`~repro.clustering.grid_index.GridIndex` walks;
-            ``"vector"`` maintains positions in the contiguous
-            :class:`~repro.clustering.numeric.VectorGridIndex` and
-            answers the full pass plus every tick's dirty-region
-            patching as batched eps-disk queries.  The clustering
-            depends only on neighbour *sets*, which both backends
-            compute identically, so the answer (clusters and deltas)
-            is bit-for-bit the same.
     """
 
-    def __init__(self, eps, min_pts, churn_threshold=0.35, counters=None,
-                 backend="python"):
-        self._backend = validate_backend(backend)
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
+    def __init__(self, eps, min_pts, churn_threshold=0.35, counters=None):
+        if not 0 < eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {eps}")
         if min_pts < 1:
             raise ValueError(f"min_pts must be >= 1, got {min_pts}")
         if churn_threshold == "adaptive":
@@ -419,25 +407,17 @@ class IncrementalSnapshotClusterer:
         # every clean member in place (an unmoved object's list gains or
         # loses exactly the changed objects that crossed its eps-disk), so
         # no per-dirty-object re-query is needed.  All queries run against
-        # the fully mutated index, so the whole set can be answered as one
-        # batch (the vector backend's bulk path); the answers are consumed
-        # in the exact order the per-query code issued them.
+        # the fully mutated index.
         inserted = [o for o in changed if o not in self._snapshot]
-        queries = [self._snapshot[o] for o in removed]
-        for o in moved:
-            queries.append(self._snapshot[o])
-            queries.append(snapshot[o])
-        queries.extend(snapshot[o] for o in inserted)
-        answers = iter(self._batch_neighbors(queries, eps))
         dirty = set(changed)
         for o in removed:
-            for q in next(answers):
+            for q in index.neighbors_within(self._snapshot[o], eps):
                 dirty.add(q)
                 if q not in touched:
                     nbrs[q].remove(o)
         for o in moved:
-            before = next(answers)
-            after = next(answers)
+            before = index.neighbors_within(self._snapshot[o], eps)
+            after = index.neighbors_within(snapshot[o], eps)
             before_set = set(before)
             after_set = set(after)
             for q in before:
@@ -450,7 +430,7 @@ class IncrementalSnapshotClusterer:
                     nbrs[q].append(o)
             nbrs[o] = after
         for o in inserted:
-            fresh = next(answers)
+            fresh = index.neighbors_within(snapshot[o], eps)
             for q in fresh:
                 dirty.add(q)
                 if q not in touched:
@@ -495,24 +475,11 @@ class IncrementalSnapshotClusterer:
 
     # -- internals ---------------------------------------------------------
 
-    def _batch_neighbors(self, queries, radius):
-        """Answer a batch of eps-disk queries against the current index.
-
-        The vector backend answers the whole batch in one pass; the
-        python backend issues the same queries one by one.  Per query
-        the returned id *set* is identical either way.
-        """
-        if self._backend == "vector":
-            return self._index.neighbors_within_batch(queries, radius)
-        index = self._index
-        return [index.neighbors_within(xy, radius) for xy in queries]
-
     def _full_pass(self, snapshot, prev_labels):
         """Rebuild everything from scratch (first call or high churn)."""
         self.counters["full_passes"] += 1
         eps = self._eps
-        grid = VectorGridIndex if self._backend == "vector" else GridIndex
-        self._index = grid(eps, snapshot)  # validates coordinates
+        self._index = GridIndex(eps, snapshot)  # validates coordinates
         self._nbrs = self._index.all_neighbors(eps)
         self.counters["refreshed_neighborhoods"] += len(snapshot)
         self._core = set()

@@ -22,12 +22,13 @@ driver), so Algorithm 1's chaining semantics exist exactly once.
 
 from __future__ import annotations
 
+import math
+
 from repro.streaming.engine import StreamingConvoyMiner
 
 
 def cmc(database, m, k, eps, time_range=None, counters=None,
-        paper_semantics=False, allowed_at=None, clusterer=None,
-        backend=None, store=None):
+        paper_semantics=False, allowed_at=None, clusterer=None, store=None):
     """Run the CMC convoy-discovery algorithm.
 
     Args:
@@ -63,10 +64,6 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
             re-intersection; a pre-built ``IncrementalSnapshotClusterer``
             instance (e.g. with an adaptive churn threshold) is accepted
             too.
-        backend: numeric backend for the snapshot-clustering kernels,
-            forwarded to the miner — ``None``/``"python"`` (default) or
-            ``"vector"`` (batched contiguous-array kernels, identical
-            answer; see :mod:`repro.clustering.numeric`).
         store: optional write-through persistence, forwarded to the
             miner — a :class:`~repro.store.base.ConvoyStore` or a path
             to a SQLite store; every convoy is persisted (with its
@@ -83,8 +80,8 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     if len(database) == 0:
         return []
     if time_range is None:
@@ -105,7 +102,7 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
 
     miner = StreamingConvoyMiner(
         m, k, eps, paper_semantics=paper_semantics, counters=counters,
-        clusterer=clusterer, backend=backend, store=store,
+        clusterer=clusterer, store=store,
     )
     results = []
     # The context manager releases a path-opened store (and any pooled

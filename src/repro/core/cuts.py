@@ -31,6 +31,7 @@ CuTS*  DP*          ``D*`` (Lemma 3)
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -299,8 +300,8 @@ def cuts(
         raise ValueError(f"m must be >= 1, got {m}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     config = VARIANTS[variant]
     simplifier = SIMPLIFIERS[config["simplifier"]]
     distance_mode = config["distance_mode"]

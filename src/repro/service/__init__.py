@@ -3,7 +3,7 @@
 The serving layer over the streaming engine: many independent tenant
 feeds — each its own
 :class:`~repro.streaming.engine.StreamingConvoyMiner`, any pipeline /
-backend / shards / store configuration — multiplexed over one shared,
+shards / store configuration — multiplexed over one shared,
 bounded worker pool.
 
 * :mod:`~repro.service.protocol` — the newline-delimited-JSON wire

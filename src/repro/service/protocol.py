@@ -13,8 +13,8 @@ Client -> server
   arguments that are JSON-representable (``m``, ``k``, ``eps``,
   ``paper_semantics``, ``window``, ``clusterer`` as ``"full"`` /
   ``"incremental"``, ``reorder`` as the buffer's kwargs dict,
-  ``shards``, ``executor``, ``resident``, ``backend``, and ``store`` as
-  a server-side SQLite path) plus two service-level knobs: ``max_queue``
+  ``shards``, ``executor``, ``resident``, and ``store`` as a
+  server-side SQLite path) plus two service-level knobs: ``max_queue``
   (this tenant's ingestion high-water mark) and ``tick_delay`` (seconds
   slept per tick inside the worker step — a load-shaping knob for
   benchmarks and tests).
@@ -59,6 +59,7 @@ sets serialize deterministically and decode to equal
 from __future__ import annotations
 
 import json
+import math
 
 from repro.core.convoy import Convoy
 from repro.store.base import check_object_id, encode_object_id
@@ -93,7 +94,8 @@ def decode(line):
     """Invert :func:`encode`; raises :class:`ProtocolError` on garbage."""
     try:
         message = json.loads(line)
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the stack limit.
         raise ProtocolError(f"undecodable protocol line: {exc}") from None
     if not isinstance(message, dict) or not isinstance(
         message.get("type"), str
@@ -119,7 +121,8 @@ def encode_snapshot(snapshot):
 
 
 def decode_snapshot(triples):
-    """Invert :func:`encode_snapshot` (ids validated as str/int)."""
+    """Invert :func:`encode_snapshot` (ids validated as str/int,
+    coordinates as finite floats)."""
     if not isinstance(triples, list):
         raise ProtocolError(f"snapshot must be a list, got {triples!r}")
     snapshot = {}
@@ -139,7 +142,20 @@ def decode_snapshot(triples):
             raise ProtocolError(
                 f"coordinates must be numbers, got {triple!r}"
             )
-        snapshot[object_id] = (float(x), float(y))
+        try:
+            x, y = float(x), float(y)
+        except OverflowError:
+            raise ProtocolError(
+                f"coordinates of object {object_id!r} do not fit a float"
+            ) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            # json parses NaN / Infinity; the miner would reject them
+            # mid-step and fail the whole session.
+            raise ProtocolError(
+                f"coordinates of object {object_id!r} must be finite, "
+                f"got {triple!r}"
+            )
+        snapshot[object_id] = (x, y)
     if len(snapshot) != len(triples):
         raise ProtocolError("snapshot repeats an object id")
     return snapshot

@@ -2,7 +2,7 @@
 
 A :class:`TenantSession` pairs a
 :class:`~repro.streaming.engine.StreamingConvoyMiner` (any pipeline /
-backend / shards / store configuration) with the service-side state the
+shards / store configuration) with the service-side state the
 dispatcher schedules on:
 
 * a FIFO **tick queue** with a credit-based high-water mark —
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import math
 import time
 
 from repro.core.verification import normalize_convoys
@@ -37,7 +38,7 @@ from repro.service.protocol import ProtocolError, encode_convoy
 #: Miner keyword arguments a ``hello`` config may carry.
 MINER_CONFIG_KEYS = (
     "m", "k", "eps", "paper_semantics", "window", "clusterer", "reorder",
-    "shards", "executor", "resident", "backend", "store",
+    "shards", "executor", "resident", "store",
 )
 
 #: Service-level knobs a ``hello`` config may carry.
@@ -67,10 +68,18 @@ def build_miner(config):
         key: config[key] for key in MINER_CONFIG_KEYS if key in config
     }
     tick_delay = config.get("tick_delay", 0.0)
-    if not isinstance(tick_delay, (int, float)) or isinstance(
+    delay = -1.0  # stays rejected unless tick_delay is a finite number
+    if isinstance(tick_delay, (int, float)) and not isinstance(
         tick_delay, bool
-    ) or tick_delay < 0:
-        raise ProtocolError(f"tick_delay must be >= 0, got {tick_delay!r}")
+    ):
+        try:
+            delay = float(tick_delay)
+        except OverflowError:  # an integer past the float range
+            pass
+    if not 0 <= delay < math.inf:
+        raise ProtocolError(
+            f"tick_delay must be >= 0 and finite, got {tick_delay!r}"
+        )
     max_queue = config.get("max_queue")
     if max_queue is not None and (
         not isinstance(max_queue, int) or isinstance(max_queue, bool)
@@ -79,9 +88,11 @@ def build_miner(config):
         raise ProtocolError(f"max_queue must be >= 1, got {max_queue!r}")
     try:
         miner = StreamingConvoyMiner(**miner_kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an infinite shards / allowed_lateness /
+        # max_pending reaching int().
         raise ProtocolError(f"bad miner config: {exc}") from None
-    return miner, float(tick_delay), max_queue
+    return miner, delay, max_queue
 
 
 async def _discard_event(event):

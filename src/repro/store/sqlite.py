@@ -173,9 +173,19 @@ class SQLiteConvoyStore(ConvoyStore):
         # every user of a store (sink, session, CLI) runs one operation
         # at a time — and the sqlite3 module itself is compiled
         # thread-safe, so only the same-thread *handoff* is relaxed.
-        self._con = sqlite3.connect(
-            self.path, isolation_level=None, check_same_thread=False
-        )
+        try:
+            self._con = sqlite3.connect(
+                self.path, isolation_level=None, check_same_thread=False
+            )
+        except sqlite3.Error as exc:  # a directory, a missing parent...
+            raise ValueError(
+                f"cannot open convoy store {self.path!r}: {exc}"
+            ) from None
+        try:
+            self._refuse_foreign_file()
+        except BaseException:
+            self._con.close()
+            raise
         self._con.execute("PRAGMA foreign_keys = ON")
         if self.path != ":memory:":
             self._con.execute("PRAGMA journal_mode = WAL")
@@ -188,18 +198,41 @@ class SQLiteConvoyStore(ConvoyStore):
         self._in_batch = False
         self._con.executescript(_SCHEMA)
         self._meta = self._read_meta()
-        version = int(self._meta.get("schema_version", SCHEMA_VERSION))
-        if version != SCHEMA_VERSION:
-            raise ValueError(
-                f"convoy store {self.path!r} has schema version {version}; "
-                f"this build reads version {SCHEMA_VERSION}"
-            )
         if "schema_version" not in self._meta:
             self._write_meta(
                 schema_version=SCHEMA_VERSION,
                 segment_length=int(segment_length),
             )
         self.segment_length = int(self._meta["segment_length"])
+
+    def _refuse_foreign_file(self):
+        """Raise ValueError unless the file is empty or a convoy store
+        of this schema version — checked before any pragma or write, so
+        opening a foreign file leaves it exactly as it was."""
+        try:
+            objects = {name for (name,) in self._con.execute(
+                "SELECT name FROM sqlite_master"
+            )}
+            if not objects:
+                return
+            if "store_meta" not in objects:
+                raise ValueError(
+                    f"{self.path!r} is not a convoy store: it holds "
+                    f"{sorted(objects)} but no store_meta"
+                )
+            row = self._con.execute(
+                "SELECT value FROM store_meta WHERE key = 'schema_version'"
+            ).fetchone()
+        except sqlite3.DatabaseError as exc:
+            raise ValueError(
+                f"cannot open convoy store {self.path!r}: {exc}"
+            ) from None
+        version = SCHEMA_VERSION if row is None else int(row[0])
+        if version != SCHEMA_VERSION:
+            raise ValueError(
+                f"convoy store {self.path!r} has schema version {version}; "
+                f"this build reads version {SCHEMA_VERSION}"
+            )
 
     # -- metadata ----------------------------------------------------
 

@@ -61,8 +61,9 @@ O(live chains x window).
 
 from __future__ import annotations
 
+import math
+
 from repro.clustering.incremental import IncrementalSnapshotClusterer
-from repro.clustering.numeric import validate_backend
 from repro.core.candidates import CandidateTracker
 from repro.streaming.pipeline import (
     ClusterStage,
@@ -146,15 +147,6 @@ class StreamingConvoyMiner:
             batches (see :mod:`repro.streaming.sharding`'s resident
             protocol).  Only meaningful with ``shards``; emissions stay
             bit-for-bit identical.
-        backend: numeric backend for the snapshot-clustering kernels —
-            ``"python"`` (default) or ``"vector"`` (contiguous-array
-            batch kernels, numpy-accelerated when numpy is importable;
-            see :mod:`repro.clustering.numeric`).  Threads through the
-            fresh DBSCAN or, with ``clusterer="incremental"``, the
-            incremental clusterer; emissions are bit-for-bit identical
-            either way.  A pre-built clusterer instance keeps whatever
-            backend it was constructed with.  Introspectable as
-            :attr:`backend`.
         store: optional write-through persistence.  A
             :class:`~repro.store.base.ConvoyStore` instance, or a path
             (``str``/``os.PathLike``) from which a SQLite store is
@@ -185,11 +177,9 @@ class StreamingConvoyMiner:
 
     def __init__(self, m, k, eps, paper_semantics=False, window=None,
                  counters=None, clusterer=None, reorder=None, shards=None,
-                 executor=None, resident=False, backend=None, store=None):
-        #: The numeric backend of the clustering kernels ("python"/"vector").
-        self.backend = validate_backend(backend)
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
+                 executor=None, resident=False, store=None):
+        if not 0 < eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {eps}")
         if window is not None and window < k:
             raise ValueError(f"window must be >= k={k}, got {window}")
         if executor is not None and shards is None:
@@ -239,9 +229,7 @@ class StreamingConvoyMiner:
         if clusterer is None or clusterer == "full":
             self.clusterer = None
         elif clusterer == "incremental":
-            self.clusterer = IncrementalSnapshotClusterer(
-                eps, m, backend=self.backend
-            )
+            self.clusterer = IncrementalSnapshotClusterer(eps, m)
         elif callable(getattr(clusterer, "cluster", None)):
             self.clusterer = clusterer
         else:
@@ -265,8 +253,7 @@ class StreamingConvoyMiner:
         #: :mod:`repro.streaming.pipeline`.
         self.pipeline = StreamingPipeline(
             IngestStage(self.reorder),
-            ClusterStage(self.clusterer, eps, m, self.counters,
-                         backend=self.backend),
+            ClusterStage(self.clusterer, eps, m, self.counters),
             TrackStage(tracker, window),
             EmitStage(self.counters, sink=sink),
         )
@@ -379,7 +366,7 @@ class StreamingConvoyMiner:
 
 def mine_stream(source, m, k, eps, paper_semantics=False, window=None,
                 counters=None, clusterer=None, reorder=None, shards=None,
-                executor=None, resident=False, backend=None, store=None):
+                executor=None, resident=False, store=None):
     """Drive a :class:`StreamingConvoyMiner` over a snapshot source.
 
     Args:
@@ -391,9 +378,9 @@ def mine_stream(source, m, k, eps, paper_semantics=False, window=None,
             feeds of ``synthetic_stream(..., jitter=)``).
         m, k, eps: the convoy-query parameters.
         paper_semantics, window, counters, clusterer, reorder, shards,
-            executor, resident, backend, store: forwarded to the miner (``store`` persists every convoy as it closes;
-            a path opens a SQLite store that is closed again before
-            returning).
+            executor, resident, store: forwarded to the miner
+            (``store`` persists every convoy as it closes; a path opens a
+            SQLite store that is closed again before returning).
 
     Returns:
         List of :class:`~repro.core.convoy.Convoy` in discovery order,
@@ -402,8 +389,7 @@ def mine_stream(source, m, k, eps, paper_semantics=False, window=None,
     miner = StreamingConvoyMiner(
         m, k, eps, paper_semantics=paper_semantics, window=window,
         counters=counters, clusterer=clusterer, reorder=reorder,
-        shards=shards, executor=executor, resident=resident,
-        backend=backend, store=store,
+        shards=shards, executor=executor, resident=resident, store=store,
     )
     convoys = []
     # The context manager releases pooled backends even when the source

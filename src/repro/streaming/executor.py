@@ -262,7 +262,7 @@ class ProcessExecutor:
     Workers are started from an explicit multiprocessing context —
     ``spawn`` by default, never the platform default: under ``fork`` a
     worker inherits whatever interpreter state the parent accumulated
-    (lazily imported numpy, RNG state, open handles), so the same match
+    (RNG state, open handles), so the same match
     kernel could behave differently per platform.  A spawned worker
     re-imports from scratch and receives only plain data in the task,
     which is exactly what a remote worker would do.

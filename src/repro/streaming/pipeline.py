@@ -109,12 +109,10 @@ class ClusterStage:
 
     name = "cluster"
 
-    def __init__(self, clusterer, eps, min_objects, counters,
-                 backend="python"):
+    def __init__(self, clusterer, eps, min_objects, counters):
         self.clusterer = clusterer  # None = fresh DBSCAN per tick
         self._eps = eps
         self._m = min_objects
-        self._backend = backend  # numeric backend for the fresh-DBSCAN path
         self.counters = counters
 
     def cluster(self, snapshot):
@@ -124,8 +122,7 @@ class ClusterStage:
             return (), None
         delta = None
         if self.clusterer is None:
-            clusters = dbscan(snapshot, self._eps, self._m,
-                              backend=self._backend)
+            clusters = dbscan(snapshot, self._eps, self._m)
         else:
             cluster_with_delta = getattr(
                 self.clusterer, "cluster_with_delta", None

@@ -1,5 +1,7 @@
 """Tests for the disc-based flock baseline and the lossy-flock problem."""
 
+import math
+
 import pytest
 
 from repro.baselines.flocks import discover_flocks
@@ -18,6 +20,12 @@ class TestDiscoverFlocks:
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
             discover_flocks(TrajectoryDatabase(), 2, 2, 0.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_rejects_non_finite_radius_by_name(self, radius):
+        db = db_of(("a", [(0.0, 0.0, 0), (1.0, 0.0, 1)]))
+        with pytest.raises(ValueError, match="radius must be positive"):
+            discover_flocks(db, 2, 2, radius)
 
     def test_empty_database(self):
         assert discover_flocks(TrajectoryDatabase(), 2, 2, 1.0) == []

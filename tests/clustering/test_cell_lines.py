@@ -12,17 +12,13 @@ path here is held to that very predicate (the one
 """
 
 import math
-from contextlib import contextmanager
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.clustering.numeric as numeric
 from repro.clustering.dbscan import dbscan, dbscan_brute_force
 from repro.clustering.grid_index import GridIndex
 from repro.clustering.incremental import IncrementalSnapshotClusterer
-from repro.clustering.numeric import VectorGridIndex
 
 #: The pair the predicate accepts although the points lie two
 #: ``eps``-wide buckets apart: ``10.0 - (-1e-300)`` rounds to exactly 10.
@@ -43,22 +39,6 @@ def predicate_neighbors(points, xy, eps):
     return found
 
 
-@contextmanager
-def numpy_mode(mode):
-    """Run the vector grid with numpy, or on its memoryview fallback."""
-    saved = numeric.np
-    if mode == "numpy" and saved is None:
-        pytest.skip("numpy not installed")
-    numeric.np = saved if mode == "numpy" else None
-    try:
-        yield
-    finally:
-        numeric.np = saved
-
-
-MODES = ("numpy", "fallback")
-
-
 def check_every_pass(points, eps):
     """Every neighbour search equals the predicate on ``points``."""
     expected = {
@@ -71,30 +51,13 @@ def check_every_pass(points, eps):
     assert {k: set(v) for k, v in grid.all_neighbors(eps).items()} == (
         expected
     )
-    for mode in MODES:
-        with numpy_mode(mode):
-            vector = VectorGridIndex(eps, points)
-            assert {
-                k: set(v) for k, v in vector.all_neighbors(eps).items()
-            } == expected
-            for item_id, xy in points.items():
-                assert set(vector.neighbors_within(xy, eps)) == (
-                    expected[item_id]
-                )
 
 
 def check_every_clustering(points, eps, min_pts):
-    """Both dbscan backends and the incremental full pass equal the
-    brute-force clustering."""
+    """dbscan and the incremental full pass equal the brute-force
+    clustering."""
     expected = dbscan_brute_force(points, eps, min_pts)
     assert dbscan(points, eps, min_pts) == expected
-    for mode in MODES:
-        with numpy_mode(mode):
-            assert dbscan(points, eps, min_pts, backend="vector") == expected
-            clusterer = IncrementalSnapshotClusterer(
-                eps, min_pts, backend="vector"
-            )
-            assert clusterer.cluster(points) == expected
     assert IncrementalSnapshotClusterer(eps, min_pts).cluster(points) == (
         expected
     )
@@ -113,14 +76,11 @@ class TestTheTwoBucketPair:
         check_every_clustering(PAIR, EPS, 2)
         assert dbscan(PAIR, EPS, 2) == [{"a", "b"}]
 
-    @pytest.mark.parametrize("backend", ["python", "vector"])
-    def test_incremental_delta_path_finds_it(self, backend):
+    def test_incremental_delta_path_finds_it(self):
         """A move onto the far side of the pair goes through the
         single-query patching, not the full pass."""
         start = {"a": (-1e-300, 0.0), "b": (30.0, 0.0), "c": (60.0, 0.0)}
-        clusterer = IncrementalSnapshotClusterer(
-            EPS, 2, churn_threshold=1.0, backend=backend
-        )
+        clusterer = IncrementalSnapshotClusterer(EPS, 2, churn_threshold=1.0)
         assert clusterer.cluster(start) == []
         moved = dict(start, b=(10.0, 0.0))
         assert clusterer.cluster(moved) == dbscan_brute_force(moved, EPS, 2)
@@ -173,11 +133,10 @@ class TestCellLineProperties:
         """Moves between cell-line positions go through the clusterer's
         single-query patching; every tick still equals brute force."""
         eps, snapshots = case
-        for backend in ("python", "vector"):
-            clusterer = IncrementalSnapshotClusterer(
-                eps, min_pts, churn_threshold=1.0, backend=backend
+        clusterer = IncrementalSnapshotClusterer(
+            eps, min_pts, churn_threshold=1.0
+        )
+        for snapshot in snapshots:
+            assert clusterer.cluster(snapshot) == (
+                dbscan_brute_force(snapshot, eps, min_pts)
             )
-            for snapshot in snapshots:
-                assert clusterer.cluster(snapshot) == (
-                    dbscan_brute_force(snapshot, eps, min_pts)
-                )

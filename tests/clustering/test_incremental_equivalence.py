@@ -129,6 +129,35 @@ class TestTickForTickEquality:
         clusterer = assert_stream_equivalent(snapshots, 3.0, 2)
         assert clusterer.counters["incremental_passes"] == 24
 
+    def test_shared_border_follows_key_order_without_movement(self):
+        """A border within eps of one core of each of two components
+        goes to the component whose first core comes first in the
+        snapshot's key order.  Reversing the key order alone must move
+        it (the spliced-border path); nudging it must not."""
+        eps, m = 1.0, 4
+        left = {"a1": (-1.5, 0.0), "a2": (-1.4, 0.0), "a3": (-1.3, 0.0),
+                "a4": (-0.95, 0.0)}
+        right = {"b1": (0.95, 0.0), "b2": (1.3, 0.0), "b3": (1.4, 0.0),
+                 "b4": (1.5, 0.0)}
+        border = {"q": (0.0, 0.0)}
+        a_first = {**left, **border, **right}
+        b_first = {**right, **border, **left}
+        nudged = {**right, "q": (0.01, 0.0), **left}
+        clusterer = IncrementalSnapshotClusterer(eps, m)
+        answers = []
+        for snapshot in (a_first, b_first, nudged, a_first):
+            clusters, delta = clusterer.cluster_with_delta(snapshot)
+            assert clusters == dbscan(snapshot, eps, m)
+            answers.append((clusters, delta))
+        owner = [
+            next(sorted(c - {"q"})[0][0] for c in clusters if "q" in c)
+            for clusters, _delta in answers
+        ]
+        assert owner == ["a", "b", "b", "a"]
+        # A flip with no movement still changes both member sets, so the
+        # delta must say so (the tracker skips "unchanged" clusters).
+        assert answers[1][1].status == ("changed", "changed")
+
     def test_min_pts_one_and_empty_snapshots(self):
         rng = random.Random(5)
         pos = {}
@@ -205,8 +234,9 @@ class TestFallbackThresholds:
         assert clusterer.counters["full_passes"] == 2
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            IncrementalSnapshotClusterer(0.0, 2)
+        for eps in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps"):
+                IncrementalSnapshotClusterer(eps, 2)
         with pytest.raises(ValueError):
             IncrementalSnapshotClusterer(1.0, 0)
         with pytest.raises(ValueError):

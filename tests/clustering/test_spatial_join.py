@@ -7,13 +7,17 @@ the brute-force all-pairs test.
 
 import random
 
+import pytest
+
 from repro.clustering.polyline import PartitionPolyline
 from repro.clustering.range_search import polyline_omega
 from repro.clustering.spatial_join import (
     JoinPolyline,
+    _segments_cross,
     pair_within,
     polyline_adjacency,
 )
+from repro.geometry.distance import _segments_intersect
 from repro.trajectory.segment import TimestampedSegment
 
 
@@ -75,6 +79,41 @@ class TestPairWithinMatchesOmega:
         loose_b = JoinPolyline("b", [(0, 10, 1, 10, 0.0, 5.0, 3.0)])
         assert not pair_within(tight_a, tight_b, 5.0, "dll")
         assert pair_within(loose_a, loose_b, 5.0, "dll")
+
+
+class TestSegmentsCrossDegenerateCases:
+    """The inlined crossing test against the geometry reference on the
+    inputs random floats never produce: exact collinearity, endpoints
+    lying on the other segment, and zero-length segments.  (Inside
+    ``pair_within`` such touches are already caught by the endpoint
+    distances, so only a direct check reaches these branches.)"""
+
+    @pytest.mark.parametrize("ab, cd, expected", [
+        (((0, 0), (4, 0)), ((2, 0), (6, 0)), True),
+        (((0, 0), (4, 0)), ((5, 0), (6, 0)), False),
+        (((0, 0), (4, 0)), ((4, 0), (6, 0)), True),
+        (((0, 0), (0, 4)), ((0, 1), (0, 2)), True),
+        (((0, 0), (4, 0)), ((2, 0), (2, 3)), True),
+        (((0, 0), (4, 0)), ((2, 3), (2, 0)), True),
+        (((0, 0), (4, 0)), ((5, 0), (5, 3)), False),
+        (((0, 0), (4, 4)), ((1, 3), (3, 1)), True),
+        (((0, 0), (4, 0)), ((0, 1), (4, 1)), False),
+        (((2, 0), (2, 0)), ((0, 0), (4, 0)), True),
+        (((6, 0), (6, 0)), ((0, 0), (4, 0)), False),
+        (((1, 1), (1, 1)), ((1, 1), (1, 1)), True),
+    ], ids=[
+        "collinear-overlap", "collinear-gap", "collinear-shared-endpoint",
+        "collinear-vertical-containment", "c-on-ab", "d-on-ab",
+        "touch-line-beyond-segment", "proper-cross", "parallel-apart",
+        "point-on-segment", "point-on-line-beyond-segment",
+        "coincident-points",
+    ])
+    def test_matches_the_reference(self, ab, cd, expected):
+        (a, b), (c, d) = ab, cd
+        for p, q, r, s in [(a, b, c, d), (b, a, c, d), (c, d, a, b),
+                           (d, c, b, a)]:
+            assert _segments_intersect(p, q, r, s) is expected
+            assert _segments_cross(*p, *q, *r, *s) is expected
 
 
 class TestAdjacency:

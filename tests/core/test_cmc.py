@@ -1,5 +1,7 @@
 """Tests for the CMC algorithm (Section 4)."""
 
+import math
+
 import pytest
 
 from repro.core.cmc import cmc
@@ -29,6 +31,11 @@ class TestParameterValidation:
     def test_bad_eps(self):
         with pytest.raises(ValueError):
             cmc(db_of(straight("a", 0, 0, 1, 0, 0, 5)), 1, 1, 0.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_is_rejected_by_name(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            cmc(db_of(straight("a", 0, 0, 1, 0, 0, 5)), 1, 1, eps)
 
     def test_reversed_time_range(self):
         with pytest.raises(ValueError):

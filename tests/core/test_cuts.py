@@ -1,6 +1,7 @@
 """Tests for the CuTS family — filter behaviour, refinement, and the
 exactness guarantee (CuTS == CMC) that is the paper's headline claim."""
 
+import math
 import random
 
 import pytest
@@ -55,6 +56,14 @@ class TestParameterValidation:
             cuts(db, 2, 0, 1.0)
         with pytest.raises(ValueError):
             cuts(db, 2, 2, -1.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_is_rejected_by_name(self, eps):
+        """Regression: ``eps <= 0`` let NaN through, and CuTS* then
+        answered zero convoys instead of an error."""
+        db = db_of(straight("a", 0, 0, 0, 5), straight("b", 0, 1, 0, 5))
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            cuts(db, 2, 2, eps, variant="cuts*")
 
     def test_empty_database(self):
         result = cuts(TrajectoryDatabase(), 2, 2, 1.0)

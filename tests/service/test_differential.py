@@ -8,7 +8,7 @@ schedule; it must never change the answer.
 
 Eight tenants run concurrently over one connection with interleaved
 feed batches, spanning ≥2 pipelines (full-pass and incremental
-clustering, plus sharded and vector-backend variants), both candidate
+clustering, plus a sharded variant), both candidate
 semantics, jittered feeds through reorder buffers, and per-tenant
 SQLite stores — each against its own distinct seeded workload.
 """
@@ -29,8 +29,8 @@ from repro.streaming import (
 EPS = 2.5
 
 #: tenant -> (miner config sans store, jitter).  Two pipelines (full +
-#: incremental), both semantics, jittered feeds, shards, and the vector
-#: backend; four tenants persist to per-tenant stores.
+#: incremental), both semantics, jittered feeds, shards and a second
+#: (m, k); four tenants persist to per-tenant stores.
 TENANTS = {
     "full": (dict(m=3, k=3, eps=EPS), 0),
     "paper": (dict(m=3, k=3, eps=EPS, paper_semantics=True), 0),
@@ -49,10 +49,10 @@ TENANTS = {
         2,
     ),
     "sharded": (dict(m=3, k=3, eps=EPS, shards=2), 0),
-    "vector": (dict(m=2, k=4, eps=EPS, backend="vector"), 0),
+    "pairs": (dict(m=2, k=4, eps=EPS), 0),
 }
 
-STORED_TENANTS = ("full", "paper", "jittered-incremental", "vector")
+STORED_TENANTS = ("full", "paper", "jittered-incremental", "pairs")
 
 
 def tenant_feed(index, name, jitter):

@@ -6,7 +6,11 @@ wire with their Python types intact (``5`` and ``"5"`` stay distinct),
 which is exactly why snapshots travel as triples and not JSON objects.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.convoy import Convoy
 from repro.service.protocol import (
@@ -19,6 +23,12 @@ from repro.service.protocol import (
     encode_snapshot,
 )
 from repro.store.base import encode_object_id
+
+#: A feed line nested deeper than the interpreter's recursion limit.
+DEEP_LINE = (
+    b'{"type":"feed","tenant":"a","ticks":'
+    + b"[" * 200_000 + b"]" * 200_000 + b"}\n"
+)
 
 
 class TestMessageFraming:
@@ -35,8 +45,9 @@ class TestMessageFraming:
         )
 
     def test_garbage_line_rejected(self):
-        with pytest.raises(ProtocolError, match="undecodable"):
-            decode(b"{not json\n")
+        for line in (b"{not json\n", DEEP_LINE):
+            with pytest.raises(ProtocolError, match="undecodable"):
+                decode(line)
 
     def test_non_object_rejected(self):
         with pytest.raises(ProtocolError, match="objects with a 'type'"):
@@ -74,6 +85,8 @@ class TestSnapshots:
             decode_snapshot([["a", "0", 0.0]])
         with pytest.raises(ProtocolError, match="numbers"):
             decode_snapshot([["a", True, 0.0]])
+        with pytest.raises(ProtocolError, match="fit a float"):
+            decode_snapshot([["a", 10 ** 400, 0.0]])
 
     @pytest.mark.parametrize(
         "bad_id", [True, False, 1.5, 2.0, None, [1], {"a": 1}]
@@ -96,6 +109,18 @@ class TestSnapshots:
         with pytest.raises(ProtocolError, match="repeats"):
             decode_snapshot([["a", 0.0, 0.0], ["a", 1.0, 1.0]])
 
+    @pytest.mark.parametrize("triple", [
+        '["a", NaN, 0.0]', '["a", 0.0, Infinity]', '["a", -Infinity, 1.0]',
+    ])
+    def test_non_finite_coordinates_rejected(self, triple):
+        """Python's json parses NaN and Infinity; the miner would only
+        reject them mid-step, failing the whole session."""
+        line = ('{"type": "feed", "ticks": [[0, [["b", 1.0, 1.0], '
+                + triple + ']]]}')
+        triples = decode(line.encode())["ticks"][0][1]
+        with pytest.raises(ProtocolError, match="'a' must be finite"):
+            decode_snapshot(triples)
+
 
 class TestConvoys:
     def test_round_trip(self):
@@ -112,3 +137,66 @@ class TestConvoys:
             decode_convoy({"objects": [], "t_start": 0, "t_end": 1})
         with pytest.raises(ProtocolError, match="bad convoy"):
             decode_convoy({"objects": ["a"], "t_start": 0})
+
+
+#: The numbers JSON can carry, with the edge values drawn often.
+json_numbers = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, -(10 ** 400)]),
+    st.floats(),
+    st.integers(),
+)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), json_numbers, st.text(max_size=6)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=4), children, max_size=3),
+    ),
+    max_leaves=12,
+)
+triples = st.tuples(
+    st.one_of(st.text(max_size=3), st.integers()), json_numbers, json_numbers,
+).map(list)
+#: Well-shaped snapshots (distinct ids), so the coordinate checks run.
+snapshots = st.lists(
+    triples, max_size=5, unique_by=lambda triple: (type(triple[0]), triple[0])
+)
+
+
+class TestArbitraryInput:
+    """Whatever a client sends, decoding raises ProtocolError or returns
+    a well-formed value — nothing else may reach the server's read loop,
+    which answers ProtocolError and drops the connection on anything
+    else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.text(max_size=64).map(str.encode),
+        json_values.map(
+            lambda value: repr(value).replace("'", '"').encode()
+        ),
+    ))
+    def test_decode(self, line):
+        try:
+            message = decode(line)
+        except ProtocolError:
+            return
+        assert isinstance(message, dict)
+        assert isinstance(message["type"], str)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        snapshots,
+        st.lists(st.one_of(triples, json_values), max_size=4),
+        json_values,
+    ))
+    def test_decode_snapshot(self, triples):
+        try:
+            snapshot = decode_snapshot(triples)
+        except ProtocolError:
+            return
+        assert len(snapshot) == len(triples)
+        for object_id, (x, y) in snapshot.items():
+            assert type(object_id) in (str, int)
+            assert type(x) is float and math.isfinite(x)
+            assert type(y) is float and math.isfinite(y)

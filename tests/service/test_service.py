@@ -13,6 +13,7 @@ no counter aliasing between sessions).
 """
 
 import asyncio
+import math
 
 import pytest
 
@@ -24,7 +25,12 @@ from repro.service import (
     TenantSession,
     build_miner,
 )
-from repro.service.protocol import encode, encode_snapshot
+from repro.service.protocol import (
+    STREAM_LIMIT,
+    decode,
+    encode,
+    encode_snapshot,
+)
 from repro.streaming import synthetic_stream
 
 CFG = {"m": 3, "k": 3, "eps": 2.5}
@@ -36,16 +42,18 @@ def feed_ticks(n_objects=12, n_snapshots=12, seed=3, eps=2.5):
 
 class TestBuildMiner:
     def test_unknown_key_rejected(self):
-        with pytest.raises(ProtocolError, match="unknown config key"):
-            build_miner(dict(CFG, bogus=1))
+        for key in ("bogus", "backend"):
+            with pytest.raises(ProtocolError, match="unknown config key"):
+                build_miner(dict(CFG, **{key: 1}))
 
     def test_missing_required_key_rejected(self):
         with pytest.raises(ProtocolError, match="missing required key 'eps'"):
             build_miner({"m": 3, "k": 3})
 
     def test_bad_miner_parameters_rejected(self):
-        with pytest.raises(ProtocolError, match="bad miner config"):
-            build_miner(dict(CFG, eps=-1.0))
+        for eps in (-1.0, math.nan, math.inf):
+            with pytest.raises(ProtocolError, match="bad miner config: eps"):
+                build_miner(dict(CFG, eps=eps))
         with pytest.raises(ProtocolError, match="bad miner config"):
             build_miner(dict(CFG, executor="thread"))  # executor sans shards
 
@@ -138,7 +146,7 @@ class TestServiceEndToEnd:
             async with IngestionServer(max_workers=2) as server:
                 async with ServiceClient("127.0.0.1", server.port) as client:
                     await client.hello("a", CFG)
-                    await client.hello("b", dict(CFG, backend="vector"))
+                    await client.hello("b", CFG)
                     for start in range(0, len(ticks), 5):
                         chunk = ticks[start:start + 5]
                         await client.feed("a", chunk)
@@ -182,6 +190,52 @@ class TestServiceEndToEnd:
                     answer = await client.flush("a")
                     assert answer["convoys"] == []
         asyncio.run(run())
+
+    def test_hostile_lines_answer_an_error_and_keep_the_connection(self):
+        """A line nested past the recursion limit and a coordinate too
+        large for a float each get an error event; the same tenant then
+        flushes on the same connection."""
+        deep = (b'{"type":"feed","tenant":"a","ticks":'
+                + b"[" * 200_000 + b"]" * 200_000 + b"}\n")
+        huge = encode({"type": "feed", "tenant": "a",
+                       "ticks": [[0, [["x", 10 ** 400, 0.0]]]]})
+        snapshot = encode_snapshot({"x": (0.0, 0.0), "y": (0.5, 0.0)})
+
+        async def run():
+            async with IngestionServer() as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port, limit=STREAM_LIMIT
+                )
+
+                async def send(line, reply=True):
+                    writer.write(line)
+                    await writer.drain()
+                    if reply:
+                        return decode(
+                            await asyncio.wait_for(reader.readline(), 10)
+                        )
+
+                hello = {"type": "hello", "tenant": "a",
+                         "config": dict(CFG, m=2, k=2)}
+                assert (await send(encode(hello)))["type"] == "ready"
+                events = [await send(deep), await send(huge)]
+                await send(encode({"type": "feed", "tenant": "a",
+                                   "ticks": [[0, snapshot], [1, snapshot]]}),
+                           reply=False)
+                flushed = await send(encode({"type": "flush",
+                                             "tenant": "a"}))
+                writer.close()
+                await writer.wait_closed()
+                return events, flushed
+
+        events, flushed = asyncio.run(run())
+        assert [event["type"] for event in events] == ["error", "error"]
+        assert "undecodable" in events[0]["error"]
+        assert "fit a float" in events[1]["error"]
+        assert flushed["type"] == "flushed"
+        assert flushed["convoys"] == [
+            {"objects": ["x", "y"], "t_start": 0, "t_end": 1}
+        ]
 
     def test_failed_feed_kills_only_its_session(self):
         async def run():

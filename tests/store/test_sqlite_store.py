@@ -12,6 +12,7 @@ instead of a benchmark).
 """
 
 import random
+import sqlite3
 
 import pytest
 
@@ -378,6 +379,33 @@ class TestLifecycle:
             )
         with pytest.raises(ValueError, match="schema version"):
             SQLiteConvoyStore(path)
+
+    def test_foreign_files_are_refused_untouched(self, tmp_path):
+        foreign = tmp_path / "other.db"
+        con = sqlite3.connect(foreign)
+        con.execute("CREATE TABLE notes (body TEXT)")
+        con.execute("INSERT INTO notes VALUES ('keep me')")
+        con.commit()
+
+        def state():
+            return (
+                con.execute("SELECT * FROM sqlite_master").fetchall(),
+                con.execute("PRAGMA journal_mode").fetchone(),
+            )
+
+        before = state()
+        assert before[1] == ("delete",)
+        with pytest.raises(ValueError, match="not a convoy store"):
+            SQLiteConvoyStore(foreign)
+        assert state() == before
+        con.close()
+
+        garbage = tmp_path / "garbage.db"
+        garbage.write_bytes(b"not a convoy store\n" * 64)
+        with pytest.raises(ValueError, match="garbage.db.*file is not a "
+                           "database"):
+            SQLiteConvoyStore(garbage)
+        assert garbage.read_bytes() == b"not a convoy store\n" * 64
 
     def test_closed_store_raises(self, tmp_path):
         store = SQLiteConvoyStore(tmp_path / "c.db")

@@ -46,20 +46,15 @@ class PipelineClusterOnly:
 
 
 def build_miner(pipeline, m, k, eps, *, paper_semantics=False, window=None,
-                reorder=None, shards=None, executor=None, backend=None,
-                resident=False, store=None, **clusterer_kwargs):
+                reorder=None, shards=None, executor=None, resident=False,
+                store=None, **clusterer_kwargs):
     """One :class:`StreamingConvoyMiner` for one named pipeline.
 
-    ``backend`` (the numeric backend, "python"/"vector") is forwarded to
-    both the engine and the pipeline's own clusterer instance, so a
-    backend-parameterized suite exercises every vectorized seam at once.
     ``store`` (a ConvoyStore or path) forwards to the engine's
     write-through persistence sink.
     """
     if pipeline not in PIPELINE_NAMES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    if backend is not None:
-        clusterer_kwargs["backend"] = backend
     clusterer = None
     if pipeline != "full":
         clusterer = IncrementalSnapshotClusterer(eps, m, **clusterer_kwargs)
@@ -68,8 +63,7 @@ def build_miner(pipeline, m, k, eps, *, paper_semantics=False, window=None,
     return StreamingConvoyMiner(
         m, k, eps, paper_semantics=paper_semantics, window=window,
         clusterer=clusterer, reorder=reorder, shards=shards,
-        executor=executor, backend=backend, resident=resident,
-        store=store,
+        executor=executor, resident=resident, store=store,
     )
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the streaming convoy-discovery engine."""
 
+import math
+
 import pytest
 
 from repro.core.convoy import Convoy
@@ -17,8 +19,9 @@ class TestValidation:
             StreamingConvoyMiner(0, 3, 1.0)
         with pytest.raises(ValueError):
             StreamingConvoyMiner(2, 0, 1.0)
-        with pytest.raises(ValueError):
-            StreamingConvoyMiner(2, 3, 0.0)
+        for eps in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps"):
+                StreamingConvoyMiner(2, 3, eps)
 
     def test_rejects_window_below_k(self):
         with pytest.raises(ValueError):

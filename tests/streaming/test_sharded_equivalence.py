@@ -249,15 +249,14 @@ class TestResidentTransports:
 
     def test_resident_process(self, make_miner):
         """Long-lived spawned workers fed deltas across the pickle
-        boundary, behind the vector clustering backend: the round trip
-        loses nothing."""
+        boundary: the round trip loses nothing."""
         ticks = list(churn_stream(60, 25, seed=79, eps=8.0, churn=0.12,
                                   area=96.0))
         run_lockstep_pair(
             ticks,
-            make_miner("delta", 3, 5, 8.0, backend="vector"),
-            make_miner("delta", 3, 5, 8.0, backend="vector", shards=2,
-                       executor="process", resident=True),
+            make_miner("delta", 3, 5, 8.0),
+            make_miner("delta", 3, 5, 8.0, shards=2, executor="process",
+                       resident=True),
         )
 
     def test_resident_jittered_reorder(self, make_miner, fuzz_workload):

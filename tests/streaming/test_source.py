@@ -5,8 +5,12 @@ import math
 import pytest
 
 from repro.io.csv_io import save_trajectories_csv
+from repro.clustering.dbscan import dbscan
 from repro.streaming import (
+    StreamingConvoyMiner,
     churn_stream,
+    hotspot_drift_scenario,
+    hotspot_drift_stream,
     replay_csv,
     replay_database,
     synthetic_stream,
@@ -187,18 +191,22 @@ class TestChurnStream:
             list(churn_stream(5, 5, eps=10.0, area=5.0))  # hops can't fit
 
 
+#: The generators that take ``jitter=`` / ``jitter_seed=``.
+JITTERABLE = [synthetic_stream, churn_stream, hotspot_drift_stream]
+
+
 class TestJitteredSources:
-    """The ``jitter=`` variants of both generators: same snapshots, a
+    """The ``jitter=`` variants of the generators: same snapshots, a
     bounded, seeded shuffle of their arrival order."""
 
-    @pytest.mark.parametrize("make", [synthetic_stream, churn_stream])
+    @pytest.mark.parametrize("make", JITTERABLE)
     def test_same_ticks_as_the_unjittered_stream(self, make):
         base = list(make(25, 30, seed=7, eps=8.0))
         jittered = list(make(25, 30, seed=7, eps=8.0, jitter=4))
         assert jittered != base
         assert sorted(jittered, key=lambda tick: tick[0]) == base
 
-    @pytest.mark.parametrize("make", [synthetic_stream, churn_stream])
+    @pytest.mark.parametrize("make", JITTERABLE)
     def test_lateness_stays_below_jitter(self, make):
         jitter = 5
         max_seen = None
@@ -209,7 +217,7 @@ class TestJitteredSources:
             else:
                 max_seen = t
 
-    @pytest.mark.parametrize("make", [synthetic_stream, churn_stream])
+    @pytest.mark.parametrize("make", JITTERABLE)
     def test_jitter_seed_controls_only_the_order(self, make):
         a = list(make(15, 25, seed=9, eps=8.0, jitter=4, jitter_seed=1))
         b = list(make(15, 25, seed=9, eps=8.0, jitter=4, jitter_seed=2))
@@ -217,17 +225,17 @@ class TestJitteredSources:
         assert (sorted(a, key=lambda tick: tick[0])
                 == sorted(b, key=lambda tick: tick[0]))
 
-    @pytest.mark.parametrize("make", [synthetic_stream, churn_stream])
+    @pytest.mark.parametrize("make", JITTERABLE)
     def test_jitter_is_deterministic(self, make):
         assert (list(make(15, 25, seed=9, eps=8.0, jitter=4))
                 == list(make(15, 25, seed=9, eps=8.0, jitter=4)))
 
-    @pytest.mark.parametrize("make", [synthetic_stream, churn_stream])
+    @pytest.mark.parametrize("make", JITTERABLE)
     def test_zero_jitter_is_the_default_order(self, make):
         assert (list(make(15, 25, seed=9, eps=8.0, jitter=0))
                 == list(make(15, 25, seed=9, eps=8.0)))
 
-    @pytest.mark.parametrize("make", [synthetic_stream, churn_stream])
+    @pytest.mark.parametrize("make", JITTERABLE)
     def test_negative_jitter_rejected(self, make):
         with pytest.raises(ValueError, match="jitter"):
             list(make(15, 25, seed=9, eps=8.0, jitter=-1))
@@ -295,3 +303,107 @@ class TestHotspots:
                                      hotspots=2, jitter=3))
         assert sorted(shuffled, key=lambda tick: tick[0]) == base
         assert shuffled != base
+
+
+class TestHotspotDrift:
+    """The rigid-pack generator behind the dense-candidate workloads."""
+
+    def test_scenario_and_stream_views_agree(self):
+        scenario = list(hotspot_drift_scenario(30, 12, seed=4, eps=6.0,
+                                               hotspots=3))
+        stream = list(hotspot_drift_stream(30, 12, seed=4, eps=6.0,
+                                           hotspots=3))
+        assert stream == [(t, snapshot) for t, snapshot, _ in scenario]
+        assert stream == list(hotspot_drift_stream(30, 12, seed=4, eps=6.0,
+                                                   hotspots=3))
+        assert stream != list(hotspot_drift_stream(30, 12, seed=5, eps=6.0,
+                                                   hotspots=3))
+        assert [t for t, _ in stream] == list(range(12))
+        assert all(len(snapshot) == 30 for _, snapshot in stream)
+
+    def test_t_start_offsets_every_tick(self):
+        ticks = list(hotspot_drift_stream(8, 5, seed=1, t_start=100))
+        assert [t for t, _ in ticks] == [100, 101, 102, 103, 104]
+
+    def test_groups_split_the_packed_ids_round_robin(self):
+        n, background, hotspots = 43, 0.3, 4
+        _t, snapshot, groups = next(iter(hotspot_drift_scenario(
+            n, 1, seed=2, hotspots=hotspots, background=background,
+        )))
+        packed = n - round(background * n)
+        assert len(groups) == hotspots
+        assert set().union(*groups) == {f"h{i}" for i in range(packed)}
+        assert sum(len(group) for group in groups) == packed  # disjoint
+        sizes = sorted(len(group) for group in groups)
+        assert sizes[-1] - sizes[0] <= 1
+        walkers = set(snapshot) - set().union(*groups)
+        assert len(walkers) == round(background * n)
+
+    def test_more_hotspots_than_packed_objects_drops_empty_packs(self):
+        _t, _snapshot, groups = next(iter(hotspot_drift_scenario(
+            5, 1, seed=0, hotspots=8, background=0.0,
+        )))
+        assert sorted(len(group) for group in groups) == [1] * 5
+
+    def test_packs_stay_rigid_and_inside_the_world(self):
+        """Every pack keeps its members within eps/2 of each other at
+        every tick, and wall reflection keeps the centers in the world."""
+        eps, area = 4.0, 40.0
+        ticks = list(hotspot_drift_scenario(
+            24, 120, seed=8, eps=eps, hotspots=3, background=0.25,
+            drift=3.0, area=area,
+        ))
+        groups = ticks[0][2]
+        for _t, snapshot, tick_groups in ticks:
+            assert tick_groups == groups
+            for group in groups:
+                points = [snapshot[o] for o in group]
+                for ax, ay in points:
+                    assert -eps / 4 <= ax <= area + eps / 4
+                    assert -eps / 4 <= ay <= area + eps / 4
+                    for bx, by in points:
+                        assert math.hypot(ax - bx, ay - by) <= eps / 2 + 1e-9
+        # Fast drift in a small world: the packs must have bounced.
+        first = ticks[0][1]["h0"]
+        assert any(
+            snapshot["h0"] != first for _t, snapshot, _g in ticks[1:]
+        )
+
+    def test_every_pack_is_a_cluster_at_every_tick(self):
+        eps, m = 5.0, 3
+        for _t, snapshot, groups in hotspot_drift_scenario(
+                30, 15, seed=6, eps=eps, hotspots=4, background=0.2):
+            clusters = dbscan(snapshot, eps, m)
+            for group in groups:
+                assert any(group <= set(c) for c in clusters)
+
+    def test_every_pack_is_mined_as_a_whole_stream_convoy(self):
+        n_snapshots = 12
+        ticks = list(hotspot_drift_scenario(
+            24, n_snapshots, seed=3, eps=5.0, hotspots=3, background=0.0,
+        ))
+        groups = ticks[0][2]
+        miner = StreamingConvoyMiner(min(map(len, groups)), n_snapshots, 5.0)
+        convoys = []
+        for t, snapshot, _groups in ticks:
+            convoys.extend(miner.feed(t, snapshot))
+        convoys.extend(miner.flush())
+        for group in groups:
+            assert any(
+                group <= set(convoy.objects)
+                and (convoy.t_start, convoy.t_end) == (0, n_snapshots - 1)
+                for convoy in convoys
+            )
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(n_objects=0), "n_objects"),
+        (dict(n_snapshots=0), "n_snapshots"),
+        (dict(hotspots=0), "hotspots"),
+        (dict(background=-0.1), "background"),
+        (dict(background=1.5), "background"),
+    ])
+    def test_rejects_bad_parameters(self, kwargs, match):
+        args = dict(n_objects=10, n_snapshots=5)
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=match):
+            list(hotspot_drift_stream(**args))

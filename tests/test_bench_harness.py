@@ -25,7 +25,6 @@ from benchmarks.bench_match_kernel import (
     make_small_workload,
     run_regime,
 )
-from benchmarks.bench_vector_kernel import run_all
 from benchmarks.common import safe_rate, write_bench_json
 from repro.bench import PhaseTimer, format_series, format_table, time_call
 
@@ -210,33 +209,6 @@ class TestNonFiniteSanitization:
         def reject(token):
             raise AssertionError(f"non-standard token {token!r} in JSON")
         json.loads(path.read_text(), parse_constant=reject)
-
-
-class TestVectorKernelBenchSchema:
-    """Schema guard for ``BENCH_vector_kernel.json``: the trajectory
-    consumers chart the backend speedups keyed on these row fields."""
-
-    ROW_KEYS = {
-        "workload", "snapshots", "python_rate", "vector_rate", "speedup",
-        "python_seconds", "vector_seconds", "convoys",
-    }
-
-    def test_rows_are_stable_and_finite(self, tmp_path):
-        _scale, _churn, rows = run_all(smoke=True)
-        assert [row["workload"] for row in rows] == ["dbscan", "incremental"]
-        for row in rows:
-            assert set(row) == self.ROW_KEYS
-            assert row["snapshots"] > 0
-            for key in ("python_rate", "vector_rate", "speedup"):
-                value = row[key]
-                assert value is None or (
-                    isinstance(value, float) and math.isfinite(value)
-                )
-        path = tmp_path / "BENCH_vector_kernel.json"
-        write_bench_json(path, "vector_kernel", {"smoke": True}, rows)
-        loaded = json.load(open(path))
-        assert loaded["bench"] == "vector_kernel"
-        assert set(loaded["rows"][0]) == self.ROW_KEYS
 
 
 class TestMatchKernelBenchSchema:

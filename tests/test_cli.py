@@ -93,6 +93,25 @@ class TestDiscover:
         assert code == 0
         assert "1 convoy(s)" in text
 
+    @pytest.mark.parametrize("flags, match", [
+        (["-e", "nan"], "eps must be positive and finite, got nan"),
+        (["-e", "inf"], "eps must be positive and finite, got inf"),
+        (["-e", "nan", "--algorithm", "cmc"], "eps must be positive and"),
+        (["-e", "2.0", "-m", "0"], "m must be >= 1"),
+        (["-e", "2.0", "--delta", "-1"], "delta must be non-negative"),
+        (["-e", "2.0", "--lam", "0"], "lambda must be >= 1"),
+    ], ids=["eps-nan", "eps-inf", "cmc-eps-nan", "m-zero", "negative-delta",
+            "zero-lambda"])
+    def test_bad_query_parameters_exit_2(self, convoy_csv, flags, match):
+        """Regression: a NaN eps answered "0 convoy(s) found" and the
+        other bad values died with a traceback (exit 1)."""
+        argv = ["discover", str(convoy_csv), "-m", "2", "-k", "10"] + flags
+        code, text = run_cli(argv)
+        assert code == 2
+        assert text.startswith("bad query parameters: ")
+        assert match in text
+        assert "convoy(s) found" not in text
+
 
 class TestStream:
     def test_finds_convoy_in_csv(self, convoy_csv):
@@ -234,6 +253,24 @@ class TestStream:
         )
         assert code == 2
         assert "bad query parameters" in text
+
+    @pytest.mark.parametrize("content", ["", "object_id,t,x,y\n"],
+                             ids=["empty-file", "header-only"])
+    def test_input_without_snapshots_exits_1(self, tmp_path, content):
+        path = tmp_path / "in.csv"
+        path.write_text(content)
+        code, text = run_cli(
+            ["stream", str(path), "-m", "2", "-k", "2", "-e", "1.0"]
+        )
+        assert code == 1
+        assert "input contains no snapshots" in text
+
+    def test_rejects_non_positive_synthetic_shape(self):
+        code, text = run_cli(
+            ["stream", "--synthetic", "0x5", "-m", "2", "-k", "2", "-e", "1"]
+        )
+        assert code == 2
+        assert "synthetic shape must be positive" in text
 
     def test_rejects_malformed_synthetic_shape(self):
         code, text = run_cli(
@@ -461,7 +498,7 @@ class TestStreamJson:
         assert payload["params"] == {
             "m": 2, "k": 10, "eps": 2.0, "paper_semantics": False,
             "window": None, "shards": None, "executor": None,
-            "backend": "python", "resident": False,
+            "resident": False,
         }
         # Round trip: rebuild the CSV rows from the JSON convoys.
         rebuilt = ["t_start,t_end,size,objects"]
@@ -569,37 +606,6 @@ class TestGenerate:
         assert a.read_text() == b.read_text()
 
 
-class TestStreamBackend:
-    @pytest.mark.parametrize("backend", ["python", "vector"])
-    def test_backends_print_identical_convoys(self, convoy_csv, backend):
-        code, text = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0",
-             "--backend", backend]
-        )
-        assert code == 0
-        assert "1 convoy(s) from 20 snapshot(s)" in text
-        assert "objects=a,b" in text
-
-    def test_backend_threads_into_incremental_and_shards(self, tmp_path):
-        json_out = tmp_path / "vec.json"
-        code, _text = run_cli(
-            ["stream", "--synthetic", "40x20", "--seed", "3", "-m", "3",
-             "-k", "5", "-e", "10.0", "--quiet", "--incremental",
-             "--shards", "2", "--backend", "vector", "--json",
-             str(json_out)]
-        )
-        assert code == 0
-        with open(json_out) as handle:
-            assert json.load(handle)["params"]["backend"] == "vector"
-
-    def test_rejects_unknown_backend(self, convoy_csv):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["stream", str(convoy_csv), "-m", "2", "-k", "10",
-                 "-e", "2.0", "--backend", "fortran"]
-            )
-
-
 class TestStreamRateReporting:
     def test_sub_resolution_elapsed_omits_rate(self, convoy_csv, monkeypatch):
         """A run finishing below the timer's resolution must not print
@@ -624,6 +630,87 @@ class TestStreamRateReporting:
         assert code == 0
         assert "snapshots/s" in text
         assert "inf" not in text
+
+
+@pytest.fixture
+def split_csv(tmp_path):
+    """a and b travel together for t=0..5, apart for t=6..9 and together
+    again from t=10 to the last of 20 snapshots: one convoy closes at
+    t=6, the other is still open when the input ends."""
+    db = TrajectoryDatabase([
+        Trajectory("a", [(t, 0.0, t) for t in range(20)]),
+        Trajectory("b", [(t, 60.0 if 6 <= t < 10 else 1.0, t)
+                         for t in range(20)]),
+    ])
+    path = tmp_path / "split.csv"
+    save_trajectories_csv(db, path)
+    return path
+
+
+def interrupting_sleep(after):
+    """A ``time.sleep`` stand-in recording each call, raising
+    KeyboardInterrupt (Ctrl-C) on call number ``after``."""
+    calls = []
+
+    def sleep(seconds):
+        calls.append(seconds)
+        if len(calls) == after:
+            raise KeyboardInterrupt
+
+    return sleep, calls
+
+
+class TestStreamPaceAndInterrupt:
+    def test_pace_sleeps_once_per_snapshot(self, split_csv, monkeypatch):
+        import repro.cli as cli_module
+
+        sleep, calls = interrupting_sleep(after=None)
+        monkeypatch.setattr(cli_module.time, "sleep", sleep)
+        code, text = run_cli(
+            ["stream", str(split_csv), "-m", "2", "-k", "3", "-e", "2.0",
+             "--quiet", "--pace", "0.25"]
+        )
+        assert code == 0
+        assert calls == [0.25] * 20
+        assert "2 convoy(s) from 20 snapshot(s)" in text
+
+    def test_interrupt_exits_130_without_flushing(self, split_csv,
+                                                   monkeypatch):
+        import repro.cli as cli_module
+
+        sleep, calls = interrupting_sleep(after=15)
+        monkeypatch.setattr(cli_module.time, "sleep", sleep)
+        code, text = run_cli(
+            ["stream", str(split_csv), "-m", "2", "-k", "3", "-e", "2.0",
+             "--pace", "0.01"]
+        )
+        assert code == 130
+        assert "closed at t=6: t=[0,5] objects=a,b" in text
+        # The chain open since t=10 is not part of the committed prefix.
+        assert "open at end of stream" not in text
+        assert text.rstrip().endswith("interrupted after 14 snapshot(s)")
+
+    def test_interrupt_keeps_the_committed_store_prefix(self, split_csv,
+                                                        tmp_path,
+                                                        monkeypatch):
+        import repro.cli as cli_module
+
+        sleep, calls = interrupting_sleep(after=15)
+        monkeypatch.setattr(cli_module.time, "sleep", sleep)
+        db = tmp_path / "convoys.db"
+        code, text = run_cli(
+            ["stream", str(split_csv), "-m", "2", "-k", "3", "-e", "2.0",
+             "--quiet", "--pace", "0.01", "--store", str(db)]
+        )
+        assert code == 130
+        assert (f"interrupted after 14 snapshot(s); 1 convoy(s) committed "
+                f"to {db}") in text
+        monkeypatch.undo()
+        code, text = run_cli(["query", str(db), "--alive", "0:19", "--json"])
+        assert code == 0
+        payload = json.loads(text)
+        assert [(c["objects"], c["t_start"], c["t_end"])
+                for c in payload["convoys"]] == [(["a", "b"], 0, 5)]
 
 
 class TestStreamStore:
@@ -655,6 +742,31 @@ class TestStreamStore:
         assert code == 0
         assert "store: 0 convoy(s) stored, 1 replayed" in text
 
+    @pytest.mark.parametrize("kind", ["directory", "view-only-database"])
+    def test_unusable_store_exits_2_and_is_left_alone(self, convoy_csv,
+                                                      tmp_path, kind):
+        import sqlite3
+
+        target = tmp_path / "target"
+        if kind == "directory":
+            target.mkdir()
+        else:
+            con = sqlite3.connect(target)
+            con.execute("CREATE VIEW answer AS SELECT 42")
+            con.close()
+        before = target.read_bytes() if target.is_file() else None
+        code, text = run_cli(
+            ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0",
+             "--quiet", "--store", str(target)]
+        )
+        assert code == 2
+        assert "bad query parameters: " in text
+        assert str(target) in text
+        assert (target.read_bytes() if target.is_file() else None) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "in.csv", "target"
+        ]
+
     def test_store_composes_with_sharding(self, tmp_path):
         db = tmp_path / "convoys.db"
         code, text = run_cli(
@@ -668,43 +780,6 @@ class TestStreamStore:
             "query", str(db), "--top-k", "3", "--by", "duration"])
         assert code == 0
         assert "convoy(s) matched" in text
-
-
-class TestStreamBackendNote:
-    def test_vector_backend_notes_numpy_fallback(self, convoy_csv,
-                                                 monkeypatch):
-        import repro.cli as cli_module
-
-        monkeypatch.setattr(cli_module, "have_numpy", lambda: False)
-        code, text = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0",
-             "--backend", "vector"]
-        )
-        assert code == 0
-        assert "memoryview fallback" in text
-
-    def test_vector_backend_with_numpy_has_no_fallback_note(self, convoy_csv,
-                                                            monkeypatch):
-        import repro.cli as cli_module
-
-        monkeypatch.setattr(cli_module, "have_numpy", lambda: True)
-        code, text = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0",
-             "--backend", "vector"]
-        )
-        assert code == 0
-        assert "fallback kernels" not in text
-
-    def test_python_backend_never_notes_fallback(self, convoy_csv,
-                                                 monkeypatch):
-        import repro.cli as cli_module
-
-        monkeypatch.setattr(cli_module, "have_numpy", lambda: False)
-        code, text = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0"]
-        )
-        assert code == 0
-        assert "fallback kernels" not in text
 
 
 class TestQuery:
@@ -771,6 +846,17 @@ class TestQuery:
         assert code == 2
         assert "no such store" in text
         assert not missing.exists()  # the query must not create it
+        garbage = tmp_path / "garbage.db"
+        garbage.write_bytes(b"not a convoy store\n" * 64)
+        code, text = run_cli(["query", str(garbage), "--alive", "0:5"])
+        assert code == 2
+        assert "file is not a database" in text
+
+    def test_directory_store_is_an_error(self, tmp_path):
+        code, text = run_cli(["query", str(tmp_path), "--alive", "0:5"])
+        assert code == 2
+        assert text.startswith("bad store: ")
+        assert "unable to open" in text
 
     def test_mode_validation(self, store_db):
         code, text = run_cli(["query", str(store_db)])
