@@ -10,14 +10,19 @@ does to the filter's wall-clock time.
 
 import pytest
 
-from benchmarks.common import DATASET_NAMES, dataset, print_report
+from benchmarks.common import (
+    DATASET_NAMES,
+    dataset,
+    fresh_database,
+    print_report,
+)
 from repro import convoy_sets_equal, cuts
 from repro.bench import format_table
 
 
 def _run(spec, use_lemma2):
     return cuts(
-        spec.database, spec.m, spec.k, spec.eps,
+        fresh_database(spec), spec.m, spec.k, spec.eps,
         variant="cuts*", use_lemma2=use_lemma2,
     )
 
@@ -26,9 +31,13 @@ def _run(spec, use_lemma2):
 @pytest.mark.parametrize("mode", ("sweep", "all-pairs"))
 def test_ablation_lemma2(benchmark, name, mode):
     spec = dataset(name)
+    database = fresh_database(spec)
 
     def run():
-        return _run(spec, use_lemma2=(mode == "sweep"))
+        return cuts(
+            database, spec.m, spec.k, spec.eps,
+            variant="cuts*", use_lemma2=(mode == "sweep"),
+        )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["pairs_considered"] = result.filter_stats.get(

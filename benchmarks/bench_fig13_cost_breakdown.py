@@ -4,12 +4,13 @@ The paper magnifies the two most distinctive datasets: on Cattle (13
 objects, enormous histories) simplification dominates the total time; on
 Taxi (500 objects, short domain) the filter's clustering dominates and
 refinement is small.  The bench records the three phase durations for
-every family member on both datasets.
+every family member on both datasets, each run on a freshly loaded copy
+so that simplification includes building the split trees.
 """
 
 import pytest
 
-from benchmarks.common import VARIANTS, dataset, print_report
+from benchmarks.common import VARIANTS, dataset, fresh_database, print_report
 from repro import cuts
 from repro.bench import format_table
 
@@ -20,9 +21,10 @@ FIG13_DATASETS = ("cattle", "taxi")
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fig13_phase_breakdown(benchmark, name, variant):
     spec = dataset(name)
+    database = fresh_database(spec)
 
     def run():
-        return cuts(spec.database, spec.m, spec.k, spec.eps, variant=variant)
+        return cuts(database, spec.m, spec.k, spec.eps, variant=variant)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     total = max(result.total_time, 1e-9)
@@ -47,19 +49,21 @@ def test_fig13_cattle_simplification_heavy(variant):
     """The Cattle shape: simplification is a larger share of the total
     than it is on Taxi (the paper's 'invest in simplification' point).
     Asserted for the DP/DP+ variants; DP*'s cheap deviation arithmetic
-    makes its share scale-sensitive at bench sizes (EXPERIMENTS.md)."""
+    makes its share scale-sensitive at bench sizes."""
+    cattle_spec = dataset("cattle")
+    taxi_spec = dataset("taxi")
     cattle = cuts(
-        dataset("cattle").database,
-        dataset("cattle").m,
-        dataset("cattle").k,
-        dataset("cattle").eps,
+        fresh_database(cattle_spec),
+        cattle_spec.m,
+        cattle_spec.k,
+        cattle_spec.eps,
         variant=variant,
     )
     taxi = cuts(
-        dataset("taxi").database,
-        dataset("taxi").m,
-        dataset("taxi").k,
-        dataset("taxi").eps,
+        fresh_database(taxi_spec),
+        taxi_spec.m,
+        taxi_spec.k,
+        taxi_spec.eps,
         variant=variant,
     )
     cattle_share = cattle.durations["simplification"] / max(cattle.total_time, 1e-9)
@@ -73,7 +77,7 @@ def main():
         spec = dataset(name)
         for variant in VARIANTS:
             result = cuts(
-                spec.database, spec.m, spec.k, spec.eps, variant=variant
+                fresh_database(spec), spec.m, spec.k, spec.eps, variant=variant
             )
             d = result.durations
             total = max(result.total_time, 1e-9)

@@ -9,7 +9,12 @@ gain largest where trajectories are smooth relative to δ.
 
 import pytest
 
-from benchmarks.common import DATASET_NAMES, dataset, print_report
+from benchmarks.common import (
+    DATASET_NAMES,
+    dataset,
+    fresh_database,
+    print_report,
+)
 from repro import cuts
 from repro.bench import format_table
 
@@ -20,10 +25,11 @@ MODES = (("actual", True), ("global", False))
 @pytest.mark.parametrize("mode_name,use_actual", MODES)
 def test_fig14_tolerance_mode(benchmark, name, mode_name, use_actual):
     spec = dataset(name)
+    database = fresh_database(spec)
 
     def run():
         return cuts(
-            spec.database, spec.m, spec.k, spec.eps,
+            database, spec.m, spec.k, spec.eps,
             variant="cuts*", use_actual_tolerance=use_actual,
         )
 
@@ -59,7 +65,7 @@ def main():
         cells = {}
         for mode_name, use_actual in MODES:
             result = cuts(
-                spec.database, spec.m, spec.k, spec.eps,
+                fresh_database(spec), spec.m, spec.k, spec.eps,
                 variant="cuts*", use_actual_tolerance=use_actual,
             )
             cells[mode_name] = result

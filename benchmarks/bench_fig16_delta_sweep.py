@@ -9,7 +9,7 @@ grows, because δ inflates every range-search bound (e + 2δ).
 
 import pytest
 
-from benchmarks.common import VARIANTS, dataset, print_report
+from benchmarks.common import VARIANTS, dataset, fresh_database, print_report
 from repro import cuts
 from repro.bench import format_series
 
@@ -19,7 +19,8 @@ DELTA_FRACTIONS = (0.05, 0.15, 0.3, 0.5)
 
 def _run(spec, variant, delta):
     return cuts(
-        spec.database, spec.m, spec.k, spec.eps, delta=delta, variant=variant
+        fresh_database(spec), spec.m, spec.k, spec.eps, delta=delta,
+        variant=variant,
     )
 
 
@@ -29,9 +30,12 @@ def _run(spec, variant, delta):
 def test_fig16_delta_sweep(benchmark, name, variant, fraction):
     spec = dataset(name)
     delta = spec.eps * fraction
+    database = fresh_database(spec)
 
     def run():
-        return _run(spec, variant, delta)
+        return cuts(
+            database, spec.m, spec.k, spec.eps, delta=delta, variant=variant
+        )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info.update(

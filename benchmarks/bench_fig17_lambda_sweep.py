@@ -10,7 +10,7 @@ competitive because simplification, not filtering, rules the total.
 
 import pytest
 
-from benchmarks.common import VARIANTS, dataset, print_report
+from benchmarks.common import VARIANTS, dataset, fresh_database, print_report
 from repro import cuts
 from repro.bench import format_series
 
@@ -20,7 +20,8 @@ LAMBDAS = (2, 4, 8, 16, 32)
 
 def _run(spec, variant, lam):
     return cuts(
-        spec.database, spec.m, spec.k, spec.eps, lam=lam, variant=variant
+        fresh_database(spec), spec.m, spec.k, spec.eps, lam=lam,
+        variant=variant,
     )
 
 
@@ -29,9 +30,12 @@ def _run(spec, variant, lam):
 @pytest.mark.parametrize("lam", LAMBDAS)
 def test_fig17_lambda_sweep(benchmark, name, variant, lam):
     spec = dataset(name)
+    database = fresh_database(spec)
 
     def run():
-        return _run(spec, variant, lam)
+        return cuts(
+            database, spec.m, spec.k, spec.eps, lam=lam, variant=variant
+        )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info.update(

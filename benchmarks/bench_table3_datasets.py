@@ -4,14 +4,20 @@ Regenerates the paper's experiment-settings table: for each of the four
 datasets, the size statistics, the (scaled) query parameters, the auto-
 selected δ and λ, and the number of convoys the reproduction discovers.
 Paper values are printed side by side; point counts differ by the bench
-scale (absolute sizes are substituted, shapes preserved — DESIGN.md §4),
+scale (absolute sizes are substituted, shapes preserved),
 while the *relative ordering* of convoy counts across datasets
 (truck > cattle > car > taxi) is the reproduced result.
 """
 
 import pytest
 
-from benchmarks.common import BENCH_SCALES, DATASET_NAMES, dataset, print_report
+from benchmarks.common import (
+    BENCH_SCALES,
+    DATASET_NAMES,
+    dataset,
+    fresh_database,
+    print_report,
+)
 from repro import cuts
 from repro.bench import format_table
 
@@ -26,9 +32,10 @@ def _row(name):
 @pytest.mark.parametrize("name", DATASET_NAMES)
 def test_table3_dataset(benchmark, name):
     spec = dataset(name)
+    database = fresh_database(spec)
 
     def run():
-        return cuts(spec.database, spec.m, spec.k, spec.eps, variant="cuts*")
+        return cuts(database, spec.m, spec.k, spec.eps, variant="cuts*")
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     stats = spec.statistics()

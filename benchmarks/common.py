@@ -1,18 +1,19 @@
 """Shared infrastructure for the experiment benches.
 
 Every bench file regenerates one table or figure of the paper's evaluation
-(see DESIGN.md §3).  Each file works in two modes:
+(the README's "Benches → paper figures" table maps each file to its
+figure).  Each file works in two modes:
 
 * ``pytest benchmarks/ --benchmark-only`` — pytest-benchmark timings, one
   benchmark per (dataset, algorithm/parameter) cell, with the experiment's
   headline numbers attached as ``extra_info``;
 * ``python benchmarks/bench_<name>.py`` — prints the paper-style table so
-  the rows can be compared against the publication (EXPERIMENTS.md records
-  the outcome of these runs).
+  the rows can be compared against the publication.
 
 Datasets are generated once per process and cached; the bench scales are
 chosen so the full suite completes in minutes on a laptop while keeping
-every dataset's *shape* (see DESIGN.md §4 for the substitution argument).
+every dataset's *shape*.  A timed CuTS or simplifier call runs on
+:func:`fresh_database`, never on the cached database itself.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import subprocess
 from functools import lru_cache
 
 from repro.datasets import DATASETS
+from repro.trajectory import Trajectory, TrajectoryDatabase
 
 #: Time-domain scale per dataset used across all benches.  Chosen so that
 #: the slowest single algorithm run stays around a second.
@@ -45,6 +47,21 @@ def dataset(name, scale=None):
     if scale is None:
         scale = BENCH_SCALES[name]
     return DATASETS[name](scale=scale)
+
+
+def fresh_database(spec):
+    """Return a copy of ``spec.database`` that no simplifier has touched.
+
+    Every trajectory keeps the split trees its DP/DP* simplifications
+    built (:meth:`repro.trajectory.Trajectory.split_tree`), and
+    :func:`dataset` hands every caller the same trajectories, so a timed
+    call on the cached database would time cuts of trees that an earlier
+    call paid for.  The copy holds the same samples in new trajectories.
+    """
+    return TrajectoryDatabase(
+        Trajectory(trajectory.object_id, list(trajectory))
+        for trajectory in spec.database
+    )
 
 
 def print_report(text):

@@ -20,8 +20,8 @@ Quickstart::
     result = cuts(db, m=2, k=5, eps=2.0, variant="cuts*")
     assert result.convoys == convoys
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See the README for the system inventory, and its "Benches → paper
+figures" section for the bench that regenerates each table and figure.
 """
 
 from repro.baselines import discover_flocks, mc2

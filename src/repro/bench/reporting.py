@@ -1,8 +1,8 @@
 """Plain-text tables in the shape of the paper's tables and figure series.
 
 The benches print their results through these helpers so every experiment
-produces a readable paper-vs-measured record (collected into
-EXPERIMENTS.md).
+produces a readable paper-vs-measured record (the README's "Benches →
+paper figures" section lists the benches).
 """
 
 from __future__ import annotations

@@ -27,6 +27,18 @@ import math
 from repro.streaming.engine import StreamingConvoyMiner
 
 
+def check_query_counts(m, k):
+    """Raise :class:`ValueError` unless ``m`` and ``k`` are integers >= 1.
+
+    A NaN or infinite count compares false against every lifetime and
+    group size, so it would answer zero convoys; a fractional one would
+    act as its ceiling.  Neither is a convoy query.
+    """
+    for name, value in (("m", m), ("k", k)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+
+
 def cmc(database, m, k, eps, time_range=None, counters=None,
         paper_semantics=False, allowed_at=None, clusterer=None, store=None):
     """Run the CMC convoy-discovery algorithm.
@@ -76,10 +88,7 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
         Convoys whose group splits and later re-forms are reported once per
         maximal run, per Definition 3.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_query_counts(m, k)
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if len(database) == 0:

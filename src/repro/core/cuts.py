@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from repro.clustering.generic_dbscan import density_cluster
 from repro.clustering.spatial_join import JoinPolyline, polyline_adjacency
 from repro.core.candidates import CandidateTracker
-from repro.core.cmc import cmc
+from repro.core.cmc import check_query_counts, cmc
 from repro.core.params import compute_delta, compute_lambda
 from repro.core.partition import TimePartitioner
 from repro.core.verification import normalize_convoys
@@ -150,21 +150,22 @@ def cuts_filter(
     # One pass over all simplified segments, assigning each to every
     # partition its time interval intersects (a boundary-straddling segment
     # lands in both partitions — the l_3^2 rule of Figure 9(b)).
+    # Segments are read straight off consecutive kept points (a lone point
+    # pairs with itself), without building TimestampedSegment objects.
     partition_segments = [{} for _ in windows]
     for simplified in simplified_list:
         delta = simplified.delta
         object_id = simplified.object_id
-        for segment, tolerance in zip(simplified.segments, simplified.tolerances):
-            seg_lo = max(segment.t_start, t_lo)
-            seg_hi = min(segment.t_end, t_hi)
+        points = simplified.points
+        for (x0, y0, t0), (x1, y1, t1), tolerance in zip(
+            points, points[1:] or points, simplified.tolerances
+        ):
+            seg_lo = max(t0, t_lo)
+            seg_hi = min(t1, t_hi)
             if seg_lo > seg_hi:
                 continue
             tol = tolerance if use_actual_tolerance else delta
-            flat = (
-                segment.start[0], segment.start[1],
-                segment.end[0], segment.end[1],
-                float(segment.t_start), float(segment.t_end), tol,
-            )
+            flat = (x0, y0, x1, y1, float(t0), float(t1), tol)
             z_first = (seg_lo - t_lo) // lam
             z_last = (seg_hi - t_lo) // lam
             for z in range(z_first, z_last + 1):
@@ -296,10 +297,7 @@ def cuts(
         raise ValueError(
             f"unknown variant {variant!r}; expected one of {sorted(VARIANTS)}"
         )
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_query_counts(m, k)
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     config = VARIANTS[variant]

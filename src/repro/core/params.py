@@ -11,41 +11,7 @@ from __future__ import annotations
 
 import random
 
-from repro.geometry.distance import point_segment_distance
-
-
-def _division_tolerances(trajectory):
-    """Replay DP with δ = 0, recording each division's split deviation.
-
-    Section 7.4, first step: "we perform the original DP algorithm over a
-    trajectory with δ = 0.  In each step of the division process, we store
-    the actual tolerance values."  The stored value of a division is the
-    deviation of the chosen split point — the tolerance the chord *would*
-    have had, had the division stopped there.
-    """
-    times, xs, ys = trajectory.coordinates()
-    n = len(times)
-    tolerances = []
-    stack = [(0, n - 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo < 2:
-            continue
-        best_dev = 0.0
-        best_index = None
-        a = (xs[lo], ys[lo])
-        b = (xs[hi], ys[hi])
-        for i in range(lo + 1, hi):
-            dev = point_segment_distance((xs[i], ys[i]), a, b)
-            if dev > best_dev:
-                best_dev = dev
-                best_index = i
-        if best_index is None or best_dev == 0.0:
-            continue
-        tolerances.append(best_dev)
-        stack.append((lo, best_index))
-        stack.append((best_index, hi))
-    return tolerances
+from repro.simplification.dp import spatial_chord
 
 
 def _largest_gap_choice(tolerances, cap):
@@ -117,7 +83,10 @@ def compute_delta(database, eps, sample_fraction=0.1, min_samples=5, seed=0,
     cap = eps * cap_fraction
     picks = []
     for trajectory in sample:
-        choice = _largest_gap_choice(_division_tolerances(trajectory), cap)
+        # Section 7.4's zero-tolerance DP replay is the fully expanded DP
+        # split tree, which later DP cuts of the trajectory share.
+        tolerances = trajectory.split_tree(spatial_chord).split_deviations()
+        choice = _largest_gap_choice(tolerances, cap)
         if choice is not None:
             picks.append(choice)
     if not picks:

@@ -5,8 +5,7 @@ Car/Copenhagen, Taxi/Beijing) that are not redistributable.  Convoy
 discovery experiments depend on the data's *shape* — object count, time
 domain length, sampling regularity, lifetime heterogeneity, and the amount
 of genuine co-movement — rather than on geography, so each dataset is
-replaced by a seeded generator matching those shape parameters (see
-DESIGN.md §4 for the substitution argument).
+replaced by a seeded generator matching those shape parameters.
 
 * :func:`truck_dataset` — many objects with medium-length, partially
   overlapping lifetimes and strong route-sharing (most convoys);

@@ -9,7 +9,7 @@ The shape parameters (object count, domain length, sampling regularity,
 lifetime heterogeneity) follow Table 3; the ``scale`` argument shrinks the
 time domain (and ``k`` proportionally) so the suite runs on a laptop —
 the paper's absolute C++ timings are not reproducible anyway, while every
-relative conclusion survives scaling (DESIGN.md §4).
+relative conclusion survives scaling.
 """
 
 from __future__ import annotations

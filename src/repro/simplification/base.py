@@ -1,19 +1,24 @@
 """Shared machinery for the three simplifiers.
 
 The DP family differs only in two decisions — how a point's deviation from
-a chord is measured, and which offending point becomes the split point — so
-one iterative divide-and-conquer engine (:class:`Simplifier`) hosts all
-three.  The engine also computes, for every emitted chord, the **actual
-tolerance** δ(l') of Definition 4 (the maximum deviation of the original
-points the chord replaces) at no extra cost: the deviations are already in
-hand when the split decision is made, exactly as the paper notes
-("the derivation of these tolerance values can be seamlessly integrated
-into the DP algorithm").
+a chord is measured, and which offending point becomes the split point.
+The iterative divide-and-conquer engine :class:`Simplifier` takes both as
+callables; DP+ runs on it, because its split rule depends on δ.  DP and
+DP* split at the first maximum deviation whatever δ is, so they cut a split
+tree built once per trajectory instead (:mod:`repro.simplification.tree`);
+the engine with a max-deviation split rule stays their reference.
+
+Every simplifier reports, for every emitted chord, the **actual tolerance**
+δ(l') of Definition 4 (the maximum deviation of the original points the
+chord replaces) at no extra cost: the deviations are already in hand when
+the split decision is made, exactly as the paper notes ("the derivation of
+these tolerance values can be seamlessly integrated into the DP
+algorithm").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.trajectory.point import TrajectoryPoint
 from repro.trajectory.segment import TimestampedSegment
@@ -27,36 +32,44 @@ class SimplifiedTrajectory:
         object_id: identifier of the moving object.
         points: tuple of kept :class:`TrajectoryPoint` (a subset of the
             original samples, in time order).
-        segments: tuple of :class:`TimestampedSegment`, one per consecutive
-            pair of kept points.  A single-point trajectory yields one
-            degenerate (zero-length, zero-duration) segment so that the
-            object still participates in the filter's clustering.
-        tolerances: tuple of actual tolerances δ(l'), parallel to
-            ``segments``.
+        tolerances: tuple of actual tolerances δ(l'), one per consecutive
+            pair of kept points (see :attr:`segments`).
         delta: the global tolerance δ the simplifier ran with.
         original_size: ``|o|``, the number of points before simplification.
     """
 
     object_id: object
     points: tuple
-    segments: tuple
     tolerances: tuple
     delta: float
     original_size: int
-    _prefix_max_tol: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.points:
             raise ValueError(f"simplified trajectory {self.object_id!r} is empty")
-        if len(self.segments) != len(self.tolerances):
+        if len(self.tolerances) != max(len(self.points) - 1, 1):
             raise ValueError(
-                f"{len(self.segments)} segments vs {len(self.tolerances)} tolerances"
+                f"{len(self.points)} points vs {len(self.tolerances)} tolerances"
             )
-        object.__setattr__(self, "_prefix_max_tol", ())
 
     def __len__(self):
         """Number of kept points ``|o'|``."""
         return len(self.points)
+
+    @property
+    def segments(self):
+        """Tuple of :class:`TimestampedSegment`, parallel to ``tolerances``.
+
+        One segment per consecutive pair of kept points, built on each
+        access.  A single-point trajectory yields one degenerate
+        (zero-length, zero-duration) segment so that the object still
+        participates in the filter's clustering.
+        """
+        points = self.points
+        return tuple(
+            TimestampedSegment((a.x, a.y), (b.x, b.y), a.t, b.t)
+            for a, b in zip(points, points[1:] or points)
+        )
 
     @property
     def t_start(self):
@@ -106,8 +119,25 @@ class SimplifiedTrajectory:
         return found
 
 
+def simplified_from_indices(trajectory, kept, tolerances, delta):
+    """Build the :class:`SimplifiedTrajectory` keeping samples ``kept``.
+
+    Args:
+        trajectory: the original trajectory.
+        kept: sorted sample indices to keep (first and last included).
+        tolerances: actual tolerance of each chord between consecutive
+            kept samples; ``[0.0]`` for a one-sample trajectory.
+        delta: the global tolerance the simplifier ran with.
+    """
+    times, xs, ys = trajectory.coordinates()
+    points = tuple(TrajectoryPoint(xs[i], ys[i], times[i]) for i in kept)
+    return SimplifiedTrajectory(
+        trajectory.object_id, points, tuple(tolerances), delta, len(times)
+    )
+
+
 class Simplifier:
-    """Iterative divide-and-conquer engine shared by DP, DP+, and DP*.
+    """Iterative divide-and-conquer engine of DP+ (and any split rule).
 
     Subclass/instance behaviour is injected through two callables:
 
@@ -139,13 +169,7 @@ class Simplifier:
         times, xs, ys = trajectory.coordinates()
         n = len(times)
         if n == 1:
-            point = TrajectoryPoint(xs[0], ys[0], times[0])
-            segment = TimestampedSegment(
-                (xs[0], ys[0]), (xs[0], ys[0]), times[0], times[0]
-            )
-            return SimplifiedTrajectory(
-                trajectory.object_id, (point,), (segment,), (0.0,), delta, 1
-            )
+            return simplified_from_indices(trajectory, [0], [0.0], delta)
         kept = [0, n - 1]
         chord_tolerance = {}
         stack = [(0, n - 1)]
@@ -169,41 +193,8 @@ class Simplifier:
                 stack.append((lo, split))
                 stack.append((split, hi))
         kept.sort()
-        points = tuple(
-            TrajectoryPoint(xs[i], ys[i], times[i]) for i in kept
-        )
-        segments = []
-        tolerances = []
-        for a, b in zip(kept, kept[1:]):
-            segments.append(
-                TimestampedSegment(
-                    (xs[a], ys[a]), (xs[b], ys[b]), times[a], times[b]
-                )
-            )
-            tolerances.append(chord_tolerance[(a, b)])
-        return SimplifiedTrajectory(
-            trajectory.object_id,
-            points,
-            tuple(segments),
-            tuple(tolerances),
-            delta,
-            n,
-        )
-
-
-def max_deviation_split(deviations, lo, hi, delta):
-    """Split rule of classical DP: the farthest offending point.
-
-    Returns ``None`` when every interior deviation is within ``delta``
-    (chord accepted), otherwise the index of the maximum deviation.
-    """
-    best_index = None
-    best_dev = delta
-    for index, dev in deviations:
-        if dev > best_dev:
-            best_dev = dev
-            best_index = index
-    return best_index
+        tolerances = [chord_tolerance[chord] for chord in zip(kept, kept[1:])]
+        return simplified_from_indices(trajectory, kept, tolerances, delta)
 
 
 def middle_most_split(deviations, lo, hi, delta):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from math import hypot
+
 from repro.geometry.distance import point_segment_distance
-from repro.simplification.base import Simplifier, max_deviation_split
+from repro.simplification.tree import TreeSimplifier
 
 
 def spatial_deviation(xs, ys, times, lo, hi, i):
@@ -18,7 +20,43 @@ def spatial_deviation(xs, ys, times, lo, hi, i):
     )
 
 
+def spatial_chord(times, xs, ys, lo, hi):
+    """First argmax and max of :func:`spatial_deviation` inside ``lo..hi``.
+
+    The chord's constants are hoisted and the argmax is tracked in the
+    loop.  Each deviation evaluates the float expressions of
+    :func:`~repro.geometry.distance.point_segment_distance`, in its order,
+    so the result is bit-for-bit the per-point function's.
+    """
+    ax = xs[lo]
+    ay = ys[lo]
+    abx = xs[hi] - ax
+    aby = ys[hi] - ay
+    denom = abx * abx + aby * aby
+    split = first = lo + 1
+    max_dev = 0.0
+    interior = zip(range(first, hi), xs[first:hi], ys[first:hi])
+    if denom == 0.0:
+        for i, x, y in interior:
+            dev = hypot(x - ax, y - ay)
+            if dev > max_dev:
+                max_dev = dev
+                split = i
+        return split, max_dev
+    for i, x, y in interior:
+        t = ((x - ax) * abx + (y - ay) * aby) / denom
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        dev = hypot(x - (ax + abx * t), y - (ay + aby * t))
+        if dev > max_dev:
+            max_dev = dev
+            split = i
+    return split, max_dev
+
+
 #: **DP** — split at the point of maximum spatial deviation.  The classical
 #: algorithm of Douglas & Peucker (1973) applied to a trajectory's spatial
 #: footprint, ignoring time.
-douglas_peucker = Simplifier(spatial_deviation, max_deviation_split, "DP")
+douglas_peucker = TreeSimplifier(spatial_chord, "DP")

@@ -18,9 +18,9 @@ Consequences, both exploited by CuTS*:
 
 from __future__ import annotations
 
-import math
+from math import hypot
 
-from repro.simplification.base import Simplifier, max_deviation_split
+from repro.simplification.tree import TreeSimplifier
 
 
 def time_ratio_deviation(xs, ys, times, lo, hi, i):
@@ -32,14 +32,41 @@ def time_ratio_deviation(xs, ys, times, lo, hi, i):
     """
     span = times[hi] - times[lo]
     if span == 0:
-        return math.hypot(xs[i] - xs[lo], ys[i] - ys[lo])
+        return hypot(xs[i] - xs[lo], ys[i] - ys[lo])
     ratio = (times[i] - times[lo]) / span
     proj_x = xs[lo] + (xs[hi] - xs[lo]) * ratio
     proj_y = ys[lo] + (ys[hi] - ys[lo]) * ratio
-    return math.hypot(xs[i] - proj_x, ys[i] - proj_y)
+    return hypot(xs[i] - proj_x, ys[i] - proj_y)
+
+
+def time_ratio_chord(times, xs, ys, lo, hi):
+    """First argmax and max of :func:`time_ratio_deviation` inside ``lo..hi``.
+
+    The chord's constants are hoisted and the argmax is tracked in the
+    loop.  Each deviation evaluates :func:`time_ratio_deviation`'s float
+    expressions in its order — the ratio ``(t_i - t_lo) / span`` first,
+    then ``x_lo + dx * ratio`` — so the result is bit-for-bit the
+    per-point function's.  ``span`` is positive: a trajectory's sample
+    times strictly increase.
+    """
+    t0 = times[lo]
+    x0 = xs[lo]
+    y0 = ys[lo]
+    span = times[hi] - t0
+    dx = xs[hi] - x0
+    dy = ys[hi] - y0
+    split = first = lo + 1
+    max_dev = 0.0
+    for i, t, x, y in zip(
+        range(first, hi), times[first:hi], xs[first:hi], ys[first:hi]
+    ):
+        ratio = (t - t0) / span
+        dev = hypot(x - (x0 + dx * ratio), y - (y0 + dy * ratio))
+        if dev > max_dev:
+            max_dev = dev
+            split = i
+    return split, max_dev
 
 
 #: **DP*** — DP's max-deviation split rule over the time-ratio deviation.
-douglas_peucker_star = Simplifier(
-    time_ratio_deviation, max_deviation_split, "DP*"
-)
+douglas_peucker_star = TreeSimplifier(time_ratio_chord, "DP*")

@@ -26,7 +26,7 @@ class Trajectory:
             triples); any order, but duplicate time points are rejected.
     """
 
-    __slots__ = ("object_id", "_times", "_xs", "_ys")
+    __slots__ = ("object_id", "_times", "_xs", "_ys", "_trees")
 
     def __init__(self, object_id, points):
         self.object_id = object_id
@@ -46,6 +46,22 @@ class Trajectory:
         self._times = [p.t for p in cleaned]
         self._xs = [p.x for p in cleaned]
         self._ys = [p.y for p in cleaned]
+        self._trees = ()
+
+    @classmethod
+    def _from_arrays(cls, object_id, times, xs, ys):
+        """Adopt parallel arrays that already hold validated samples.
+
+        ``times`` must be strictly increasing integers and every
+        coordinate finite: nothing is checked, copied or sorted.
+        """
+        trajectory = cls.__new__(cls)
+        trajectory.object_id = object_id
+        trajectory._times = times
+        trajectory._xs = xs
+        trajectory._ys = ys
+        trajectory._trees = ()
+        return trajectory
 
     # ------------------------------------------------------------------
     # Basic protocol
@@ -122,13 +138,36 @@ class Trajectory:
         return TrajectoryPoint(x, y, t)
 
     def coordinates(self):
-        """Return the raw parallel arrays ``(times, xs, ys)`` (read-only views).
+        """Return the raw parallel arrays ``(times, xs, ys)``.
 
         The simplifiers consume trajectories through this accessor to avoid
         materializing per-point objects on multi-hundred-thousand-point
-        inputs (the Cattle workload).
+        inputs (the Cattle workload).  The lists are the trajectory's own
+        storage, not copies, and must never be mutated: the trajectory's
+        split trees (:meth:`split_tree`) cache deviations computed from
+        them, and a mutation would leave every later simplification of
+        this trajectory silently wrong.
         """
         return self._times, self._xs, self._ys
+
+    def split_tree(self, chord):
+        """Return this trajectory's split tree under the measure ``chord``.
+
+        The tree (:class:`repro.simplification.tree.SplitTree`) is built on
+        first use and kept with the trajectory, which has no mutator, so
+        every later DP/DP* simplification of the trajectory is a cut of
+        the same tree.  ``chord`` is the measure's node function, e.g.
+        :func:`repro.simplification.dp.spatial_chord`.
+        """
+        trees = self._trees
+        for tree in trees:
+            if tree.chord is chord:
+                return tree
+        from repro.simplification.tree import SplitTree
+
+        tree = SplitTree(self, chord)
+        self._trees = trees + (tree,)
+        return tree
 
     def sliced(self, t_lo, t_hi):
         """Return this trajectory restricted to the window ``[t_lo, t_hi]``.
@@ -145,25 +184,36 @@ class Trajectory:
         interval and make refinement miss convoy time points that the
         exact algorithm covers.
 
+        The slice copies the recorded samples inside the window from this
+        trajectory's arrays, which were validated at construction; only
+        the synthesized boundary samples are validated, as ``__init__``
+        would validate them.
+
         Returns ``None`` when the window is disjoint from ``o.tau``.
         """
         if t_hi < t_lo:
             raise ValueError(f"slice window reversed: [{t_lo}, {t_hi}]")
-        lo_t = max(t_lo, self._times[0])
-        hi_t = min(t_hi, self._times[-1])
+        times = self._times
+        lo_t = max(t_lo, times[0])
+        hi_t = min(t_hi, times[-1])
         if lo_t > hi_t:
             return None
-        lo = bisect_left(self._times, lo_t)
-        hi = bisect_left(self._times, hi_t + 1)
-        points = [
-            TrajectoryPoint(self._xs[i], self._ys[i], self._times[i])
-            for i in range(lo, hi)
-        ]
-        if not points or points[0].t != lo_t:
-            points.insert(0, self.point_at(lo_t))
-        if points[-1].t != hi_t:
-            points.append(self.point_at(hi_t))
-        return Trajectory(self.object_id, points)
+        lo = bisect_left(times, lo_t)
+        hi = bisect_left(times, hi_t + 1)
+        times = times[lo:hi]
+        xs = self._xs[lo:hi]
+        ys = self._ys[lo:hi]
+        if not times or times[0] != lo_t:
+            first = self.point_at(lo_t).validate()
+            times.insert(0, first.t)
+            xs.insert(0, first.x)
+            ys.insert(0, first.y)
+        if times[-1] != hi_t:
+            last = self.point_at(hi_t).validate()
+            times.append(last.t)
+            xs.append(last.x)
+            ys.append(last.y)
+        return Trajectory._from_arrays(self.object_id, times, xs, ys)
 
     def bounding_box(self):
         """Return the spatial bounding box of all samples."""

@@ -19,14 +19,24 @@ def straight(oid, x0, y0, dx, dy, t0, t1):
     return (oid, [(x0 + dx * (t - t0), y0 + dy * (t - t0), t) for t in range(t0, t1 + 1)])
 
 
-class TestParameterValidation:
-    def test_bad_m(self):
-        with pytest.raises(ValueError):
-            cmc(db_of(straight("a", 0, 0, 1, 0, 0, 5)), 0, 1, 1.0)
+#: Counts that are not an integer >= 1; NaN and inf used to answer zero
+#: convoys and 2.5 used to act as 3.
+BAD_COUNTS = pytest.mark.parametrize(
+    "bad", [0, -1, math.nan, math.inf, 2.5, True, "3"],
+    ids=["zero", "negative", "nan", "inf", "fraction", "bool", "str"],
+)
 
-    def test_bad_k(self):
-        with pytest.raises(ValueError):
-            cmc(db_of(straight("a", 0, 0, 1, 0, 0, 5)), 1, 0, 1.0)
+
+class TestParameterValidation:
+    @BAD_COUNTS
+    def test_bad_m(self, bad):
+        with pytest.raises(ValueError, match="m must be >= 1 and an integer"):
+            cmc(db_of(straight("a", 0, 0, 1, 0, 0, 5)), bad, 1, 1.0)
+
+    @BAD_COUNTS
+    def test_bad_k(self, bad):
+        with pytest.raises(ValueError, match="k must be >= 1 and an integer"):
+            cmc(db_of(straight("a", 0, 0, 1, 0, 0, 5)), 1, bad, 1.0)
 
     def test_bad_eps(self):
         with pytest.raises(ValueError):

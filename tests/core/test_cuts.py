@@ -48,12 +48,18 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             cuts(db, 2, 2, 1.0, variant="cuts**")
 
-    def test_bad_query_params(self):
-        db = db_of(straight("a", 0, 0, 0, 5))
-        with pytest.raises(ValueError):
-            cuts(db, 0, 2, 1.0)
-        with pytest.raises(ValueError):
-            cuts(db, 2, 0, 1.0)
+    @pytest.mark.parametrize(
+        "bad", [0, -1, math.nan, math.inf, 2.5, True, "3"],
+        ids=["zero", "negative", "nan", "inf", "fraction", "bool", "str"],
+    )
+    def test_bad_query_params(self, bad):
+        """Regression: ``m < 1`` was the only check, so NaN and inf
+        answered zero convoys and 2.5 acted as 3."""
+        db = db_of(straight("a", 0, 0, 0, 5), straight("b", 0, 1, 0, 5))
+        with pytest.raises(ValueError, match="m must be >= 1 and an integer"):
+            cuts(db, bad, 2, 1.0)
+        with pytest.raises(ValueError, match="k must be >= 1 and an integer"):
+            cuts(db, 2, bad, 1.0)
         with pytest.raises(ValueError):
             cuts(db, 2, 2, -1.0)
 

@@ -25,8 +25,11 @@ from benchmarks.bench_match_kernel import (
     make_small_workload,
     run_regime,
 )
-from benchmarks.common import safe_rate, write_bench_json
+from benchmarks.bench_fig12_cmc_vs_cuts import WARM_EPS_FACTOR, measure
+from benchmarks.common import fresh_database, safe_rate, write_bench_json
+from repro import datasets
 from repro.bench import PhaseTimer, format_series, format_table, time_call
+from repro.simplification.dp_star import time_ratio_chord
 
 
 class TestPhaseTimer:
@@ -427,3 +430,58 @@ class TestServiceIngestionBenchSchema:
         assert len(loaded["rows"]) == len(rows)
         for row in loaded["rows"]:
             assert set(row) == SERVICE_ROW_KEYS
+
+
+class TestFig12BenchSchema:
+    """Schema guard for ``BENCH_fig12.json``: one row per timed call,
+    carrying the dataset's generator and params, the cold/warm state and,
+    for the CuTS family, the per-phase split.  A tiny Car dataset keeps
+    this a schema test; ``measure`` still asserts every answer equal to
+    CMC's."""
+
+    ROW_KEYS = {
+        "dataset", "generator", "scale", "seed", "m", "k", "eps",
+        "algorithm", "state", "seconds", "speedup_vs_cmc", "convoys",
+        "phases",
+    }
+    PHASES = {"simplification", "filter", "refinement", "other"}
+
+    def test_rows_cover_every_variant_cold_and_cuts_star_warm(self, tmp_path):
+        spec = datasets.car_dataset(scale=0.005)
+        rows = measure(spec)
+        assert [(row["algorithm"], row["state"]) for row in rows] == [
+            ("cmc", "cold"), ("cmc", "cold"), ("cuts", "cold"),
+            ("cuts+", "cold"), ("cuts*", "cold"), ("cuts*", "warm"),
+        ]
+        warm_eps = spec.eps * WARM_EPS_FACTOR
+        assert [row["eps"] for row in rows] == [
+            spec.eps, warm_eps, spec.eps, spec.eps, spec.eps, warm_eps,
+        ]
+        for row in rows:
+            assert set(row) == self.ROW_KEYS
+            module, _, name = row["generator"].rpartition(".")
+            assert module == "repro.datasets"
+            assert getattr(datasets, name)(scale=row["scale"]).m == row["m"]
+            if row["algorithm"] == "cmc":
+                assert row["phases"] is None
+                assert row["speedup_vs_cmc"] in (1.0, None)
+            else:
+                assert set(row["phases"]) == self.PHASES
+                assert all(value >= 0 for value in row["phases"].values())
+        path = tmp_path / "BENCH_fig12.json"
+        write_bench_json(path, "fig12", {"smoke": True}, rows)
+        loaded = json.loads(path.read_text())
+        assert loaded["bench"] == "fig12"
+        assert [set(row) for row in loaded["rows"]] == [self.ROW_KEYS] * 6
+
+    def test_fresh_database_shares_no_split_tree(self):
+        spec = datasets.car_dataset(scale=0.005)
+        fresh = fresh_database(spec)
+        assert fresh.object_ids == spec.database.object_ids
+        for original in spec.database:
+            copy = fresh[original.object_id]
+            assert copy is not original
+            assert copy.coordinates() == original.coordinates()
+            assert copy.split_tree(time_ratio_chord) is not (
+                original.split_tree(time_ratio_chord)
+            )

@@ -122,6 +122,51 @@ class TestSlicing:
         piece = tr.sliced(0, 100)
         assert piece.tau == (4, 8)
 
+    @pytest.mark.parametrize("window", [(2.5, 6), (2, 6.5)])
+    def test_fractional_synthesized_edge_rejected(self, window):
+        """The slice validates the boundary samples it synthesizes."""
+        tr = make_trajectory([(i, i, i) for i in range(10)])
+        with pytest.raises(ValueError, match="time point must be an integer"):
+            tr.sliced(*window)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-1e3, 1e3, allow_nan=False),
+                st.floats(-1e3, 1e3, allow_nan=False),
+                st.integers(1, 4),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(-3, 40),
+        st.integers(0, 20),
+    )
+    def test_slice_equals_revalidated_construction(self, rows, t_lo, width):
+        """The slice built from the parent's arrays holds exactly the
+        samples a fresh, fully validated Trajectory of the same window
+        points holds."""
+        t = 0
+        samples = []
+        for x, y, gap in rows:
+            t += gap
+            samples.append((x, y, t))
+        tr = make_trajectory(samples)
+        t_hi = t_lo + width
+        piece = tr.sliced(t_lo, t_hi)
+        lo_t, hi_t = max(t_lo, tr.start_time), min(t_hi, tr.end_time)
+        if lo_t > hi_t:
+            assert piece is None
+            return
+        points = [p for p in tr if lo_t <= p.t <= hi_t]
+        if not points or points[0].t != lo_t:
+            points.insert(0, tr.point_at(lo_t))
+        if points[-1].t != hi_t:
+            points.append(tr.point_at(hi_t))
+        want = Trajectory("o", points)
+        assert piece.coordinates() == want.coordinates()
+        assert piece.object_id == "o"
+
     @given(
         st.integers(min_value=0, max_value=20),
         st.integers(min_value=0, max_value=20),
