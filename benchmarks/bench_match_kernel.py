@@ -29,9 +29,8 @@ by identical *untimed warmup ticks*:
   probe/scan rule may not tax the regime it does not help.
 
 Every run asserts identical convoys tick for tick between the join and
-the reference, and the join's emissions equal across the shipping
-transports: unsharded, sharded serial/process, and resident
-serial/process.
+the reference, both on the bare tracker and with the join running
+inside the streaming miner.
 
 Run ``python benchmarks/bench_match_kernel.py`` for the table,
 ``--smoke`` for a seconds-long CI-sized run (equivalence assertions
@@ -44,7 +43,6 @@ import gc
 import statistics
 import time
 
-from benchmarks.bench_sharded_scaling import ReplayClusterer
 from benchmarks.common import print_report, safe_rate, write_bench_json
 from repro.bench import format_table
 from repro.clustering.incremental import IncrementalSnapshotClusterer
@@ -85,14 +83,15 @@ FULL_SMALL = dict(n_objects=2500, n_snapshots=36, churn=0.15, warmup=8,
 SMOKE_SMALL = dict(n_objects=120, n_snapshots=12, churn=0.15, warmup=3,
                    reps=1)
 
-#: (shards, executor, resident) transports of the equivalence grid.
-TRANSPORTS = (
-    (None, None, False),
-    (2, "serial", False),
-    (2, "process", False),
-    (2, "serial", True),
-    (2, "process", True),
-)
+
+class ReplayClusterer:
+    """Feed precomputed per-tick cluster lists to the miner."""
+
+    def __init__(self, per_tick):
+        self._ticks = iter(per_tick)
+
+    def cluster(self, snapshot):
+        return next(self._ticks)
 
 
 def make_dense_workload(scale, seed=42):
@@ -195,29 +194,24 @@ def run_regime(regime, steps, warmup, reps):
     return rows
 
 
-def check_transports(steps):
-    """Assert the join's emissions equal the reference on every
-    transport of the streaming engine."""
+def check_miner(steps):
+    """Assert the join's emissions through the streaming miner equal
+    the pairwise reference's."""
     expected, _seconds = run_timed(PairwiseTracker, steps, 0)
     clusters = [step_clusters for step_clusters, _delta in steps]
-    for shards, executor, resident in TRANSPORTS:
-        miner = StreamingConvoyMiner(
-            M, K, EPS, clusterer=ReplayClusterer(clusters), shards=shards,
-            executor=executor, resident=resident,
-        )
-        emitted = []
-        with miner:
-            for t, members in enumerate(clusters):
-                # The replayed clusters ignore positions; any snapshot
-                # of at least m objects lets the tick reach them.
-                snapshot = dict.fromkeys(set().union(*members), (0.0, 0.0))
-                emitted.append(miner.feed(t, snapshot))
-            emitted.append(miner.flush())
-        assert emitted == expected, (
-            f"join diverged from the reference on transport "
-            f"(shards={shards}, executor={executor}, resident={resident})"
-        )
-    return len(TRANSPORTS)
+    miner = StreamingConvoyMiner(
+        M, K, EPS, clusterer=ReplayClusterer(clusters)
+    )
+    emitted = []
+    for t, members in enumerate(clusters):
+        # The replayed clusters ignore positions; any snapshot of at
+        # least m objects lets the tick reach them.
+        snapshot = dict.fromkeys(set().union(*members), (0.0, 0.0))
+        emitted.append(miner.feed(t, snapshot))
+    emitted.append(miner.flush())
+    assert emitted == expected, (
+        "join diverged from the reference inside the streaming miner"
+    )
 
 
 def run_all(smoke):
@@ -232,8 +226,8 @@ def run_all(smoke):
         "small-delta", small_steps, small_scale["warmup"],
         small_scale["reps"],
     ))
-    grid_runs = check_transports(make_dense_workload(SMOKE_DENSE))
-    return dense_scale, small_scale, rows, grid_runs
+    check_miner(make_dense_workload(SMOKE_DENSE))
+    return dense_scale, small_scale, rows
 
 
 def main(argv=None):
@@ -249,7 +243,7 @@ def main(argv=None):
         "(rates, git SHA)",
     )
     args = parser.parse_args(argv)
-    dense_scale, small_scale, rows, grid_runs = run_all(args.smoke)
+    dense_scale, small_scale, rows = run_all(args.smoke)
     by_key = {(row["regime"], row["kernel"]): row for row in rows}
     table_rows = []
     for row in rows:
@@ -263,8 +257,7 @@ def main(argv=None):
     print_report(
         format_table(
             f"Match join vs pairwise reference (m={M}, k={K}, e={EPS:g}; "
-            f"identical convoys asserted, and across {grid_runs} "
-            "transports)",
+            "identical convoys asserted, also through the miner)",
             ["regime", "kernel", "timed steps", "ms/step", "vs pairwise"],
             table_rows,
         )
@@ -274,13 +267,13 @@ def main(argv=None):
             args.json, "match_kernel",
             dict(m=M, k=K, eps=EPS, smoke=args.smoke,
                  dense_scale=dense_scale, small_scale=small_scale,
-                 small_delta_bar=SMALL_DELTA_BAR, transport_runs=grid_runs),
+                 small_delta_bar=SMALL_DELTA_BAR),
             rows,
         )
         print(f"json results written to {args.json}")
     if args.smoke:
         print("smoke ok: the join agrees with the pairwise reference on "
-              "every regime and transport")
+              "every regime and through the miner")
         return 0
     join = by_key[("small-delta", "join")]["rate"]
     pairwise = by_key[("small-delta", "pairwise")]["rate"]

@@ -64,10 +64,8 @@ from repro.simplification import (
 )
 from repro.streaming import (
     ReorderBuffer,
-    ShardedCandidateTracker,
     StreamingConvoyMiner,
     StreamingPipeline,
-    WatermarkFrontier,
     churn_stream,
     jitter_ticks,
     mine_stream,
@@ -87,13 +85,11 @@ __all__ = [
     "DatasetSpec",
     "IncrementalSnapshotClusterer",
     "ReorderBuffer",
-    "ShardedCandidateTracker",
     "StreamingConvoyMiner",
     "StreamingPipeline",
     "Trajectory",
     "TrajectoryDatabase",
     "TrajectoryPoint",
-    "WatermarkFrontier",
     "car_dataset",
     "cattle_dataset",
     "churn_stream",

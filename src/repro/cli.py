@@ -46,7 +46,6 @@ from repro.service import DEFAULT_MAX_QUEUE, IngestionServer
 from repro.simplification import SIMPLIFIERS, simplification_report
 from repro.store import TOP_K_KEYS, convoy_identity, open_store
 from repro.streaming import (
-    BACKENDS,
     LATE_POLICIES,
     StreamingConvoyMiner,
     replay_csv,
@@ -149,22 +148,6 @@ def build_parser():
         "or 'adaptive' to estimate the crossover from measured pass costs",
     )
     stream.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="fan the candidate tracker out across N shards (live "
-        "candidates partitioned by support-cluster id; identical convoys)",
-    )
-    stream.add_argument(
-        "--executor", default=None, choices=sorted(BACKENDS),
-        help="where the shard batches run (with --shards): inline, a "
-        "thread pool, or a process pool (default: serial)",
-    )
-    stream.add_argument(
-        "--resident", action="store_true",
-        help="keep each shard's candidate state inside a long-lived "
-        "worker and ship per-tick deltas instead of full shard batches "
-        "(with --shards; identical convoys)",
-    )
-    stream.add_argument(
         "--pace", type=float, default=0.0, metavar="SECONDS",
         help="sleep SECONDS before each snapshot — replay a recorded "
         "stream at a live cadence (default: 0, as fast as possible)",
@@ -176,7 +159,7 @@ def build_parser():
     stream.add_argument(
         "--json", default=None, metavar="PATH",
         help="also write the answer as machine-readable JSON (normalized "
-        "convoys plus the full counters dict, including reorder and shard "
+        "convoys plus the full counters dict, including the reorder "
         "counters) to this path",
     )
     stream.add_argument(
@@ -268,8 +251,20 @@ def build_parser():
     return parser
 
 
+def _load_csv(args, out):
+    """Load ``args.csv``; on a malformed file print one line naming the
+    defect (as ``stream`` does) and return None."""
+    try:
+        return load_trajectories_csv(args.csv)
+    except ValueError as exc:
+        print(f"{args.command} error: {exc}", file=out)
+        return None
+
+
 def _cmd_discover(args, out):
-    db = load_trajectories_csv(args.csv)
+    db = _load_csv(args, out)
+    if db is None:
+        return 1
     if len(db) == 0:
         print("input contains no trajectories", file=out)
         return 1
@@ -354,12 +349,6 @@ def _cmd_stream(args, out):
     if args.churn_threshold is not None and not args.incremental:
         print("--churn-threshold only applies with --incremental", file=out)
         return 2
-    if args.executor is not None and args.shards is None:
-        print("--executor only applies with --shards", file=out)
-        return 2
-    if args.resident and args.shards is None:
-        print("--resident only applies with --shards", file=out)
-        return 2
     reorder = None
     if args.allowed_lateness is not None or args.max_pending is not None:
         reorder = dict(
@@ -398,9 +387,7 @@ def _cmd_stream(args, out):
         miner = StreamingConvoyMiner(
             args.m, args.k, args.eps,
             paper_semantics=args.paper_semantics, window=args.window,
-            clusterer=clusterer, reorder=reorder, shards=args.shards,
-            executor=args.executor, resident=args.resident,
-            store=args.store,
+            clusterer=clusterer, reorder=reorder, store=args.store,
         )
     except ValueError as exc:
         print(f"bad query parameters: {exc}", file=out)
@@ -408,9 +395,8 @@ def _cmd_stream(args, out):
     convoys = []
     interrupted = False
     started = time.perf_counter()
-    # The context manager releases pooled executor backends on every exit
-    # path — including the stream-error return below, which used to leak
-    # a live process pool.
+    # The context manager closes the store on every exit path, including
+    # the stream-error return below.
     with miner:
         try:
             for t, snapshot in source:
@@ -483,16 +469,6 @@ def _cmd_stream(args, out):
             f"{ro['peak_pending']} pending",
             file=out,
         )
-    if miner.shards is not None:
-        mode = "resident " if args.resident else ""
-        print(
-            f"sharding: {counters['sharded_candidates']} candidate scan(s) "
-            f"across {miner.shards} shard(s) on the {mode}"
-            f"{args.executor or 'serial'} executor in "
-            f"{counters['shard_steps']} sharded step(s), largest batch "
-            f"{counters['max_shard_batch']}",
-            file=out,
-        )
     if args.store is not None:
         print(
             f"store: {counters['stored_convoys']} convoy(s) stored, "
@@ -536,7 +512,7 @@ def _write_answer_json(args, convoys, miner, elapsed):
 
     ``convoys`` must already be normalized (the caller shares one pass
     with the CSV artifact); the counters are the miner's full shared
-    dict (engine, tracker, reorder, and shard keys all report there),
+    dict (engine, tracker, reorder and store keys all report there),
     plus the clusterer's own dict when an incremental clusterer ran.
     """
     payload = {
@@ -546,9 +522,6 @@ def _write_answer_json(args, convoys, miner, elapsed):
             "eps": args.eps,
             "paper_semantics": args.paper_semantics,
             "window": args.window,
-            "shards": args.shards,
-            "executor": args.executor if args.shards is not None else None,
-            "resident": bool(args.resident),
         },
         "elapsed_seconds": elapsed,
         "convoys": [
@@ -699,7 +672,9 @@ def _cmd_query(args, out):
 
 
 def _cmd_stats(args, out):
-    db = load_trajectories_csv(args.csv)
+    db = _load_csv(args, out)
+    if db is None:
+        return 1
     if len(db) == 0:
         print("input contains no trajectories", file=out)
         return 1
@@ -713,7 +688,9 @@ def _cmd_stats(args, out):
 
 
 def _cmd_simplify(args, out):
-    db = load_trajectories_csv(args.csv)
+    db = _load_csv(args, out)
+    if db is None:
+        return 1
     if len(db) == 0:
         print("input contains no trajectories", file=out)
         return 1

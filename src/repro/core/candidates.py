@@ -95,37 +95,21 @@ Candidates carrying no support id (the previous step ran the classic
 ``tests/streaming/test_delta_equivalence.py`` holds the two paths equal
 tick for tick.
 
-The shard seam
---------------
+Plan, match, apply
+------------------
 
 Both stepping methods are factored as *plan → match → apply*: a first
 pass over the live list decides, per candidate, whether it splices
 through (unchanged support) or needs a cluster scan; the scans are then
 executed in bulk by the pure kernel :func:`match_candidates` behind the
-:meth:`CandidateTracker._match_live` hook; finally one ordered apply
+:meth:`CandidateTracker._match_live` method; finally one ordered apply
 pass replays the classic survivor/seed/report logic from the match
 results.  Because the kernel is a pure function of ``(clusters, object
 sets, scan lists)`` and the apply pass runs strictly in live-list order,
-the matching work can be executed anywhere — in particular fanned out
-across shards and executor backends by
-:class:`repro.streaming.sharding.ShardedCandidateTracker`, which
-overrides only ``_match_live`` — without moving a single report or
-survivor out of the classic deterministic order.  Splices and closes
-never leave the owning tracker: they are O(1) bookkeeping, and keeping
-them local is what makes the fan-out transparent.
-
-The apply pass can additionally narrate itself: with
-``_collect_provenance`` enabled the tracker records, per step, one event
-per *surviving* chain in exactly the new live-list order —
-``("splice", old_pos)`` for an O(1) splice-through,
-``("extend", old_pos, preserved)`` for a survivor born from a cluster
-scan (``preserved`` when the extension kept the parent's full member
-set, i.e. the chain continued rather than narrowed), and ``("seed",)``
-for a freshly seeded cluster.  Resident-mode sharding
-(:class:`repro.streaming.sharding.ShardedCandidateTracker` with a
-resident transport) replays that narration to assign stable chain ids
-and derive the put/drop deltas it ships to long-lived shard workers.
-The flag is off by default so the unsharded hot path records nothing.
+the match step can be swapped for any function with the same contract
+without moving a single report or survivor out of the classic
+deterministic order — the tests swap in the pairwise reference
+:func:`match_candidates_pairwise` this way.
 """
 
 from __future__ import annotations
@@ -146,6 +130,26 @@ COUNTER_KEYS = (
 )
 
 
+def check_count(name, value, minimum=1):
+    """Raise :class:`ValueError` unless ``value`` is an integer >= ``minimum``.
+
+    A NaN or infinite count compares false against every lifetime and
+    group size, and a fractional one acts as its ceiling, so neither
+    states a query; ``True`` and ``False`` are refused although they are
+    ints.  The message names the parameter.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(
+            f"{name} must be >= {minimum} and an integer, got {value!r}"
+        )
+
+
+def check_query_counts(m, k):
+    """Raise :class:`ValueError` unless ``m`` and ``k`` are integers >= 1."""
+    check_count("m", m)
+    check_count("k", k)
+
+
 #: A job probes the owner table only when its probe count plus this
 #: margin is below its fan.  Measured once on recorded match calls of
 #: the dense and small-delta regimes of ``benchmarks/bench_match_kernel.py``
@@ -156,11 +160,7 @@ _PROBE_MARGIN = 8
 
 
 def match_candidates(members, jobs, min_objects):
-    """Pure matching kernel shared by the serial path and shard workers.
-
-    Stateless and picklable by construction: this is the unit of work the
-    sharded tracker ships to executor backends (one call per shard batch),
-    and exactly what the unsharded tracker runs inline.
+    """Pure matching kernel: the tracker's match step for one advance.
 
     One join, two access paths per job.  Density clusters are disjoint,
     so a cluster sharing at least ``m`` of a candidate's ``n`` objects
@@ -352,20 +352,12 @@ class CandidateTracker:
 
     def __init__(self, min_objects, min_lifetime, paper_semantics=False,
                  counters=None):
-        if min_objects < 1:
-            raise ValueError(f"m must be >= 1, got {min_objects}")
-        if min_lifetime < 1:
-            raise ValueError(f"k must be >= 1, got {min_lifetime}")
+        check_query_counts(min_objects, min_lifetime)
         self._m = min_objects
         self._k = min_lifetime
         self._paper_semantics = paper_semantics
         self._candidates = []
         self._last_end = None
-        # Apply-pass narration (see module docstring): when enabled, every
-        # advance leaves one event per survivor, in new-live-list order,
-        # in `last_provenance`; the resident sharding layer consumes it.
-        self._collect_provenance = False
-        self.last_provenance = None
         self.counters = counters if counters is not None else {}
         for key in COUNTER_KEYS:
             self.counters.setdefault(key, 0)
@@ -410,13 +402,11 @@ class CandidateTracker:
         return min(candidate.t_start for candidate in self._candidates)
 
     def _match_live(self, members, jobs):
-        """Execute the step's cluster scans; the shard fan-out hook.
+        """Execute the step's cluster scans with :func:`match_candidates`.
 
-        The base tracker runs the kernel inline.
-        :class:`repro.streaming.sharding.ShardedCandidateTracker`
-        overrides this one method to partition ``jobs`` across shards and
-        executor backends; result order is irrelevant (the caller keys by
-        position), so any merge of the per-shard outputs is legal.
+        A subclass may override this one method with any function of the
+        kernel's contract (the tests substitute the pairwise reference);
+        result order is irrelevant, because the caller keys by position.
         """
         return match_candidates(members, jobs, self._m)
 
@@ -452,7 +442,6 @@ class CandidateTracker:
         closed = []
         survivors = {}  # (objects, t_start) -> _Live
         extended = [False] * len(usable)
-        prov = [] if self._collect_provenance else None
         for pos, candidate in enumerate(self._candidates):
             assigned = False
             preserved = False  # some extension kept the full member set
@@ -475,11 +464,6 @@ class CandidateTracker:
                         (candidate.history, window_start, window_end,
                          usable[index]),
                     )
-                    if prov is not None:
-                        prov.append(
-                            ("extend", pos,
-                             len(common) == len(candidate.objects))
-                        )
             if self._paper_semantics:
                 report_run = not assigned
             else:
@@ -501,11 +485,7 @@ class CandidateTracker:
                         window_end,
                         (None, window_start, window_end, cluster),
                     )
-                    if prov is not None:
-                        prov.append(("seed",))
         self._candidates = list(survivors.values())
-        if prov is not None:
-            self.last_provenance = prov
         return closed
 
     def advance_delta(self, clusters, delta, window_start, window_end):
@@ -586,7 +566,6 @@ class CandidateTracker:
         closed = []
         survivors = {}  # (objects, t_start) -> _Live, in classic order
         extended = [False] * len(usable)
-        prov = [] if self._collect_provenance else None
         for pos, candidate in enumerate(self._candidates):
             unchanged_index = splice_at.get(pos)
             if unchanged_index is not None:
@@ -601,8 +580,6 @@ class CandidateTracker:
                          members[unchanged_index]),
                         support=candidate.support,
                     )
-                    if prov is not None:
-                        prov.append(("splice", pos))
                 continue
             assigned = False
             preserved = False
@@ -621,11 +598,6 @@ class CandidateTracker:
                          members[index]),
                         support=usable[index][1],
                     )
-                    if prov is not None:
-                        prov.append(
-                            ("extend", pos,
-                             len(common) == len(candidate.objects))
-                        )
             if self._paper_semantics:
                 report_run = not assigned
             else:
@@ -650,11 +622,7 @@ class CandidateTracker:
                         (None, window_start, window_end, cluster),
                         support=cid,
                     )
-                    if prov is not None:
-                        prov.append(("seed",))
         self._candidates = list(survivors.values())
-        if prov is not None:
-            self.last_provenance = prov
         return closed
 
     def prune_longer_than(self, max_lifetime):

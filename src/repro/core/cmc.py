@@ -24,19 +24,8 @@ from __future__ import annotations
 
 import math
 
+from repro.core.candidates import check_query_counts
 from repro.streaming.engine import StreamingConvoyMiner
-
-
-def check_query_counts(m, k):
-    """Raise :class:`ValueError` unless ``m`` and ``k`` are integers >= 1.
-
-    A NaN or infinite count compares false against every lifetime and
-    group size, so it would answer zero convoys; a fractional one would
-    act as its ceiling.  Neither is a convoy query.
-    """
-    for name, value in (("m", m), ("k", k)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
 
 
 def cmc(database, m, k, eps, time_range=None, counters=None,
@@ -114,8 +103,8 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
         clusterer=clusterer, store=store,
     )
     results = []
-    # The context manager releases a path-opened store (and any pooled
-    # tracker resources) even when a snapshot raises mid-sweep.
+    # The context manager releases a path-opened store even when a
+    # snapshot raises mid-sweep.
     with miner:
         for t in range(t_lo, t_hi + 1):
             while next_idx < len(trajectories) and trajectories[next_idx].start_time <= t:

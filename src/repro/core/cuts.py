@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 
 from repro.clustering.generic_dbscan import density_cluster
 from repro.clustering.spatial_join import JoinPolyline, polyline_adjacency
-from repro.core.candidates import CandidateTracker
-from repro.core.cmc import check_query_counts, cmc
+from repro.core.candidates import CandidateTracker, check_query_counts
+from repro.core.cmc import cmc
 from repro.core.params import compute_delta, compute_lambda
 from repro.core.partition import TimePartitioner
 from repro.core.verification import normalize_convoys

@@ -9,6 +9,7 @@ GPS logs (see ``examples/``).
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 from repro.trajectory.database import TrajectoryDatabase
@@ -46,32 +47,36 @@ def load_trajectories_csv(path, has_header="auto"):
         A :class:`~repro.trajectory.TrajectoryDatabase`.
 
     Raises:
-        ValueError: on malformed rows (wrong column count, unparsable
-            numbers, duplicate samples) — bad input data should fail loudly
-            at load time, not corrupt query answers later.
+        ValueError: on malformed rows (wrong column count, unparsable or
+            non-finite numbers, duplicate samples) and on bytes that do
+            not decode, each naming the file line — bad input data should
+            fail loudly at load time, not corrupt query answers later.
     """
     path = Path(path)
     samples = {}
     seen = {}  # (object_id, t) -> line that first provided the sample
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        rows = iter(reader)
-        first = next(rows, None)
-        if first is None:
-            return TrajectoryDatabase()
-        consume_first = True
-        if has_header == "auto":
-            try:
-                int(first[1])
-            except (ValueError, IndexError):
+    try:
+        with path.open(newline="") as handle:
+            reader = csv.reader(handle)
+            rows = iter(reader)
+            first = next(rows, None)
+            if first is None:
+                return TrajectoryDatabase()
+            consume_first = True
+            if has_header == "auto":
+                try:
+                    int(first[1])
+                except (ValueError, IndexError):
+                    consume_first = False
+            elif has_header:
                 consume_first = False
-        elif has_header:
-            consume_first = False
-        if consume_first:
-            _ingest_row(samples, seen, first, line=1)
-        for line, row in enumerate(rows, start=2):
-            if row:
-                _ingest_row(samples, seen, row, line)
+            if consume_first:
+                _ingest_row(samples, seen, first, line=1)
+            for line, row in enumerate(rows, start=2):
+                if row:
+                    _ingest_row(samples, seen, row, line)
+    except UnicodeDecodeError as exc:
+        raise ValueError(_undecodable_line(path, exc)) from None
     trajectories = [
         Trajectory(object_id, points) for object_id, points in samples.items()
     ]
@@ -86,6 +91,10 @@ def _ingest_row(samples, seen, row, line):
         point = TrajectoryPoint(float(x_raw), float(y_raw), int(t_raw))
     except ValueError as exc:
         raise ValueError(f"line {line}: {exc}") from None
+    if not (math.isfinite(point.x) and math.isfinite(point.y)):
+        raise ValueError(
+            f"line {line}: non-finite coordinates ({point.x}, {point.y})"
+        )
     # Duplicate (object, t) samples must fail here, with both file lines —
     # left to Trajectory.__init__ the error would surface only after the
     # whole file was read, with no way to say which rows collided.
@@ -97,3 +106,16 @@ def _ingest_row(samples, seen, row, line):
             f"t={point.t} (first given on line {previous})"
         )
     samples.setdefault(object_id, []).append(point)
+
+
+def _undecodable_line(path, error):
+    """``"line N: <reason>"`` for the first line of ``path`` that does not
+    decode; the text reader's own error only gives a position inside
+    its read buffer, so the file is scanned again as bytes."""
+    with path.open("rb") as handle:
+        for line, raw in enumerate(handle, start=1):
+            try:
+                raw.decode(error.encoding)
+            except UnicodeDecodeError as exc:
+                return f"line {line}: {exc}"
+    return str(error)

@@ -2,9 +2,9 @@
 
 The serving layer over the streaming engine: many independent tenant
 feeds — each its own
-:class:`~repro.streaming.engine.StreamingConvoyMiner`, any pipeline /
-shards / store configuration — multiplexed over one shared,
-bounded worker pool.
+:class:`~repro.streaming.engine.StreamingConvoyMiner`, any pipeline or
+store configuration — multiplexed over one shared, bounded pool of
+miner threads.
 
 * :mod:`~repro.service.protocol` — the newline-delimited-JSON wire
   contract (snapshots in, closed convoys + counters out, shaped like

@@ -120,7 +120,7 @@ class Dispatcher:
             self.counters["steps"] += 1
         except Exception as exc:
             # Broad on purpose: *any* failed step (a disordered feed's
-            # ValueError, a store error, a crashed shard worker) must
+            # ValueError, a late-policy raise, a store error) must
             # fail its session and tell the client — an unhandled
             # exception here would strand the session in flight and
             # hang its tenant's flush forever.

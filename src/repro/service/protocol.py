@@ -12,12 +12,11 @@ Client -> server
   :class:`~repro.streaming.engine.StreamingConvoyMiner` keyword
   arguments that are JSON-representable (``m``, ``k``, ``eps``,
   ``paper_semantics``, ``window``, ``clusterer`` as ``"full"`` /
-  ``"incremental"``, ``reorder`` as the buffer's kwargs dict,
-  ``shards``, ``executor``, ``resident``, and ``store`` as a
-  server-side SQLite path) plus two service-level knobs: ``max_queue``
-  (this tenant's ingestion high-water mark) and ``tick_delay`` (seconds
-  slept per tick inside the worker step — a load-shaping knob for
-  benchmarks and tests).
+  ``"incremental"``, ``reorder`` as the buffer's kwargs dict, and
+  ``store`` as a server-side SQLite path) plus two service-level
+  knobs: ``max_queue`` (this tenant's ingestion high-water mark) and
+  ``tick_delay`` (seconds slept per tick inside the worker step — a
+  load-shaping knob for benchmarks and tests).
 * ``{"type": "feed", "tenant": T, "ticks": [[t, snapshot], ...]}`` — a
   batch of snapshots.  Each snapshot is a list of ``[object_id, x, y]``
   triples: a *list*, not an object, because JSON object keys are always
@@ -46,9 +45,10 @@ Server -> client
   throttle counts, step totals).  ``clusterer_counters`` appears when
   the tenant ran an incremental clusterer, as in the CLI artifact.
 * ``{"type": "error", "tenant": T?, "error": "..."}`` — a rejected
-  message (unknown tenant, bad config, disordered feed...).  Errors
-  scoped to a tenant fail that session; protocol-level errors (a
-  non-JSON line) fail the connection.
+  message (unknown tenant, bad config, disordered feed...).  A failed
+  miner step fails its tenant's session; a line that is not JSON, not
+  UTF-8, or longer than :data:`STREAM_LIMIT` bytes is skipped, and the
+  connection keeps reading.
 
 Convoys travel as ``{"objects": [...], "t_start": a, "t_end": b}`` with
 members sorted by their canonical store encoding, so mixed int/str id

@@ -37,6 +37,23 @@ from repro.service.session import TenantSession, build_miner
 DEFAULT_MAX_QUEUE = 64
 
 
+async def _skip_line(reader):
+    """Consume the rest of an over-long line; False at end of stream.
+
+    ``readuntil`` leaves an over-limit line in the buffer, so this reads
+    it away in buffer-sized pieces (memory stays bounded by the limit)
+    up to and including its newline.
+    """
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return False
+
+
 class IngestionServer:
     """Serve the ingestion protocol on a TCP socket.
 
@@ -137,7 +154,20 @@ class IngestionServer:
 
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # end of stream: the unterminated tail
+                except asyncio.LimitOverrunError:
+                    self.counters["protocol_errors"] += 1
+                    await send({
+                        "type": "error",
+                        "error": f"protocol line longer than {STREAM_LIMIT} "
+                                 "bytes; line skipped",
+                    })
+                    if await _skip_line(reader):
+                        continue
+                    break
                 if not line:
                     break
                 message = None

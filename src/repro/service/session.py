@@ -1,8 +1,8 @@
 """One tenant's miner behind an asyncio ingestion queue.
 
 A :class:`TenantSession` pairs a
-:class:`~repro.streaming.engine.StreamingConvoyMiner` (any pipeline /
-shards / store configuration) with the service-side state the
+:class:`~repro.streaming.engine.StreamingConvoyMiner` (any pipeline or
+store configuration) with the service-side state the
 dispatcher schedules on:
 
 * a FIFO **tick queue** with a credit-based high-water mark —
@@ -38,7 +38,7 @@ from repro.service.protocol import ProtocolError, encode_convoy
 #: Miner keyword arguments a ``hello`` config may carry.
 MINER_CONFIG_KEYS = (
     "m", "k", "eps", "paper_semantics", "window", "clusterer", "reorder",
-    "shards", "executor", "resident", "store",
+    "store",
 )
 
 #: Service-level knobs a ``hello`` config may carry.
@@ -89,8 +89,8 @@ def build_miner(config):
     try:
         miner = StreamingConvoyMiner(**miner_kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: an infinite shards / allowed_lateness /
-        # max_pending reaching int().
+        # OverflowError: an integer eps past the float range reaching
+        # the incremental clusterer's float().
         raise ProtocolError(f"bad miner config: {exc}") from None
     return miner, delay, max_queue
 

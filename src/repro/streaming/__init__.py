@@ -2,8 +2,7 @@
 
 Algorithm 1's snapshot loop, restructured as an online engine and, one
 level down, as an explicit staged pipeline — ingest → cluster → track →
-emit — whose track stage can fan out across executor-backed shards.
-Snapshots are pushed in one at a time, each tick costs one
+emit.  Snapshots are pushed in one at a time, each tick costs one
 snapshot-clustering pass plus one candidate-intersection step, and
 convoys are emitted the moment their chains fail to extend.  The offline
 :func:`repro.core.cmc.cmc` drives the same engine over a materialized
@@ -20,40 +19,15 @@ semantics.
   :class:`~repro.streaming.pipeline.TrackStage`,
   :class:`~repro.streaming.pipeline.EmitStage`) and the
   :class:`~repro.streaming.pipeline.StreamingPipeline` composing them;
-* :mod:`~repro.streaming.sharding` — the
-  :class:`~repro.streaming.sharding.ShardedCandidateTracker`
-  partitioning live candidates by support-cluster id
-  (``StreamingConvoyMiner(shards=N, executor=...)``);
-* :mod:`~repro.streaming.executor` — the pluggable backends the shard
-  batches run on (serial / thread / process), including the *resident*
-  transports (``StreamingConvoyMiner(..., resident=True)``) whose
-  long-lived workers hold shard state between ticks so only per-tick
-  deltas cross the boundary;
 * :mod:`~repro.streaming.source` — snapshot sources: database replay, CSV
   replay, and seeded synthetic generators for scale runs (with optional
-  bounded ``jitter=`` to emulate shuffled GPS feeds, and a ``hotspots=``
-  skew knob on ``churn_stream`` for unbalanced shard load);
+  bounded ``jitter=`` to emulate shuffled GPS feeds);
 * :mod:`~repro.streaming.reorder` — the watermarked
   :class:`~repro.streaming.reorder.ReorderBuffer` that restores time
-  order in front of ``feed`` (``StreamingConvoyMiner(reorder=...)``),
-  and the :class:`~repro.streaming.reorder.WatermarkFrontier` merging
-  per-shard buffers into one global in-order release.
+  order in front of ``feed`` (``StreamingConvoyMiner(reorder=...)``).
 """
 
 from repro.streaming.engine import StreamingConvoyMiner, mine_stream
-from repro.streaming.executor import (
-    BACKENDS,
-    ProcessExecutor,
-    ResidentProcessExecutor,
-    ResidentSerialExecutor,
-    ResidentShardWorker,
-    ResidentThreadExecutor,
-    SerialExecutor,
-    ShardWorkerCrashed,
-    ThreadExecutor,
-    resolve_executor,
-    resolve_resident_executor,
-)
 from repro.streaming.pipeline import (
     ClusterStage,
     EmitStage,
@@ -61,13 +35,7 @@ from repro.streaming.pipeline import (
     StreamingPipeline,
     TrackStage,
 )
-from repro.streaming.reorder import (
-    LATE_POLICIES,
-    ReorderBuffer,
-    WatermarkFrontier,
-    reorder_ticks,
-)
-from repro.streaming.sharding import ShardedCandidateTracker, rendezvous_shard
+from repro.streaming.reorder import LATE_POLICIES, ReorderBuffer, reorder_ticks
 from repro.streaming.source import (
     churn_stream,
     hotspot_drift_scenario,
@@ -79,35 +47,21 @@ from repro.streaming.source import (
 )
 
 __all__ = [
-    "BACKENDS",
     "ClusterStage",
     "EmitStage",
     "IngestStage",
     "LATE_POLICIES",
-    "ProcessExecutor",
     "ReorderBuffer",
-    "ResidentProcessExecutor",
-    "ResidentSerialExecutor",
-    "ResidentShardWorker",
-    "ResidentThreadExecutor",
-    "SerialExecutor",
-    "ShardWorkerCrashed",
-    "ShardedCandidateTracker",
     "StreamingConvoyMiner",
     "StreamingPipeline",
-    "ThreadExecutor",
     "TrackStage",
-    "WatermarkFrontier",
     "churn_stream",
     "hotspot_drift_scenario",
     "hotspot_drift_stream",
     "jitter_ticks",
     "mine_stream",
-    "rendezvous_shard",
     "reorder_ticks",
     "replay_csv",
     "replay_database",
-    "resolve_executor",
-    "resolve_resident_executor",
     "synthetic_stream",
 ]

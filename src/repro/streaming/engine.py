@@ -28,13 +28,9 @@ stages own the data path.  Each stage is independently swappable:
   (``clusterer="incremental"``), whose
   :class:`~repro.clustering.incremental.ClusterDelta` flows on to the
   tracker so both per-tick costs are proportional to what changed;
-* **track** holds the candidate tracker — the classic
-  :class:`~repro.core.candidates.CandidateTracker`, or, with
-  ``shards=``, a
-  :class:`~repro.streaming.sharding.ShardedCandidateTracker` that fans
-  the tick's matching work across shards on a pluggable executor
-  backend (``executor="serial" | "thread" | "process"``) while keeping
-  emissions bit-for-bit identical;
+* **track** holds the :class:`~repro.core.candidates.CandidateTracker`:
+  gap severing, the (diff-aware) candidate join, and the bounded-memory
+  window;
 * **emit** converts closed chains to convoys and keeps the counters.
 
 The offline :func:`repro.core.cmc.cmc` delegates its per-snapshot step to
@@ -64,7 +60,11 @@ from __future__ import annotations
 import math
 
 from repro.clustering.incremental import IncrementalSnapshotClusterer
-from repro.core.candidates import CandidateTracker
+from repro.core.candidates import (
+    CandidateTracker,
+    check_count,
+    check_query_counts,
+)
 from repro.streaming.pipeline import (
     ClusterStage,
     EmitStage,
@@ -73,7 +73,6 @@ from repro.streaming.pipeline import (
     TrackStage,
 )
 from repro.streaming.reorder import ReorderBuffer
-from repro.streaming.sharding import ShardedCandidateTracker
 from repro.store.base import ConvoyStore
 from repro.store.sink import StoreSink
 from repro.store.sqlite import open_store
@@ -92,15 +91,15 @@ class StreamingConvoyMiner:
     """Online convoy discovery over a pushed sequence of snapshots.
 
     Args:
-        m: minimum number of objects per convoy.
-        k: minimum lifetime in consecutive time points.
+        m: minimum number of objects per convoy (an integer >= 1).
+        k: minimum lifetime in consecutive time points (an integer >= 1).
         eps: density distance threshold ``e``.
         paper_semantics: reproduce Algorithm 1's candidate rule verbatim
             instead of the default complete semantics (see
             :mod:`repro.core.candidates`).
-        window: optional bounded-memory cap, in time points (``>= k``).
-            None (default) is exact; a finite window fragments convoys that
-            outlive it (see the module docstring).
+        window: optional bounded-memory cap, in time points (an integer
+            ``>= k``).  None (default) is exact; a finite window
+            fragments convoys that outlive it (see the module docstring).
         counters: optional dict receiving bookkeeping totals (the
             ``COUNTER_KEYS``); a fresh dict is created when omitted and is
             always available as :attr:`counters`.
@@ -129,24 +128,6 @@ class StreamingConvoyMiner:
             snapshots), and ``flush`` drains the buffer before closing
             chains.  The chosen buffer is introspectable as
             :attr:`reorder` (``None`` for the strict in-order contract).
-        shards: optional shard count for the candidate tracker.  With
-            ``shards=N`` the track stage holds a
-            :class:`~repro.streaming.sharding.ShardedCandidateTracker`
-            partitioning live candidates by support-cluster id across
-            ``N`` shards; emissions stay bit-for-bit identical to the
-            unsharded run.  ``None`` (default) keeps the classic tracker
-            (``shards=1`` still routes through the sharding layer, which
-            is how its overhead is measured).
-        executor: executor backend for the per-shard work — ``"serial"``
-            (default), ``"thread"``, ``"process"``, or a ready-made
-            backend object (see :mod:`repro.streaming.executor`).  Only
-            meaningful with ``shards``; pooled backends are released by
-            :meth:`flush`.
-        resident: keep each shard's candidate state inside long-lived
-            workers and ship per-tick deltas instead of full shard
-            batches (see :mod:`repro.streaming.sharding`'s resident
-            protocol).  Only meaningful with ``shards``; emissions stay
-            bit-for-bit identical.
         store: optional write-through persistence.  A
             :class:`~repro.store.base.ConvoyStore` instance, or a path
             (``str``/``os.PathLike``) from which a SQLite store is
@@ -176,23 +157,12 @@ class StreamingConvoyMiner:
     """
 
     def __init__(self, m, k, eps, paper_semantics=False, window=None,
-                 counters=None, clusterer=None, reorder=None, shards=None,
-                 executor=None, resident=False, store=None):
+                 counters=None, clusterer=None, reorder=None, store=None):
+        check_query_counts(m, k)
         if not 0 < eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {eps}")
-        if window is not None and window < k:
-            raise ValueError(f"window must be >= k={k}, got {window}")
-        if executor is not None and shards is None:
-            raise ValueError(
-                "executor requires shards: pass shards=N to fan the "
-                "candidate tracker out (executor picks where the shard "
-                "batches run)"
-            )
-        if resident and shards is None:
-            raise ValueError(
-                "resident requires shards: pass shards=N to give the "
-                "long-lived workers a partition to hold"
-            )
+        if window is not None:
+            check_count("window", window, k)
         self.counters = counters if counters is not None else {}
         for key in COUNTER_KEYS:
             self.counters.setdefault(key, 0)
@@ -207,21 +177,11 @@ class StreamingConvoyMiner:
                 "reorder must be None, a ReorderBuffer, or a dict of "
                 f"ReorderBuffer keyword arguments, got {reorder!r}"
             )
-        # The tracker validates m and k, and adds its own counter keys
-        # (splice/re-intersection, and shard totals when sharded) to the
-        # shared dict.
-        if shards is None:
-            tracker = CandidateTracker(
-                m, k, paper_semantics=paper_semantics,
-                counters=self.counters,
-            )
-        else:
-            tracker = ShardedCandidateTracker(
-                m, k, shards=shards, executor=executor,
-                paper_semantics=paper_semantics, counters=self.counters,
-                resident=resident,
-            )
-        self.shards = None if shards is None else int(shards)
+        # The tracker adds its own counter keys (splice and
+        # re-intersection totals) to the shared dict.
+        tracker = CandidateTracker(
+            m, k, paper_semantics=paper_semantics, counters=self.counters,
+        )
         self._m = m
         self._k = k
         self._eps = eps
@@ -324,8 +284,7 @@ class StreamingConvoyMiner:
         drop them because the pseudocode only reports on failed extension.
         With ``reorder=...`` the buffer is drained first — its pending
         snapshots are ingested in time order, so convoys they close (or
-        extend to qualification) are part of the returned tail.  Pooled
-        executor backends of a sharded tracker are released here.
+        extend to qualification) are part of the returned tail.
         After ``flush`` the miner is finished; further ``feed`` calls raise.
         Calling ``flush`` again returns an empty list.
         """
@@ -336,23 +295,17 @@ class StreamingConvoyMiner:
         return closed
 
     def close(self):
-        """Release pooled resources (idempotent; emits nothing).
+        """Release the store sink (idempotent; emits nothing).
 
-        ``flush`` already releases the tracker's executor backend on the
-        happy path, but an exception mid-``feed`` (a late-policy
-        ``raise`` in the reorder buffer, a crashed shard worker) used to
-        leave a live process pool behind.  ``close`` exists for exactly
-        that path — and the miner is a context manager so callers get it
-        via ``with``::
+        The sink commits every completed tick (rolling a half-written
+        one back), and a store the miner opened from a path is closed
+        here and stays closed.  An exception mid-``feed`` (a
+        late-policy ``raise`` in the reorder buffer, a failing store)
+        skips ``flush``, so the miner is a context manager that reaches
+        ``close`` on every path::
 
             with StreamingConvoyMiner(...) as miner:
                 ...
-
-        A closed-but-unflushed miner can still ``flush``: pooled
-        backends rebuild lazily (resident workers re-seed from the
-        parent's authoritative state), so ``close`` never loses chains
-        — though a store the miner itself opened from a path is closed
-        here and stays closed.
         """
         self.pipeline.close()
 
@@ -365,8 +318,7 @@ class StreamingConvoyMiner:
 
 
 def mine_stream(source, m, k, eps, paper_semantics=False, window=None,
-                counters=None, clusterer=None, reorder=None, shards=None,
-                executor=None, resident=False, store=None):
+                counters=None, clusterer=None, reorder=None, store=None):
     """Drive a :class:`StreamingConvoyMiner` over a snapshot source.
 
     Args:
@@ -377,8 +329,8 @@ def mine_stream(source, m, k, eps, paper_semantics=False, window=None,
             buffer's watermark and late policy accept (e.g. the jittered
             feeds of ``synthetic_stream(..., jitter=)``).
         m, k, eps: the convoy-query parameters.
-        paper_semantics, window, counters, clusterer, reorder, shards,
-            executor, resident, store: forwarded to the miner
+        paper_semantics, window, counters, clusterer, reorder, store:
+            forwarded to the miner
             (``store`` persists every convoy as it closes; a path opens a
             SQLite store that is closed again before returning).
 
@@ -388,12 +340,11 @@ def mine_stream(source, m, k, eps, paper_semantics=False, window=None,
     """
     miner = StreamingConvoyMiner(
         m, k, eps, paper_semantics=paper_semantics, window=window,
-        counters=counters, clusterer=clusterer, reorder=reorder,
-        shards=shards, executor=executor, resident=resident, store=store,
+        counters=counters, clusterer=clusterer, reorder=reorder, store=store,
     )
     convoys = []
-    # The context manager releases pooled backends even when the source
-    # or a shard worker raises mid-stream (the pool-leak regression).
+    # The context manager closes a store opened from a path even when
+    # the source raises mid-stream.
     with miner:
         for t, snapshot in source:
             convoys.extend(miner.feed(t, snapshot))

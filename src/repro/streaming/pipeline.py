@@ -12,14 +12,8 @@ objects behind a small uniform interface and composes them:
                  gap detect)      + delta)         gaps, prune)    counters)
 
 Each stage is a plain object with a ``name`` and one or two methods; a
-:class:`StreamingPipeline` wires them in sequence.  The staging is what
-makes the parallel layer a drop-in: the track stage holds *any*
-:class:`~repro.core.candidates.CandidateTracker`, so handing it a
-:class:`~repro.streaming.sharding.ShardedCandidateTracker` fans the
-tick's matching work across executor-backed shards without the other
-stages — or the semantics — noticing.  (Yannakakis-style staged
-evaluation makes the same move: fix the stage boundaries first, then
-parallelize inside a stage.)
+:class:`StreamingPipeline` wires them in sequence, so each stage can be
+built, tested and timed on its own.
 
 Stage contract, per in-order tick:
 
@@ -173,18 +167,8 @@ class TrackStage:
         return records
 
     def flush(self):
-        """Close every remaining chain; release tracker resources."""
-        records = self.tracker.flush()
-        self.close()
-        return records
-
-    def close(self):
-        """Release tracker resources without flushing (error paths: the
-        miner's ``close``/``__exit__`` reaches this so a failed run never
-        leaves an executor pool behind)."""
-        close = getattr(self.tracker, "close", None)
-        if close is not None:
-            close()
+        """Close every remaining chain."""
+        return self.tracker.flush()
 
 
 class EmitStage:
@@ -267,8 +251,7 @@ class StreamingPipeline:
         return closed
 
     def close(self):
-        """Release stage resources without flushing (error paths)."""
-        self.track.close()
+        """Release the emit stage's sink without flushing (error paths)."""
         self.emit.close()
 
     def _run_tick(self, t, snapshot, gap):

@@ -51,21 +51,14 @@ in-order one.  :class:`~repro.streaming.engine.StreamingConvoyMiner`
 accepts a buffer (or its kwargs) via ``reorder=`` and routes ``feed`` /
 ``flush`` through it, sharing its counters dict so ingestion and
 reordering report in one place.
-
-Sharded ingestion merges through a :class:`WatermarkFrontier`: one
-ReorderBuffer per input partition (uplink, region, ingestion shard),
-each restoring local order under its own watermark, plus a global merge
-that emits a timestamp only once *every* partition's released sequence
-has passed it — the minimum of the per-shard frontiers is the global
-emission frontier, so the merged output is strictly increasing and any
-within-lateness disorder inside a partition keeps the same guarantees
-globally.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+
+from repro.core.candidates import check_count
 
 #: Late-arrival policies accepted by :class:`ReorderBuffer`.
 LATE_POLICIES = ("raise", "drop", "amend")
@@ -84,7 +77,8 @@ class ReorderBuffer:
     """Bounded reordering of ``(t, snapshot)`` ticks behind a watermark.
 
     Args:
-        allowed_lateness: watermark slack in time units (``>= 0``).  A
+        allowed_lateness: watermark slack in time units (an integer
+            ``>= 0``).  A
             pending snapshot at time ``t`` is released once a snapshot at
             time ``>= t + allowed_lateness`` has been seen, so any
             arrival lagging the feed's head by at most this much is
@@ -93,7 +87,8 @@ class ReorderBuffer:
             which makes any *second* report for that time late).  May be
             None when ``max_pending`` is given: the watermark then never
             advances and only capacity pressure or :meth:`drain` release.
-        max_pending: optional cap on buffered snapshots.  When an arrival
+        max_pending: optional cap on buffered snapshots (an integer
+            ``>= 1``).  When an arrival
             would leave more than this many pending, the oldest pending
             snapshots are force-released (oldest first) regardless of the
             watermark — bounding memory at the price of declaring their
@@ -114,17 +109,9 @@ class ReorderBuffer:
                 "allowed_lateness and/or max_pending"
             )
         if allowed_lateness is not None:
-            allowed_lateness = int(allowed_lateness)
-            if allowed_lateness < 0:
-                raise ValueError(
-                    f"allowed_lateness must be >= 0, got {allowed_lateness}"
-                )
+            check_count("allowed_lateness", allowed_lateness, 0)
         if max_pending is not None:
-            max_pending = int(max_pending)
-            if max_pending < 1:
-                raise ValueError(
-                    f"max_pending must be >= 1, got {max_pending}"
-                )
+            check_count("max_pending", max_pending, 1)
         if late_policy not in LATE_POLICIES:
             raise ValueError(
                 f"late_policy must be one of {LATE_POLICIES}, "
@@ -266,148 +253,6 @@ class ReorderBuffer:
         t = heapq.heappop(self._heap)
         self._last_released = t
         return t, self._pending.pop(t)
-
-
-class WatermarkFrontier:
-    """Merge per-shard :class:`ReorderBuffer`\\ s into one global release.
-
-    Each of ``shards`` input partitions pushes its arrivals into its own
-    watermarked buffer; buffer releases are *staged* rather than emitted,
-    and a staged timestamp leaves the frontier only when the **global
-    emission frontier** — the minimum over all shards of the last
-    timestamp that shard released — has reached it.  Because every
-    buffer's released sequence is strictly increasing and arrivals at or
-    below a shard's last release fall to its late policy, no shard can
-    ever release a timestamp at or below the frontier again: the merged
-    output is strictly increasing, complete (same-timestamp pieces from
-    different shards are merged into one snapshot before emission), and
-    each shard independently keeps the single-buffer lateness guarantee.
-
-    The construction is the classic minimum-watermark merge of stream
-    processors, with the same caveat: an *idle* shard (no pushes yet)
-    pins the frontier at minus infinity, holding every other shard's
-    releases staged until it speaks or :meth:`drain` runs — feed
-    heartbeats (empty snapshots) through quiet shards to keep the
-    frontier moving.
-
-    Args:
-        shards: number of input partitions (``>= 1``).
-        allowed_lateness, max_pending, late_policy: per-shard buffer
-            configuration, as for :class:`ReorderBuffer`.
-        counters: optional shared dict; all per-shard buffers report into
-            it, so ``reordered_snapshots`` etc. are global totals and
-            ``peak_pending`` is the largest single-shard backlog.  The
-            frontier adds ``frontier_staged_peak`` — the most snapshots
-            ever staged behind the global frontier.
-    """
-
-    def __init__(self, shards, allowed_lateness=None, max_pending=None,
-                 late_policy="raise", counters=None):
-        shards = int(shards)
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if allowed_lateness is None and max_pending is None:
-            # Name the frontier's own kwargs rather than letting the
-            # per-shard buffer construction raise about ReorderBuffer.
-            raise ValueError(
-                "a WatermarkFrontier needs at least one per-shard release "
-                "trigger: allowed_lateness and/or max_pending"
-            )
-        self.counters = counters if counters is not None else {}
-        self.counters.setdefault("frontier_staged_peak", 0)
-        self.buffers = tuple(
-            ReorderBuffer(
-                allowed_lateness=allowed_lateness, max_pending=max_pending,
-                late_policy=late_policy, counters=self.counters,
-            )
-            for _ in range(shards)
-        )
-        self._staged = {}  # t -> merged snapshot dict
-        self._heap = []    # min-heap over staged times
-        self._last_emitted = None
-
-    def __len__(self):
-        """Snapshots currently held (staged plus pending in any buffer)."""
-        return len(self._staged) + sum(len(b) for b in self.buffers)
-
-    @property
-    def last_emitted(self):
-        """Timestamp of the most recent global emission (or None)."""
-        return self._last_emitted
-
-    @property
-    def frontier(self):
-        """The global emission frontier: the smallest per-shard last
-        release, or None while any shard has released nothing."""
-        floor = None
-        for buffer in self.buffers:
-            last = buffer.last_released
-            if last is None:
-                return None
-            if floor is None or last < floor:
-                floor = last
-        return floor
-
-    @property
-    def watermark(self):
-        """The merged event-time watermark (minimum over shards)."""
-        return min(buffer.watermark for buffer in self.buffers)
-
-    def push(self, shard, t, snapshot):
-        """Push one arrival into a shard; return the global emissions.
-
-        Args:
-            shard: the partition index in ``[0, shards)``.
-            t: the arrival's timestamp (any order the shard's buffer and
-                late policy accept).
-            snapshot: mapping ``{object_id: (x, y)}`` — typically the
-                shard's *piece* of tick ``t`` (pieces merge at emission;
-                when shards overlap on an object, later-staged pieces
-                win, matching the buffers' merge rule).
-
-        Returns:
-            List of ``(t, snapshot)`` now past the global frontier, in
-            strictly increasing time order — possibly empty.
-        """
-        for released_t, released in self.buffers[shard].push(t, snapshot):
-            self._stage(released_t, released)
-        return self._emit_ready()
-
-    def drain(self):
-        """End of stream: drain every shard, emit everything in order."""
-        for buffer in self.buffers:
-            for released_t, released in buffer.drain():
-                self._stage(released_t, released)
-        out = []
-        while self._heap:
-            t = heapq.heappop(self._heap)
-            out.append((t, self._staged.pop(t)))
-        if out:
-            self._last_emitted = out[-1][0]
-        return out
-
-    # -- internals ---------------------------------------------------------
-
-    def _stage(self, t, snapshot):
-        if t in self._staged:
-            self._staged[t].update(snapshot)
-        else:
-            self._staged[t] = dict(snapshot)
-            heapq.heappush(self._heap, t)
-            if len(self._staged) > self.counters["frontier_staged_peak"]:
-                self.counters["frontier_staged_peak"] = len(self._staged)
-
-    def _emit_ready(self):
-        frontier = self.frontier
-        if frontier is None:
-            return []
-        out = []
-        while self._heap and self._heap[0] <= frontier:
-            t = heapq.heappop(self._heap)
-            out.append((t, self._staged.pop(t)))
-        if out:
-            self._last_emitted = out[-1][0]
-        return out
 
 
 def reorder_ticks(source, allowed_lateness=None, max_pending=None,

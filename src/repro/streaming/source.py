@@ -403,7 +403,7 @@ def hotspot_drift_stream(n_objects, n_snapshots, seed=0, *, eps=10.0,
 
 def churn_stream(n_objects, n_snapshots, seed=0, *, eps=10.0, churn=0.1,
                  turnover=0.0, area=None, max_hop=None, t_start=0,
-                 jitter=0, jitter_seed=None, hotspots=None):
+                 jitter=0, jitter_seed=None):
     """Generate a seeded snapshot stream with a controllable churn rate.
 
     Unlike :func:`synthetic_stream` (where *every* object advances every
@@ -435,21 +435,6 @@ def churn_stream(n_objects, n_snapshots, seed=0, *, eps=10.0, churn=0.1,
             time order; the snapshots themselves are identical either
             way).
         jitter_seed: seed of the shuffle RNG (defaults to ``seed``).
-        hotspots: optional skew knob (int ``>= 1``): confine *all*
-            movement to a fixed seeded **hot pool** of
-            ``min(n, max(1, round(2 * churn * n)))`` objects, placed at
-            tick 0 in tight packs (radius ``2 * eps``) around
-            ``hotspots`` seeded centers.  Per tick the usual
-            ``round(churn * n)`` movers are sampled from the hot pool
-            only (capped at its size), so roughly the same objects —
-            and therefore the same few clusters — churn every tick
-            while the rest of the world stands perfectly still.  This
-            is the unbalanced-load regime for the sharded tracker: the
-            dirty candidates concentrate on the hot clusters' shards.
-            Deterministic for fixed arguments like everything else
-            here; ``turnover`` may retire hot ids (replacements are
-            cold), thinning the pool over time.  ``None`` (default)
-            keeps the uniform mover sampling.
 
     Yields:
         ``(t, {object_id: (x, y)})`` with ids ``"c0", "c1", ...``.
@@ -462,14 +447,12 @@ def churn_stream(n_objects, n_snapshots, seed=0, *, eps=10.0, churn=0.1,
         raise ValueError(f"churn must be in [0, 1], got {churn}")
     if not 0.0 <= turnover <= 1.0:
         raise ValueError(f"turnover must be in [0, 1], got {turnover}")
-    if hotspots is not None and int(hotspots) < 1:
-        raise ValueError(f"hotspots must be >= 1, got {hotspots}")
     if jitter:
         yield from jitter_ticks(
             churn_stream(
                 n_objects, n_snapshots, seed, eps=eps, churn=churn,
                 turnover=turnover, area=area, max_hop=max_hop,
-                t_start=t_start, hotspots=hotspots,
+                t_start=t_start,
             ),
             jitter,
             seed=jitter_seed if jitter_seed is not None else seed,
@@ -492,41 +475,11 @@ def churn_stream(n_objects, n_snapshots, seed=0, *, eps=10.0, churn=0.1,
         f"c{i}": (rng.uniform(0.0, area), rng.uniform(0.0, area))
         for i in range(n_objects)
     }
-    hot_pool = None
-    if hotspots is not None:
-        hotspots = int(hotspots)
-        # The hot pool is twice the per-tick mover count, so the same
-        # objects churn nearly every tick; packing the pool around the
-        # hotspot centers puts that churn into a handful of clusters.
-        pool_size = min(n_objects, max(1, round(2 * churn * n_objects)))
-        margin = min(max_hop, area / 2.0)
-        centers = [
-            (rng.uniform(margin, area - margin),
-             rng.uniform(margin, area - margin))
-            for _ in range(hotspots)
-        ]
-        pack = 2.0 * eps
-        hot_ids = [f"c{i}" for i in range(pool_size)]
-        for slot, o in enumerate(hot_ids):
-            cx, cy = centers[slot % hotspots]
-            positions[o] = (
-                min(max(cx + rng.uniform(-pack, pack), 0.0), area),
-                min(max(cy + rng.uniform(-pack, pack), 0.0), area),
-            )
-        hot_pool = frozenset(hot_ids)
     next_id = n_objects
     for tick in range(n_snapshots):
         if tick:
             ids = list(positions)
-            if hot_pool is None:
-                movers = rng.sample(ids, round(churn * len(ids)))
-            else:
-                alive_hot = [o for o in ids if o in hot_pool]
-                movers = rng.sample(
-                    alive_hot,
-                    min(round(churn * len(ids)), len(alive_hot)),
-                )
-            for o in movers:
+            for o in rng.sample(ids, round(churn * len(ids))):
                 x, y = positions[o]
                 # Re-draw the direction until the hop lands inside the
                 # world — clamping instead would shorten boundary hops

@@ -1,6 +1,6 @@
 """Hypothesis property suite: ``advance_delta`` == ``advance``, always.
 
-The shard splice rests on one invariant chain: snapshot clusters are
+The delta splice rests on one invariant chain: snapshot clusters are
 disjoint, every live candidate's object set is contained in its support
 cluster, therefore a candidate whose support is *unchanged* can only be
 extended by that cluster, with its full member set preserved.  The
@@ -13,13 +13,11 @@ previous cluster independently survives unchanged (same stable id, same
 member set), changes (same id, freshly drawn members), or vanishes;
 leftover objects form appeared clusters under fresh ids; ids are never
 reused; and some ticks withhold the delta entirely (falling back to the
-classic path, which resets every support).  Three trackers consume every
+classic path, which resets every support).  Two trackers consume every
 sequence in lockstep —
 
-* the classic :meth:`~repro.core.candidates.CandidateTracker.advance`,
-* :meth:`~repro.core.candidates.CandidateTracker.advance_delta`, and
-* a :class:`~repro.streaming.sharding.ShardedCandidateTracker` running
-  ``advance_delta`` across 3 serial shards
+* the classic :meth:`~repro.core.candidates.CandidateTracker.advance`, and
+* :meth:`~repro.core.candidates.CandidateTracker.advance_delta`
 
 — and must agree on every closed record (objects, intervals, *and*
 window histories), every live candidate set, and the final flush, under
@@ -36,7 +34,6 @@ from repro.clustering.incremental import (
     ClusterDelta,
 )
 from repro.core.candidates import CandidateTracker
-from repro.streaming.sharding import ShardedCandidateTracker
 
 
 @st.composite
@@ -137,18 +134,12 @@ def delta_tick_sequences(draw):
 def test_delta_path_equals_classic_path(ticks, m, k, paper_semantics):
     classic = CandidateTracker(m, k, paper_semantics=paper_semantics)
     delta_tracker = CandidateTracker(m, k, paper_semantics=paper_semantics)
-    sharded = ShardedCandidateTracker(
-        m, k, shards=3, executor="serial", paper_semantics=paper_semantics,
-    )
     for t, (clusters, delta) in enumerate(ticks):
         expected = classic.advance(clusters, t, t)
         got_delta = delta_tracker.advance_delta(clusters, delta, t, t)
-        got_sharded = sharded.advance_delta(clusters, delta, t, t)
         assert got_delta == expected, f"tick {t}: delta path diverged"
-        assert got_sharded == expected, f"tick {t}: sharded path diverged"
         assert delta_tracker.live_candidates == classic.live_candidates
-        assert sharded.live_candidates == classic.live_candidates
-    assert delta_tracker.flush() == classic.flush() == sharded.flush()
+    assert delta_tracker.flush() == classic.flush()
 
 
 @given(ticks=delta_tick_sequences())

@@ -91,6 +91,25 @@ class TestErrors:
         with pytest.raises(ValueError, match=r"line 3.*duplicate.*line 1"):
             load_trajectories_csv(path, has_header=False)
 
+    @pytest.mark.parametrize("body, match", [
+        (b"a,0,nan,0.0\n", r"^line 2: non-finite coordinates \(nan, 0.0\)$"),
+        (b"a,0,0.0,-inf\n", r"^line 2: non-finite coordinates \(0.0, -inf\)$"),
+        (b"a,0,0.0,0.0\nb,0,1.0,caf\xe9\n",
+         r"^line 3: 'utf-8' codec can't decode byte 0xe9 in position 11"),
+        (b"a,0,0.0,0.0\n\xff,1,0.0,0.0\n",
+         r"^line 3: 'utf-8' codec can't decode byte 0xff in position 0"),
+        # Past the text reader's first buffer, whose own error position
+        # says nothing about the line.
+        (b"".join(b"a,%d,0.0,0.0\n" % t for t in range(3000))
+         + b"b,0,\xe9,0.0\n",
+         r"^line 3002: 'utf-8' codec can't decode byte 0xe9 in position 4"),
+    ], ids=["nan", "minus-inf", "non-utf8", "non-utf8-id", "non-utf8-late"])
+    def test_error_names_the_file_line(self, tmp_path, body, match):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"object_id,t,x,y\n" + body)
+        with pytest.raises(ValueError, match=match):
+            load_trajectories_csv(path)
+
     def test_same_time_different_objects_is_legal(self, tmp_path):
         path = tmp_path / "ok.csv"
         path.write_text("a,0,1.0,2.0\nb,0,3.0,4.0\n")

@@ -8,7 +8,7 @@ schedule; it must never change the answer.
 
 Eight tenants run concurrently over one connection with interleaved
 feed batches, spanning ≥2 pipelines (full-pass and incremental
-clustering, plus a sharded variant), both candidate
+clustering, one of them under a bounded-memory window), both candidate
 semantics, jittered feeds through reorder buffers, and per-tenant
 SQLite stores — each against its own distinct seeded workload.
 """
@@ -29,7 +29,7 @@ from repro.streaming import (
 EPS = 2.5
 
 #: tenant -> (miner config sans store, jitter).  Two pipelines (full +
-#: incremental), both semantics, jittered feeds, shards and a second
+#: incremental), both semantics, jittered feeds, a window and a second
 #: (m, k); four tenants persist to per-tenant stores.
 TENANTS = {
     "full": (dict(m=3, k=3, eps=EPS), 0),
@@ -48,7 +48,9 @@ TENANTS = {
              paper_semantics=True, reorder={"allowed_lateness": 2}),
         2,
     ),
-    "sharded": (dict(m=3, k=3, eps=EPS, shards=2), 0),
+    "windowed": (
+        dict(m=3, k=3, eps=EPS, clusterer="incremental", window=6), 0,
+    ),
     "pairs": (dict(m=2, k=4, eps=EPS), 0),
 }
 
@@ -152,7 +154,7 @@ class TestDifferential:
     def test_differential_holds_across_separate_connections(self, tmp_path):
         """Same proof with each tenant on its own connection — the
         multi-client shape the CLI service actually serves."""
-        names = ["full", "incremental", "jittered", "sharded"]
+        names = ["full", "incremental", "jittered", "windowed"]
         feeds = {
             name: tenant_feed(i, name, TENANTS[name][1])
             for i, name in enumerate(names)

@@ -6,8 +6,9 @@ connection, closes its other tenants unflushed, and leaves asyncio to
 log "Unhandled exception in client_connected_cb".  So every way a
 ``hello`` or ``feed`` can be wrong must surface as a ProtocolError:
 
-* out-of-range numbers in a ``hello`` config (an infinite shard count
-  or reorder bound, a NaN or overflowing ``tick_delay``);
+* out-of-range numbers in a ``hello`` config (an infinite or
+  fractional count, window or reorder bound, a NaN or overflowing
+  ``tick_delay``), and keys the miner does not take;
 * a ``store`` path that cannot be opened or is not a convoy store,
   which must also be left exactly as it was;
 * malformed ``hello`` / ``feed`` envelopes, each answered on a live
@@ -17,6 +18,7 @@ log "Unhandled exception in client_connected_cb".  So every way a
 
 import asyncio
 import math
+import multiprocessing
 import re
 import sqlite3
 
@@ -24,7 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service import IngestionServer, ProtocolError, build_miner
+from repro.service import (
+    IngestionServer,
+    ProtocolError,
+    ServiceClient,
+    build_miner,
+)
 from repro.service.protocol import (
     STREAM_LIMIT,
     decode,
@@ -38,8 +45,8 @@ CFG = {"m": 2, "k": 2, "eps": 2.5}
 
 class TestOutOfRangeConfigNumbers:
     @pytest.mark.parametrize("overrides, match", [
-        ({"shards": math.inf}, "bad miner config"),
-        ({"shards": -math.inf}, "bad miner config"),
+        ({"shards": math.inf}, "unknown config key"),
+        ({"shards": -math.inf}, "unknown config key"),
         ({"reorder": {"allowed_lateness": math.inf}}, "bad miner config"),
         ({"reorder": {"max_pending": math.inf}}, "bad miner config"),
         ({"tick_delay": math.nan}, "tick_delay"),
@@ -154,8 +161,8 @@ reorder_values = st.one_of(
         max_size=3,
     ),
 )
-#: Keys whose legal values would create files or processes.
-SIDE_EFFECT_KEYS = {"store", "executor", "resident"}
+#: Keys whose legal values would create files.
+SIDE_EFFECT_KEYS = {"store"}
 
 
 #: Mostly-valid values for the required keys, so that the optional
@@ -194,39 +201,53 @@ class TestArbitraryConfigs:
 
 
 def raw_exchange(lines):
-    """Open a tenant ``a``, send each line, then feed and flush ``a``.
+    """Open tenant ``a``, and tenant ``b`` on a second connection; send
+    each line on ``a``'s connection, then feed and flush both tenants.
 
-    Returns the event answering each line and the final ``flushed``
-    event; every read has a timeout, so a dropped connection fails the
-    test instead of hanging it.
+    Returns ``(events, flushed, neighbour, protocol_errors)``: the event
+    answering each line, ``a``'s and ``b``'s ``flushed`` events, and the
+    server's protocol-error count.  Every read has a timeout, so a
+    dropped connection fails the test instead of hanging it.
     """
     snapshot = encode_snapshot({"x": (0.0, 0.0), "y": (0.5, 0.0)})
 
     async def run():
         async with IngestionServer() as server:
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port, limit=STREAM_LIMIT
-            )
 
-            async def send(line, reply=True):
-                writer.write(line)
-                await writer.drain()
-                if reply:
-                    answer = await asyncio.wait_for(reader.readline(), 10)
-                    assert answer, "server closed the connection"
-                    return decode(answer)
-                return None
+            async def connect(tenant):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port, limit=STREAM_LIMIT
+                )
 
-            hello = {"type": "hello", "tenant": "a", "config": CFG}
-            assert (await send(encode(hello)))["type"] == "ready"
+                async def send(line, reply=True):
+                    writer.write(line)
+                    await writer.drain()
+                    if reply:
+                        answer = await asyncio.wait_for(reader.readline(), 10)
+                        assert answer, "server closed the connection"
+                        return decode(answer)
+                    return None
+
+                hello = {"type": "hello", "tenant": tenant, "config": CFG}
+                assert (await send(encode(hello)))["type"] == "ready"
+                return writer, send
+
+            async def feed_and_flush(tenant, send):
+                await send(encode({"type": "feed", "tenant": tenant,
+                                   "ticks": [[0, snapshot], [1, snapshot]]}),
+                           reply=False)
+                return await send(encode({"type": "flush", "tenant": tenant}))
+
+            writer, send = await connect("a")
+            neighbour_writer, neighbour_send = await connect("b")
             events = [await send(line) for line in lines]
-            await send(encode({"type": "feed", "tenant": "a",
-                               "ticks": [[0, snapshot], [1, snapshot]]}),
-                       reply=False)
-            flushed = await send(encode({"type": "flush", "tenant": "a"}))
-            writer.close()
-            await writer.wait_closed()
-            return events, flushed
+            flushed = await feed_and_flush("a", send)
+            neighbour = await feed_and_flush("b", neighbour_send)
+            for each in (writer, neighbour_writer):
+                each.close()
+                await each.wait_closed()
+            return (events, flushed, neighbour,
+                    server.counters["protocol_errors"])
 
     return asyncio.run(run())
 
@@ -261,10 +282,11 @@ class TestMalformedEnvelopes:
         "float-time", "nan-coordinate",
     ])
     def test_answered_and_the_tenant_survives(self, message, match):
-        events, flushed = raw_exchange([encode(message)])
+        events, flushed, neighbour, _errors = raw_exchange([encode(message)])
         assert events[0]["type"] == "error"
         assert re.search(match, events[0]["error"])
         assert_flushed_pair(flushed)
+        assert_flushed_pair(neighbour)
 
 
 class TestHostileHelloEndToEnd:
@@ -272,7 +294,7 @@ class TestHostileHelloEndToEnd:
             self, tmp_path):
         make_directory(tmp_path / "dir")
         configs = [
-            dict(CFG, shards=math.inf),
+            dict(CFG, executor="process"),
             dict(CFG, reorder={"max_pending": math.inf}),
             dict(CFG, tick_delay=10 ** 400),
             dict(CFG, tick_delay=math.nan),
@@ -282,9 +304,91 @@ class TestHostileHelloEndToEnd:
             encode({"type": "hello", "tenant": f"bad{i}", "config": config})
             for i, config in enumerate(configs)
         ]
-        events, flushed = raw_exchange(lines)
+        events, flushed, neighbour, _errors = raw_exchange(lines)
         assert [event["type"] for event in events] == ["error"] * 5
         assert [event["tenant"] for event in events] == [
             f"bad{i}" for i in range(5)
         ]
         assert_flushed_pair(flushed)
+        assert_flushed_pair(neighbour)
+
+    @pytest.mark.parametrize("key, value", [
+        ("shards", 2), ("executor", "process"), ("resident", True),
+    ])
+    def test_removed_knob_is_an_unknown_key(self, key, value):
+        """A ``hello`` may not start worker threads or processes: the
+        keys that once selected them are unknown."""
+        line = encode({"type": "hello", "tenant": "c",
+                       "config": dict(CFG, **{key: value})})
+        events, flushed, neighbour, _errors = raw_exchange([line])
+        assert events == [{"type": "error", "tenant": "c",
+                           "error": f"unknown config key(s): {key}"}]
+        assert multiprocessing.active_children() == []
+        assert_flushed_pair(flushed)
+        assert_flushed_pair(neighbour)
+
+
+def junk_line(length):
+    """``length`` bytes of non-JSON, then the newline."""
+    return b"x" * length + b"\n"
+
+
+class TestLineFraming:
+    """Lines at and past ``STREAM_LIMIT``, and bytes that are not UTF-8:
+    each is answered with one ``error`` event, counted, and skipped, and
+    neither the connection's tenant nor a neighbour on another
+    connection notices."""
+
+    @pytest.mark.parametrize("line, match", [
+        (junk_line(STREAM_LIMIT - 1), "undecodable protocol line"),
+        (junk_line(STREAM_LIMIT), "undecodable protocol line"),
+        (junk_line(STREAM_LIMIT + 1), f"longer than {STREAM_LIMIT} bytes"),
+        (junk_line(2 * STREAM_LIMIT), f"longer than {STREAM_LIMIT} bytes"),
+        (b"\xff\xfe{}\n", "undecodable protocol line"),
+        (b'{"type": "hello", "tenant": "\xff"}\n',
+         "undecodable protocol line"),
+    ], ids=["limit-minus-1", "limit", "limit-plus-1", "twice-limit",
+            "non-utf8-prefix", "non-utf8-in-string"])
+    def test_answered_counted_and_skipped(self, line, match):
+        events, flushed, neighbour, errors = raw_exchange([line])
+        assert len(events) == 1
+        assert events[0]["type"] == "error"
+        assert re.search(match, events[0]["error"])
+        assert errors == 1
+        assert_flushed_pair(flushed)
+        assert_flushed_pair(neighbour)
+
+    def test_over_long_lines_in_a_row_each_get_one_error(self):
+        lines = [junk_line(STREAM_LIMIT + 1), junk_line(2 * STREAM_LIMIT)]
+        events, flushed, _neighbour, errors = raw_exchange(lines)
+        assert [event["type"] for event in events] == ["error", "error"]
+        assert errors == 2
+        assert_flushed_pair(flushed)
+
+    def test_unterminated_run_at_end_of_stream(self):
+        """A connection that ends inside an over-long line is counted
+        and closed; a tenant on another connection keeps its answer."""
+        snapshot = {"x": (0.0, 0.0), "y": (0.5, 0.0)}
+
+        async def run():
+            async with IngestionServer() as server:
+                _reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port, limit=STREAM_LIMIT
+                )
+                writer.write(b"x" * (2 * STREAM_LIMIT))
+                await writer.drain()
+                writer.write_eof()
+                async with ServiceClient("127.0.0.1", server.port) as client:
+                    await client.hello("b", dict(CFG))
+                    await client.feed("b", [(0, snapshot), (1, snapshot)])
+                    answer = await client.flush("b")
+                for _ in range(1000):
+                    if server.counters["protocol_errors"]:
+                        break
+                    await asyncio.sleep(0.01)
+                writer.close()
+                return answer, server.counters["protocol_errors"]
+
+        answer, errors = asyncio.run(run())
+        assert_flushed_pair(answer)
+        assert errors == 1

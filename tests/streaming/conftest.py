@@ -5,14 +5,14 @@ clusterer pipelines — fresh DBSCAN (+ classic candidate advance),
 incremental clustering with its delta withheld (PR 2's path), and
 incremental clustering with the cluster diff propagated into the
 candidate tracker (the delta path) — optionally behind a reorder buffer
-and/or a sharded tracker.  The miner factories, the lockstep driver, and
+or in front of a store.  The miner factories, the lockstep driver, and
 the seeded fuzz-workload generator used to be copy-pasted per suite;
 they live here once, exposed as fixtures:
 
 * ``make_miner(pipeline, m, k, eps, **kwargs)`` — one miner for one
   pipeline name (``"delta"`` / ``"pr2"`` / ``"full"``); extra kwargs
-  (``paper_semantics``, ``window``, ``reorder``, ``shards``,
-  ``executor``, clusterer options) forward to the engine.
+  (``paper_semantics``, ``window``, ``reorder``, ``store``, clusterer
+  options) forward to the engine.
 * ``make_pipeline_miners(m, k, eps, **kwargs)`` — the full dict of all
   three, for lockstep comparisons.
 * ``assert_lockstep(ticks, miners, flush=True)`` — feed every miner the
@@ -46,8 +46,7 @@ class PipelineClusterOnly:
 
 
 def build_miner(pipeline, m, k, eps, *, paper_semantics=False, window=None,
-                reorder=None, shards=None, executor=None, resident=False,
-                store=None, **clusterer_kwargs):
+                reorder=None, store=None, **clusterer_kwargs):
     """One :class:`StreamingConvoyMiner` for one named pipeline.
 
     ``store`` (a ConvoyStore or path) forwards to the engine's
@@ -62,8 +61,7 @@ def build_miner(pipeline, m, k, eps, *, paper_semantics=False, window=None,
             clusterer = PipelineClusterOnly(clusterer)
     return StreamingConvoyMiner(
         m, k, eps, paper_semantics=paper_semantics, window=window,
-        clusterer=clusterer, reorder=reorder, shards=shards,
-        executor=executor, resident=resident, store=store,
+        clusterer=clusterer, reorder=reorder, store=store,
     )
 
 

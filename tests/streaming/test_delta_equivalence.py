@@ -16,7 +16,7 @@ both candidate-semantics modes, across churn/turnover sweeps, time gaps,
 below-``m`` ticks, bounded windows (prune interaction), flush-after-gap,
 key-order shuffles, and the adaptive churn threshold.  The miner
 factories and the lockstep driver are the shared fixtures of
-``tests/streaming/conftest.py`` (also used by the reorder and sharded
+``tests/streaming/conftest.py`` (also used by the reorder and store
 suites).
 """
 

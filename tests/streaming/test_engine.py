@@ -5,7 +5,8 @@ import math
 import pytest
 
 from repro.core.convoy import Convoy
-from repro.streaming import StreamingConvoyMiner, mine_stream
+from repro.service import ProtocolError, build_miner
+from repro.streaming import ReorderBuffer, StreamingConvoyMiner, mine_stream
 
 
 def pair_snapshot(t, apart=1.0):
@@ -27,6 +28,51 @@ class TestValidation:
         with pytest.raises(ValueError):
             StreamingConvoyMiner(2, 5, 1.0, window=4)
         StreamingConvoyMiner(2, 5, 1.0, window=5)  # boundary is legal
+
+    #: Counts the miner used to accept: NaN and infinity answered zero
+    #: convoys, a fraction acted as its ceiling (or was truncated by
+    #: ``int()``), and a bool or numeric string passed as a number.
+    BAD_COUNTS = [math.nan, math.inf, 2.5, True, "3"]
+    BAD_COUNT_IDS = ["nan", "inf", "fraction", "bool", "str"]
+
+    @staticmethod
+    def config(name, value):
+        """A query that is valid except for ``name`` (k=1, so that a
+        window of ``True`` is not already below k)."""
+        config = {"m": 2, "k": 1, "eps": 1.0, name: value}
+        if name in ("allowed_lateness", "max_pending"):
+            config["reorder"] = {name: config.pop(name)}
+        return config
+
+    @staticmethod
+    def build(surface, config):
+        if surface == "miner":
+            StreamingConvoyMiner(**config)
+        elif surface == "mine_stream":
+            mine_stream([(0, pair_snapshot(0))], **config)
+        elif surface == "buffer":
+            ReorderBuffer(**config["reorder"])
+        else:
+            build_miner(config)
+
+    @pytest.mark.parametrize("value", BAD_COUNTS, ids=BAD_COUNT_IDS)
+    @pytest.mark.parametrize("name, surface", [
+        (name, surface)
+        for name in ("m", "k", "window", "allowed_lateness", "max_pending")
+        for surface in ("miner", "mine_stream", "hello")
+        + (("buffer",) if name in ("allowed_lateness", "max_pending") else ())
+    ])
+    def test_rejects_non_integer_counts(self, name, surface, value):
+        """Every count is an integer (bools refused) or it is refused,
+        with a message naming the parameter, on every surface."""
+        match = f"{name} must be >= [0-9]+ and an integer, got"
+        if surface == "hello":
+            with pytest.raises(ProtocolError,
+                               match=f"bad miner config: {match}"):
+                self.build(surface, self.config(name, value))
+        else:
+            with pytest.raises(ValueError, match=match):
+                self.build(surface, self.config(name, value))
 
     def test_rejects_time_going_backwards(self):
         miner = StreamingConvoyMiner(2, 3, 2.0)

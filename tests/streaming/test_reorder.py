@@ -6,7 +6,6 @@ from repro.core.convoy import Convoy
 from repro.streaming import (
     ReorderBuffer,
     StreamingConvoyMiner,
-    WatermarkFrontier,
     jitter_ticks,
     mine_stream,
     reorder_ticks,
@@ -421,100 +420,3 @@ class TestJitterTicks:
                 == list(jitter_ticks(base, 4, seed=5)))
         assert (list(jitter_ticks(base, 4, seed=5))
                 != list(jitter_ticks(base, 4, seed=6)))
-
-
-class TestWatermarkFrontier:
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(ValueError, match="shards"):
-            WatermarkFrontier(0, allowed_lateness=2)
-
-    def test_needs_a_release_trigger_named_for_the_frontier(self):
-        with pytest.raises(ValueError, match="WatermarkFrontier"):
-            WatermarkFrontier(2)
-
-    def test_single_shard_matches_a_plain_buffer(self):
-        ticks = [(2, pair_snapshot(2)), (0, pair_snapshot(0)),
-                 (1, pair_snapshot(1)), (4, pair_snapshot(4)),
-                 (3, pair_snapshot(3))]
-        buffer = ReorderBuffer(allowed_lateness=2)
-        frontier = WatermarkFrontier(1, allowed_lateness=2)
-        direct, merged = [], []
-        for t, snapshot in ticks:
-            direct.extend(buffer.push(t, snapshot))
-            merged.extend(frontier.push(0, t, snapshot))
-        direct.extend(buffer.drain())
-        merged.extend(frontier.drain())
-        assert merged == direct
-
-    def test_emissions_wait_for_the_slowest_shard(self):
-        """A tick stays staged until every shard's releases pass it."""
-        frontier = WatermarkFrontier(2, allowed_lateness=0)
-        assert frontier.push(0, 0, {"a": (0.0, 0.0)}) == []
-        assert frontier.push(0, 1, {"a": (1.0, 0.0)}) == []
-        assert frontier.frontier is None  # shard 1 has released nothing
-        # Shard 1 catching up to t=0 releases exactly the merged t=0.
-        released = frontier.push(1, 0, {"b": (0.0, 1.0)})
-        assert released == [(0, {"a": (0.0, 0.0), "b": (0.0, 1.0)})]
-        assert frontier.frontier == 0
-        assert frontier.last_emitted == 0
-
-    def test_pieces_of_one_tick_merge_across_shards(self):
-        frontier = WatermarkFrontier(2, allowed_lateness=0)
-        out = []
-        out.extend(frontier.push(0, 0, {"a": (0.0, 0.0)}))
-        out.extend(frontier.push(1, 0, {"b": (1.0, 1.0)}))
-        out.extend(frontier.push(0, 1, {"a": (2.0, 0.0)}))
-        out.extend(frontier.push(1, 1, {"b": (3.0, 1.0)}))
-        assert out == [(0, {"a": (0.0, 0.0), "b": (1.0, 1.0)}),
-                       (1, {"a": (2.0, 0.0), "b": (3.0, 1.0)})]
-
-    def test_global_emissions_strictly_increase(self):
-        """Per-shard jitter within lateness never reorders the merge."""
-        import random
-
-        rng = random.Random(17)
-        base = list(synthetic_stream(8, 40, seed=3, eps=8.0))
-        feeds = [list(jitter_ticks(base, 4, seed=s)) for s in (1, 2, 3)]
-        frontier = WatermarkFrontier(3, allowed_lateness=4)
-        emitted = []
-        order = [(s, i) for s in range(3) for i in range(len(base))]
-        # Interleave shards without violating each shard's own order.
-        cursors = [0, 0, 0]
-        while any(c < len(base) for c in cursors):
-            shard = rng.choice([s for s in range(3)
-                                if cursors[s] < len(base)])
-            t, snapshot = feeds[shard][cursors[shard]]
-            cursors[shard] += 1
-            emitted.extend(frontier.push(shard, t, snapshot))
-        emitted.extend(frontier.drain())
-        assert [t for t, _s in emitted] == [t for t, _s in base]
-        assert len(order) == 3 * len(base)  # sanity on the interleave
-
-    def test_idle_shard_holds_releases_until_drain(self):
-        frontier = WatermarkFrontier(2, allowed_lateness=0)
-        for t in range(5):
-            assert frontier.push(0, t, pair_snapshot(t)) == []
-        assert len(frontier) == 5
-        drained = frontier.drain()
-        assert [t for t, _s in drained] == [0, 1, 2, 3, 4]
-        assert len(frontier) == 0
-
-    def test_shared_counters_and_staged_peak(self):
-        counters = {}
-        frontier = WatermarkFrontier(2, allowed_lateness=2,
-                                     counters=counters)
-        for t in (1, 0, 3, 2):
-            frontier.push(0, t, pair_snapshot(t))
-        for t in range(4):
-            frontier.push(1, t, {"c": (float(t), 5.0)})
-        frontier.drain()
-        assert counters["reordered_snapshots"] > 0
-        assert counters["frontier_staged_peak"] > 0
-        assert counters is frontier.counters
-
-    def test_merged_watermark_is_the_minimum(self):
-        frontier = WatermarkFrontier(2, allowed_lateness=1)
-        frontier.push(0, 10, pair_snapshot(10))
-        assert frontier.watermark == -float("inf")  # shard 1 unseen
-        frontier.push(1, 4, pair_snapshot(4))
-        assert frontier.watermark == 3  # min(10, 4) - 1

@@ -241,70 +241,6 @@ class TestJitteredSources:
             list(make(15, 25, seed=9, eps=8.0, jitter=-1))
 
 
-class TestHotspots:
-    def test_rejects_bad_hotspots(self):
-        with pytest.raises(ValueError, match="hotspots"):
-            list(churn_stream(10, 5, hotspots=0))
-
-    def test_deterministic_per_seed(self):
-        a = list(churn_stream(40, 20, seed=9, eps=8.0, churn=0.2,
-                              hotspots=2))
-        b = list(churn_stream(40, 20, seed=9, eps=8.0, churn=0.2,
-                              hotspots=2))
-        assert a == b
-        c = list(churn_stream(40, 20, seed=10, eps=8.0, churn=0.2,
-                              hotspots=2))
-        assert a != c
-
-    def test_movement_confined_to_the_hot_pool(self):
-        """Only the fixed seeded hot pool (2 * churn * n objects) ever
-        moves; everything else stands perfectly still."""
-        n, churn = 50, 0.2
-        ticks = list(churn_stream(n, 25, seed=3, eps=8.0, churn=churn,
-                                  hotspots=2))
-        pool_size = round(2 * churn * n)
-        pool = {f"c{i}" for i in range(pool_size)}
-        movers = set()
-        for (_t0, s0), (_t1, s1) in zip(ticks, ticks[1:]):
-            for o in s0:
-                if o in s1 and s0[o] != s1[o]:
-                    movers.add(o)
-        assert movers  # churn actually happened
-        assert movers <= pool
-
-    def test_hot_pool_starts_packed_around_centers(self):
-        """The hot pool is spatially concentrated: its tick-0 bounding
-        box is far smaller than the world."""
-        eps = 8.0
-        ticks = list(churn_stream(60, 2, seed=5, eps=eps, churn=0.2,
-                                  hotspots=1))
-        pool = [f"c{i}" for i in range(round(2 * 0.2 * 60))]
-        xs = [ticks[0][1][o][0] for o in pool]
-        ys = [ticks[0][1][o][1] for o in pool]
-        pack_diameter = 2 * (2.0 * eps)
-        assert max(xs) - min(xs) <= pack_diameter
-        assert max(ys) - min(ys) <= pack_diameter
-
-    def test_mover_count_matches_churn_when_pool_suffices(self):
-        n, churn = 40, 0.1
-        ticks = list(churn_stream(n, 15, seed=7, eps=8.0, churn=churn,
-                                  hotspots=2))
-        expected_movers = round(churn * n)
-        for (_t0, s0), (_t1, s1) in zip(ticks, ticks[1:]):
-            moved = sum(
-                1 for o in s0 if o in s1 and s0[o] != s1[o]
-            )
-            assert moved == expected_movers
-
-    def test_jitter_composes_with_hotspots(self):
-        base = list(churn_stream(30, 20, seed=11, eps=8.0, churn=0.2,
-                                 hotspots=2))
-        shuffled = list(churn_stream(30, 20, seed=11, eps=8.0, churn=0.2,
-                                     hotspots=2, jitter=3))
-        assert sorted(shuffled, key=lambda tick: tick[0]) == base
-        assert shuffled != base
-
-
 class TestHotspotDrift:
     """The rigid-pack generator behind the dense-candidate workloads."""
 

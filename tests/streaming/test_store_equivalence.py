@@ -2,8 +2,7 @@
 and the store's read-back is bit-for-bit the in-memory answer.
 
 Two properties, held jointly across all three clusterer pipelines, both
-candidate semantics, sharded/resident trackers, gap-severed streams, and
-bounded windows:
+candidate semantics, gap-severed streams, and bounded windows:
 
 * **transparency** — a miner with ``store=`` emits, tick for tick,
   exactly what the plain miner emits (the sink observes the stream but
@@ -113,17 +112,6 @@ class TestBoundedWindow:
     def test_windowed_miner(self, make_miner, tmp_path, paper_semantics):
         run_differential(make_miner, tmp_path, "full", gap_workload(),
                          window=12, paper_semantics=paper_semantics)
-
-
-class TestShardedAndResident:
-    @pytest.mark.parametrize("paper_semantics", SEMANTICS)
-    def test_sharded_serial(self, make_miner, tmp_path, paper_semantics):
-        run_differential(make_miner, tmp_path, "full", gap_workload(),
-                         shards=3, paper_semantics=paper_semantics)
-
-    def test_resident_thread_executor(self, make_miner, tmp_path):
-        run_differential(make_miner, tmp_path, "full", gap_workload(),
-                         shards=2, executor="thread", resident=True)
 
 
 class TestRestartResumesWithoutDuplicates:

@@ -85,31 +85,6 @@ class TestPaperLikeDataset:
         assert_stream_matches_offline(spec, paper_semantics)
 
 
-class TestShardedReplay:
-    """The sharded tracker preserves the offline equality end to end
-    (the dedicated bit-for-bit suite is test_sharded_equivalence.py)."""
-
-    @pytest.mark.parametrize("paper_semantics", SEMANTICS)
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_sharded_replay_equals_offline(self, make_miner, shards,
-                                           paper_semantics):
-        spec = random_database(101)
-        offline = cmc(
-            spec.database, spec.m, spec.k, spec.eps,
-            paper_semantics=paper_semantics,
-        )
-        miner = make_miner(
-            "full", spec.m, spec.k, spec.eps,
-            paper_semantics=paper_semantics, shards=shards,
-        )
-        streamed = []
-        for t, snapshot in replay_database(spec.database):
-            streamed.extend(miner.feed(t, snapshot))
-        streamed.extend(miner.flush())
-        assert streamed == offline
-        assert miner.counters["sharded_candidates"] > 0
-
-
 class TestHandMadeEdgeCases:
     @pytest.mark.parametrize("paper_semantics", SEMANTICS)
     def test_convoy_interrupted_by_sparse_snapshot(self, paper_semantics):

@@ -13,11 +13,6 @@ from benchmarks.bench_service_ingestion import (
     ROW_KEYS as SERVICE_ROW_KEYS,
     run_suite as run_service_suite,
 )
-from benchmarks.bench_sharded_scaling import (
-    SMOKE_SCALE,
-    run_bytes,
-    run_grid,
-)
 from benchmarks.bench_match_kernel import (
     KERNELS as MATCH_KERNEL_ORDER,
     SMOKE_SMALL,
@@ -249,84 +244,6 @@ class TestMatchKernelBenchSchema:
         loaded = json.load(open(path))
         assert loaded["bench"] == "match_kernel"
         assert set(loaded["rows"][0]) == self.ROW_KEYS
-
-
-class TestShardedScalingBenchSchema:
-    """Schema guard for ``BENCH_sharded_scaling.json``: the trajectory
-    consumers key the scaling curve on these row fields, so the bench's
-    row shape is pinned here alongside the writer's envelope."""
-
-    #: Fields every sharded-scaling row must carry.
-    ROW_KEYS = {
-        "shards", "executor", "resident", "workload", "rate",
-        "speedup_vs_unsharded", "convoys", "peak_candidates",
-        "sharded_candidates", "max_shard_batch", "seconds",
-        "shipped_bytes_per_tick", "result_bytes_per_tick",
-        "payload_bytes_per_tick", "payload_reduction",
-    }
-
-    def rows(self):
-        # Tiny serial-only cells keep this a schema test, not a bench;
-        # the legacy 2-tuple cell pins the grid-cell normalization.
-        scale = dict(SMOKE_SCALE, n_snapshots=6, n_objects=60,
-                     group_count=10, group_size=5)
-        baseline, rows = run_grid(
-            scale, ((2, "serial"), (2, "serial", True))
-        )
-        return baseline, rows
-
-    def test_row_fields_are_stable(self):
-        baseline, rows = self.rows()
-        assert set(baseline) == self.ROW_KEYS
-        for row in rows:
-            assert set(row) == self.ROW_KEYS
-            assert row["executor"] == "serial"
-            assert row["shards"] == 2
-            assert row["rate"] > 0
-            assert row["speedup_vs_unsharded"] > 0
-            # Timing rows carry no byte accounting.
-            assert row["payload_bytes_per_tick"] is None
-        assert [row["resident"] for row in rows] == [False, True]
-        assert baseline["executor"] == "unsharded"
-        assert baseline["shards"] == 0
-        assert baseline["resident"] is False
-
-    def test_byte_pass_rows(self):
-        """The byte pass emits a stateless and a resident row with the
-        pickled-payload fields filled in and the reduction on the
-        resident row (the ≥5x bar itself is asserted by the bench on
-        its real workload scales, not this tiny one)."""
-        scale = dict(n_groups=12, group_size=6, n_snapshots=8,
-                     dirty_groups=1)
-        rows, reduction = run_bytes(scale)
-        assert [row["resident"] for row in rows] == [False, True]
-        for row in rows:
-            assert set(row) == self.ROW_KEYS
-            assert row["workload"] == "group swap"
-            assert row["shipped_bytes_per_tick"] > 0
-            assert row["result_bytes_per_tick"] >= 0
-            assert row["payload_bytes_per_tick"] == (
-                row["shipped_bytes_per_tick"] + row["result_bytes_per_tick"]
-            )
-        assert rows[0]["payload_reduction"] is None
-        assert rows[1]["payload_reduction"] == reduction
-        assert reduction > 0
-
-    def test_rows_round_trip_through_the_writer(self, tmp_path):
-        baseline, rows = self.rows()
-        path = tmp_path / "BENCH_sharded_scaling.json"
-        write_bench_json(
-            path, "sharded_scaling",
-            {"m": 3, "k": 8, "eps": 10.0, "smoke": True, "cores": 1},
-            [baseline] + rows,
-        )
-        with open(path) as handle:
-            loaded = json.load(handle)
-        assert loaded["bench"] == "sharded_scaling"
-        assert [row["executor"] for row in loaded["rows"]] == [
-            "unsharded", "serial", "serial"
-        ]
-        assert set(loaded["rows"][1]) == self.ROW_KEYS
 
 
 class TestConvoyStoreBenchSchema:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -397,88 +398,6 @@ class TestStream:
         assert "allowed_lateness" in text
 
 
-class TestStreamSharding:
-    @pytest.mark.parametrize("executor", [None, "thread"])
-    def test_sharded_answer_matches_unsharded(self, convoy_csv, tmp_path,
-                                              executor):
-        base_out = tmp_path / "base.csv"
-        sharded_out = tmp_path / "sharded.csv"
-        code, _ = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0",
-             "--output", str(base_out)]
-        )
-        assert code == 0
-        argv = ["stream", str(convoy_csv), "-m", "2", "-k", "10",
-                "-e", "2.0", "--shards", "3", "--output", str(sharded_out)]
-        if executor is not None:
-            argv += ["--executor", executor]
-        code, text = run_cli(argv)
-        assert code == 0, text
-        assert "sharding:" in text
-        assert "3 shard(s)" in text
-        assert sharded_out.read_text() == base_out.read_text()
-
-    def test_executor_requires_shards(self, convoy_csv):
-        code, text = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "5", "-e", "2.0",
-             "--executor", "thread"]
-        )
-        assert code == 2
-        assert "--shards" in text
-
-    def test_rejects_bad_shard_count(self, convoy_csv):
-        code, text = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "5", "-e", "2.0",
-             "--shards", "0"]
-        )
-        assert code == 2
-        assert "bad query parameters" in text
-
-    def test_unsharded_run_prints_no_sharding_line(self, convoy_csv):
-        code, text = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0"]
-        )
-        assert code == 0
-        assert "sharding:" not in text
-
-    @pytest.mark.parametrize("executor", [None, "process"])
-    def test_resident_answer_matches_unsharded(self, convoy_csv, tmp_path,
-                                               executor):
-        """Resident mode through the CLI: identical convoys, the
-        resident marker in the sharding summary, and the flag recorded
-        in the JSON params."""
-        base_out = tmp_path / "base.csv"
-        resident_out = tmp_path / "resident.csv"
-        json_out = tmp_path / "resident.json"
-        code, _ = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0",
-             "--output", str(base_out)]
-        )
-        assert code == 0
-        argv = ["stream", str(convoy_csv), "-m", "2", "-k", "10",
-                "-e", "2.0", "--shards", "3", "--resident",
-                "--output", str(resident_out), "--json", str(json_out)]
-        if executor is not None:
-            argv += ["--executor", executor]
-        code, text = run_cli(argv)
-        assert code == 0, text
-        assert "sharding:" in text
-        assert "resident" in text
-        assert resident_out.read_text() == base_out.read_text()
-        with open(json_out) as handle:
-            payload = json.load(handle)
-        assert payload["params"]["resident"] is True
-        assert payload["counters"]["resident_inits"] >= 1
-
-    def test_resident_requires_shards(self, convoy_csv):
-        code, text = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "5", "-e", "2.0",
-             "--resident"]
-        )
-        assert code == 2
-        assert "--shards" in text
-
-
 class TestStreamJson:
     def test_round_trip_matches_csv_answer(self, convoy_csv, tmp_path):
         """The JSON artifact carries exactly the normalized CSV answer
@@ -497,8 +416,7 @@ class TestStreamJson:
                                 "elapsed_seconds"}
         assert payload["params"] == {
             "m": 2, "k": 10, "eps": 2.0, "paper_semantics": False,
-            "window": None, "shards": None, "executor": None,
-            "resident": False,
+            "window": None,
         }
         # Round trip: rebuild the CSV rows from the JSON convoys.
         rebuilt = ["t_start,t_end,size,objects"]
@@ -513,44 +431,45 @@ class TestStreamJson:
         assert payload["counters"]["snapshots"] == 20
         assert payload["counters"]["convoys_emitted"] == 1
 
-    def test_json_includes_reorder_and_shard_counters(self, tmp_path):
-        json_out = tmp_path / "sharded.json"
-        code, _text = run_cli(
-            ["stream", "--synthetic", "40x20", "--seed", "3", "-m", "3",
-             "-k", "5", "-e", "10.0", "--quiet", "--jitter", "3",
-             "--allowed-lateness", "3", "--shards", "2", "--executor",
-             "serial", "--incremental", "--json", str(json_out)]
-        )
-        assert code == 0
-        with open(json_out) as handle:
-            payload = json.load(handle)
-        counters = payload["counters"]
-        # Reorder, shard, tracker, and engine keys all in one dict.
-        for key in ("reordered_snapshots", "late_dropped", "peak_pending",
-                    "shard_steps", "sharded_candidates", "max_shard_batch",
-                    "spliced_candidates", "snapshots"):
-            assert key in counters, key
-        assert payload["params"]["shards"] == 2
-        assert payload["params"]["executor"] == "serial"
-        assert counters["sharded_candidates"] >= 0
-        assert "clusterer_counters" in payload
-        assert payload["clusterer_counters"]["incremental_passes"] >= 0
 
-    def test_json_convoys_match_across_sharding(self, tmp_path):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        for path, extra in ((a, []), (b, ["--shards", "4"])):
-            code, _ = run_cli(
-                ["stream", "--synthetic", "50x20", "--seed", "1",
-                 "-m", "3", "-k", "5", "-e", "10.0", "--quiet",
-                 "--json", str(path)] + extra
-            )
-            assert code == 0
-        with open(a) as handle:
-            plain = json.load(handle)
-        with open(b) as handle:
-            sharded = json.load(handle)
-        assert plain["convoys"] == sharded["convoys"]
+#: A malformed CSV body (under a header line) and the line naming it.
+MALFORMED_CSV = {
+    "three-columns": (b"a,0,0.0\n", r"line 2: expected 4 columns, got 3"),
+    "non-utf8": (b"a,0,0.0,0.0\nb,0,1.0,caf\xe9\n",
+                 r"line 3: 'utf-8' codec can't decode byte 0xe9"),
+    "nan-coordinate": (b"a,0,nan,0.0\n",
+                       r"line 2: non-finite coordinates \(nan, 0.0\)"),
+    "inf-coordinate": (b"a,0,0.0,0.0\na,1,inf,0.0\n",
+                       r"line 3: non-finite coordinates \(inf, 0.0\)"),
+    "fractional-time": (b"a,1.5,0.0,0.0\n",
+                        r"line 2: invalid literal for int\(\)"),
+}
+
+#: Every subcommand that reads a trajectory CSV (``{csv}`` and ``{out}``
+#: are filled in per test).
+CSV_COMMANDS = {
+    "discover": ["discover", "{csv}", "-m", "2", "-k", "2", "-e", "1.0"],
+    "stats": ["stats", "{csv}"],
+    "simplify": ["simplify", "{csv}", "{out}", "--delta", "1.0"],
+    "stream": ["stream", "{csv}", "-m", "2", "-k", "2", "-e", "1.0"],
+}
+
+
+class TestMalformedCsv:
+    @pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+    def test_one_line_naming_the_file_line(self, tmp_path, case, command):
+        """A malformed CSV exits 1 with one line naming its file line,
+        never a traceback, on every subcommand that loads one."""
+        body, reason = MALFORMED_CSV[case]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"object_id,t,x,y\n" + body)
+        out = tmp_path / "out.csv"
+        argv = [arg.format(csv=path, out=out) for arg in CSV_COMMANDS[command]]
+        code, text = run_cli(argv)
+        assert code == 1
+        assert re.fullmatch(f"{command} error: {reason}.*\n", text), text
+        assert not out.exists()
 
 
 class TestStats:
@@ -766,20 +685,6 @@ class TestStreamStore:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "in.csv", "target"
         ]
-
-    def test_store_composes_with_sharding(self, tmp_path):
-        db = tmp_path / "convoys.db"
-        code, text = run_cli(
-            ["stream", "--synthetic", "40x20", "--seed", "3", "-m", "3",
-             "-k", "5", "-e", "10.0", "--quiet", "--shards", "2",
-             "--store", str(db)]
-        )
-        assert code == 0
-        assert "stored" in text
-        code, text = run_cli([
-            "query", str(db), "--top-k", "3", "--by", "duration"])
-        assert code == 0
-        assert "convoy(s) matched" in text
 
 
 class TestQuery:
