@@ -1,11 +1,15 @@
 """Ablation — value of the Lemma 2 box-level pruning in the filter.
 
-The filter settles polyline pairs in two steps: a plane-sweep over
-tolerance-expanded bounding boxes (the Lemma 2 group/box bound) followed
-by the exact ω test (Lemma 1 / Lemma 3).  Disabling the sweep tests every
-time-coexisting pair exactly.  The answer is identical either way; the
-bench quantifies how many exact tests the box level saves and what that
-does to the filter's wall-clock time.
+The filter's join settles each simplified segment pair once per query:
+an x-sweep over segment boxes expanded by ``e/2 + δ(l)`` and the
+per-pair Lemma 2 gap test pick the pairs that reach the exact Lemma 1 /
+Lemma 3 kernel, and a pair whose objects are already linked in every
+window the two segments share is skipped.  ``use_lemma2=False`` switches
+all three off: every time-overlapping segment pair of two objects gets
+the exact kernel, once.  The answer is identical either way;
+``pairs_considered`` counts the segment pairs that reached the per-pair
+test, so the bench shows how many exact tests the box level saves and
+what that does to the filter's wall-clock time.
 """
 
 import pytest

@@ -252,11 +252,11 @@ def build_parser():
 
 
 def _load_csv(args, out):
-    """Load ``args.csv``; on a malformed file print one line naming the
-    defect (as ``stream`` does) and return None."""
+    """Load ``args.csv``; on a malformed or unreadable file print one line
+    naming the defect (as ``stream`` does) and return None."""
     try:
         return load_trajectories_csv(args.csv)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"{args.command} error: {exc}", file=out)
         return None
 
@@ -410,10 +410,11 @@ def _cmd_stream(args, out):
                         )
                         print(f"  closed at t={t}: t=[{convoy.t_start},"
                               f"{convoy.t_end}] objects={members}", file=out)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             # A late snapshot under --late-policy raise (or a disordered
             # feed with no reorder buffer at all) is an input contract
-            # violation.
+            # violation; a CSV path that cannot be read fails here too,
+            # because the replay opens the file on its first tick.
             print(f"stream error: {exc}", file=out)
             return 1
         except KeyboardInterrupt:

@@ -10,6 +10,10 @@ The filter-and-refinement pipeline:
    (CuTS/CuTS+) or the Lemma 3 bound (CuTS*); chain window clusters through
    the shared-objects test exactly like CMC chains snapshot clusters.
    Candidates that survive at least k time points become convoy candidates.
+   The neighbour pairs of every window come from one segment-level join
+   per query (:mod:`repro.clustering.spatial_join`): each simplified
+   segment pair is settled once, in the first window both segments meet,
+   and a link holds in every window they share.
 3. **Refine** (Algorithm 3): for each candidate, run exact CMC over the
    candidate objects' *original* trajectories restricted to the candidate's
    time interval; the union of these runs, deduplicated, is the answer.
@@ -37,7 +41,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.clustering.generic_dbscan import density_cluster
-from repro.clustering.spatial_join import JoinPolyline, polyline_adjacency
+from repro.clustering.spatial_join import segment_records, window_links
 from repro.core.candidates import CandidateTracker, check_query_counts
 from repro.core.cmc import cmc
 from repro.core.params import compute_delta, compute_lambda
@@ -71,7 +75,12 @@ class CutsResult:
         lam: the partition length actually used.
         simplification: the report dict of
             :func:`repro.simplification.simplification_report`.
-        filter_stats: pruning counters from the polyline range searcher.
+        filter_stats: the filter's join counters, in simplified segment
+            pairs over the whole query: ``pairs_considered`` pairs reached
+            the per-pair test (the Lemma 2 gap test and the exact Lemma 1/3
+            kernel; the kernel alone under ``use_lemma2=False``), and
+            ``pairs_linked`` of them passed the kernel.  Each segment pair
+            counts at most once, however many windows it spans.
     """
 
     convoys: list
@@ -134,8 +143,12 @@ def cuts_filter(
         use_actual_tolerance: use per-segment actual tolerances (True, the
             paper's default) or the global δ everywhere (the degraded
             configuration of Figure 14).
-        use_lemma2: enable the box-level group pruning (ablation switch).
-        filter_stats: optional dict accumulating range-search counters.
+        use_lemma2: enable the Lemma 2 box pruning of the segment join
+            (ablation switch: off, every time-overlapping segment pair of
+            two objects gets the exact test; the answer is the same).
+        filter_stats: optional dict accumulating the join's
+            ``pairs_considered`` / ``pairs_linked`` counters (segment pairs;
+            see :attr:`CutsResult.filter_stats`).
         paper_semantics: candidate-seeding rule; see
             :mod:`repro.core.candidates`.
 
@@ -144,52 +157,32 @@ def cuts_filter(
         whose filter lifetime is at least ``k``.
     """
     tracker = CandidateTracker(m, k, paper_semantics=paper_semantics)
-    partitioner = TimePartitioner(t_lo, t_hi, lam)
-    windows = list(partitioner)
-
-    # One pass over all simplified segments, assigning each to every
-    # partition its time interval intersects (a boundary-straddling segment
-    # lands in both partitions — the l_3^2 rule of Figure 9(b)).
-    # Segments are read straight off consecutive kept points (a lone point
-    # pairs with itself), without building TimestampedSegment objects.
-    partition_segments = [{} for _ in windows]
-    for simplified in simplified_list:
-        delta = simplified.delta
-        object_id = simplified.object_id
-        points = simplified.points
-        for (x0, y0, t0), (x1, y1, t1), tolerance in zip(
-            points, points[1:] or points, simplified.tolerances
-        ):
-            seg_lo = max(t0, t_lo)
-            seg_hi = min(t1, t_hi)
-            if seg_lo > seg_hi:
-                continue
-            tol = tolerance if use_actual_tolerance else delta
-            flat = (x0, y0, x1, y1, float(t0), float(t1), tol)
-            z_first = (seg_lo - t_lo) // lam
-            z_last = (seg_hi - t_lo) // lam
-            for z in range(z_first, z_last + 1):
-                partition_segments[z].setdefault(object_id, []).append(flat)
-
+    windows = TimePartitioner(t_lo, t_hi, lam)
+    entering, present = segment_records(
+        simplified_list, t_lo, t_hi, lam, eps, mode=distance_mode,
+        use_actual_tolerance=use_actual_tolerance,
+    )
     candidates = []
-    for (lo, hi), per_object in zip(windows, partition_segments):
+    links = window_links(
+        entering, eps, mode=distance_mode, use_lemma2=use_lemma2,
+        stats=filter_stats,
+    )
+    for (lo, hi), members, pairs in zip(windows, present, links):
         clusters = []
-        if len(per_object) >= m:
-            polylines = [
-                JoinPolyline(object_id, segs)
-                for object_id, segs in per_object.items()
-            ]
-            adjacency = polyline_adjacency(
-                polylines,
-                eps,
-                mode=distance_mode,
-                use_sweep=use_lemma2,
-                stats=filter_stats,
-            )
-            for members in density_cluster(
-                len(polylines), adjacency.__getitem__, m
+        if len(members) >= m:
+            index = {owner: i for i, owner in enumerate(members)}
+            adjacency = [[i] for i in range(len(members))]
+            for position in range(0, len(pairs), 2):
+                i = index[pairs[position]]
+                j = index[pairs[position + 1]]
+                adjacency[i].append(j)
+                adjacency[j].append(i)
+            for cluster in density_cluster(
+                len(members), adjacency.__getitem__, m
             ):
-                clusters.append({polylines[i].object_id for i in members})
+                clusters.append(
+                    {simplified_list[members[i]].object_id for i in cluster}
+                )
         candidates.extend(tracker.advance(clusters, lo, hi))
     candidates.extend(tracker.flush())
     return candidates
@@ -285,7 +278,7 @@ def cuts(
         variant: ``"cuts"``, ``"cuts+"``, or ``"cuts*"``.
         use_actual_tolerance: Figure 14 switch — False replaces every
             actual tolerance with the global δ.
-        use_lemma2: ablation switch for the box-level pruning.
+        use_lemma2: ablation switch for the Lemma 2 box pruning.
         paper_semantics: candidate-seeding rule for both the filter and the
             refinement CMC; see :mod:`repro.core.candidates`.
 

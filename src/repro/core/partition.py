@@ -56,7 +56,10 @@ def build_partition_polylines(simplified_list, t_lo, t_hi, use_actual_tolerance=
     This is the ``G`` construction of Algorithm 2 (lines 9-10): for every
     simplified trajectory whose interval meets the partition, gather the
     segments intersecting the partition into one
-    :class:`~repro.clustering.polyline.PartitionPolyline`.
+    :class:`~repro.clustering.polyline.PartitionPolyline`.  The filter
+    itself builds one join record per segment instead
+    (:func:`repro.clustering.spatial_join.segment_records`); these
+    polylines are the reference its tests hold it to.
 
     Args:
         simplified_list: iterable of

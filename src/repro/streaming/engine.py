@@ -250,6 +250,11 @@ class StreamingConvoyMiner:
         Returns:
             List of :class:`~repro.core.convoy.Convoy` whose chains ended at
             this step with lifetime >= k, in discovery order.
+
+        Raises:
+            ValueError: if ``t`` is not an int (floats such as 2.7 or 3.0,
+                NaN, inf, bools and strings are refused, never truncated),
+                or arrives out of order without a reorder buffer.
         """
         if self._flushed:
             raise RuntimeError("stream already flushed; create a new miner")

@@ -49,6 +49,7 @@ individually constructible and testable.
 from __future__ import annotations
 
 from repro.clustering.dbscan import dbscan
+from repro.streaming.reorder import check_tick_time
 
 
 class IngestStage:
@@ -65,7 +66,8 @@ class IngestStage:
         if self.reorder is not None:
             released = self.reorder.push(t, snapshot)
         else:
-            released = ((int(t), snapshot),)
+            check_tick_time(t)
+            released = ((t, snapshot),)
         return [self._order(rt, rs) for rt, rs in released]
 
     def drain(self):

@@ -73,6 +73,19 @@ COUNTER_KEYS = (
 )
 
 
+def check_tick_time(t):
+    """Raise :class:`ValueError` unless ``t`` is an integer time point.
+
+    Time points are the paper's discrete ``{t1, ..., tT}``.  A fractional
+    time would be truncated to a tick it never named, and NaN or inf to
+    no tick at all, so they are refused; so are ``True``/``False`` and
+    integral floats such as ``3.0``, as the server's protocol refuses
+    them.  The message names ``t``.
+    """
+    if isinstance(t, bool) or not isinstance(t, int):
+        raise ValueError(f"tick time t must be an int, got {t!r}")
+
+
 class ReorderBuffer:
     """Bounded reordering of ``(t, snapshot)`` ticks behind a watermark.
 
@@ -160,7 +173,7 @@ class ReorderBuffer:
 
         Args:
             t: the arrival's integer timestamp (any order, subject to the
-                late policy).
+                late policy); anything but an int raises ValueError.
             snapshot: mapping ``{object_id: (x, y)}``.  Merged into the
                 pending snapshot when ``t`` is already buffered.
 
@@ -169,7 +182,7 @@ class ReorderBuffer:
             squeezed out by ``max_pending``), in strictly increasing time
             order — possibly empty.
         """
-        t = int(t)
+        check_tick_time(t)
         if self._last_released is not None and t <= self._last_released:
             return self._handle_late(t, snapshot)
         if t in self._pending:

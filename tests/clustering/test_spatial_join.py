@@ -1,91 +1,173 @@
-"""Tests for the plane-sweep ε-adjacency join.
+"""Tests for the segment-level ε-adjacency join of the CuTS filter.
 
-The inlined float kernels must agree exactly with the readable geometry
-reference implementations, and the sweep must return the same adjacency as
-the brute-force all-pairs test.
+The inlined kernels must agree with the readable reference ω
+(:func:`repro.clustering.range_search.polyline_omega`), and in every
+window the join must link exactly the object pairs the window-by-window
+reference links: ``polyline_omega <= e`` over the partition polylines of
+:func:`repro.core.partition.build_partition_polylines`.
 """
 
+import itertools
 import random
 
 import pytest
 
-from repro.clustering.polyline import PartitionPolyline
 from repro.clustering.range_search import polyline_omega
 from repro.clustering.spatial_join import (
-    JoinPolyline,
+    _cpa_within,
+    _dll_within,
     _segments_cross,
-    pair_within,
-    polyline_adjacency,
+    segment_records,
+    window_links,
 )
+from repro.core.partition import TimePartitioner, build_partition_polylines
 from repro.geometry.distance import _segments_intersect
-from repro.trajectory.segment import TimestampedSegment
+from repro.simplification import SimplifiedTrajectory
+from repro.trajectory.point import TrajectoryPoint
+
+MODES = ("dll", "cpa")
+KERNELS = {"dll": _dll_within, "cpa": _cpa_within}
 
 
-def random_polyline(rng, object_id, t0, num_segments, step=5.0, tol_max=3.0):
-    """Random time-contiguous polyline in both representations."""
-    x, y = rng.uniform(-50, 50), rng.uniform(-50, 50)
-    t = t0
-    segments = []
-    tolerances = []
-    for _ in range(num_segments):
-        nx, ny = x + rng.uniform(-step, step), y + rng.uniform(-step, step)
-        duration = rng.randint(1, 4)
-        segments.append(TimestampedSegment((x, y), (nx, ny), t, t + duration))
-        tolerances.append(rng.uniform(0, tol_max))
-        x, y, t = nx, ny, t + duration
-    partition = PartitionPolyline(object_id, tuple(segments), tuple(tolerances))
-    return partition, JoinPolyline.from_partition_polyline(partition)
+def simplified(object_id, samples, tolerances=None, delta=0.0):
+    """A simplified trajectory kept at ``samples`` (``(x, y, t)`` triples)."""
+    points = tuple(TrajectoryPoint(x, y, t) for x, y, t in samples)
+    if tolerances is None:
+        tolerances = (0.0,) * max(len(points) - 1, 1)
+    return SimplifiedTrajectory(
+        object_id, points, tuple(tolerances), delta, len(points)
+    )
 
 
-class TestPairWithinMatchesOmega:
-    def _check(self, rng, mode):
-        part_a, join_a = random_polyline(rng, "a", rng.randint(0, 3), rng.randint(1, 5))
-        part_b, join_b = random_polyline(rng, "b", rng.randint(0, 3), rng.randint(1, 5))
-        eps = rng.uniform(0.5, 30)
-        expected = polyline_omega(part_a, part_b, mode) <= eps
-        got = pair_within(join_a, join_b, eps, mode)
-        assert got == expected, (
-            f"mode={mode} eps={eps} omega={polyline_omega(part_a, part_b, mode)}"
+def random_simplified(rng, object_id, t_start, t_hi, max_duration,
+                      step=8.0, tol_max=2.0, lone_share=0.0):
+    """A random walk kept every 1..max_duration ticks, or a lone point."""
+    x, y = rng.uniform(0, 40), rng.uniform(0, 40)
+    samples = [(x, y, t_start)]
+    t = t_start
+    if rng.random() >= lone_share:
+        while True:
+            t += rng.randint(1, max_duration)
+            if t > t_hi:
+                break
+            x += rng.uniform(-step, step)
+            y += rng.uniform(-step, step)
+            samples.append((x, y, t))
+    tolerances = [rng.uniform(0, tol_max)
+                  for _ in range(max(len(samples) - 1, 1))]
+    return simplified(object_id, samples, tolerances, delta=tol_max)
+
+
+def joined(simplified_list, t_lo, t_hi, lam, eps, mode, use_lemma2=True,
+           use_actual_tolerance=True, stats=None):
+    """Per window: the linked object-id pairs and the objects present."""
+    entering, present = segment_records(
+        simplified_list, t_lo, t_hi, lam, eps, mode=mode,
+        use_actual_tolerance=use_actual_tolerance,
+    )
+    ids = [s.object_id for s in simplified_list]
+    windows = []
+    for pairs, members in zip(
+        window_links(entering, eps, mode, use_lemma2, stats), present
+    ):
+        links = [frozenset((ids[a], ids[b]))
+                 for a, b in zip(pairs[::2], pairs[1::2])]
+        assert len(links) == len(set(links)), "a pair linked twice in a window"
+        windows.append((set(links), [ids[owner] for owner in members]))
+    return windows
+
+
+def reference(simplified_list, t_lo, t_hi, lam, eps, mode,
+              use_actual_tolerance=True):
+    """The same per-window answer from polylines and ``polyline_omega``."""
+    windows = []
+    for lo, hi in TimePartitioner(t_lo, t_hi, lam):
+        polylines = build_partition_polylines(
+            simplified_list, lo, hi, use_actual_tolerance
         )
+        links = {
+            frozenset((p.object_id, q.object_id))
+            for p, q in itertools.combinations(polylines, 2)
+            if polyline_omega(p, q, mode) <= eps
+        }
+        windows.append((links, [p.object_id for p in polylines]))
+    return windows
 
-    def test_dll_many_random(self):
-        rng = random.Random(100)
+
+def linked(a, b, eps, mode, **kwargs):
+    """True if the join links objects ``a`` and ``b`` in a single window."""
+    t_lo = min(a.t_start, b.t_start)
+    t_hi = max(a.t_end, b.t_end)
+    [(links, _members)] = joined(
+        [a, b], t_lo, t_hi, t_hi - t_lo + 1, eps, mode, **kwargs
+    )
+    return bool(links)
+
+
+class TestKernelsMatchOmega:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_kernel_on_random_segment_pairs(self, mode):
+        """The kernel at bound ``e + δa + δb`` against ``ω <= e`` on single
+        time-overlapping segments."""
+        rng = random.Random(100 if mode == "dll" else 200)
+        kernel = KERNELS[mode]
+        for _ in range(400):
+            pair = []
+            for name in "ab":
+                t1 = rng.randint(0, 4)
+                t2 = t1 + rng.randint(1, 5)
+                pair.append(simplified(
+                    name,
+                    [(rng.uniform(-20, 20), rng.uniform(-20, 20), t1),
+                     (rng.uniform(-20, 20), rng.uniform(-20, 20), t2)],
+                    [rng.uniform(0, 3)],
+                ))
+            eps = rng.uniform(0.5, 30)
+            [[ra, rb]] = segment_records(pair, 0, 9, 10, eps, mode)[0]
+            if max(ra[4], rb[4]) > min(ra[5], rb[5]):
+                continue
+            omega = polyline_omega(*build_partition_polylines(pair, 0, 9), mode)
+            got = kernel(ra, rb, eps + ra[6] + rb[6])
+            assert got == (omega <= eps), (mode, eps, omega)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_join_on_random_polylines(self, mode):
+        rng = random.Random(300 if mode == "dll" else 400)
         for _ in range(300):
-            self._check(rng, "dll")
+            a = random_simplified(rng, "a", rng.randint(0, 3), 14, 4, step=5.0)
+            b = random_simplified(rng, "b", rng.randint(0, 3), 14, 4, step=5.0)
+            eps = rng.uniform(0.5, 30)
+            [part_a, part_b] = build_partition_polylines([a, b], 0, 14)
+            expected = polyline_omega(part_a, part_b, mode) <= eps
+            assert linked(a, b, eps, mode) == expected
+            assert linked(a, b, eps, mode, use_lemma2=False) == expected
 
-    def test_cpa_many_random(self):
-        rng = random.Random(200)
-        for _ in range(300):
-            self._check(rng, "cpa")
+    @pytest.mark.parametrize("mode", MODES)
+    def test_temporally_disjoint_never_linked(self, mode):
+        a = simplified("a", [(0, 0, 0), (1, 0, 5)])
+        b = simplified("b", [(0, 0, 6), (1, 0, 9)])
+        assert not linked(a, b, 1000.0, mode)
+        assert not linked(a, b, 1000.0, mode, use_lemma2=False)
 
-    def test_self_pair_is_within(self):
-        rng = random.Random(1)
-        _part, join = random_polyline(rng, "a", 0, 3)
-        assert pair_within(join, join, 0.5, "dll")
-        assert pair_within(join, join, 0.5, "cpa")
-
-    def test_temporally_disjoint_never_within(self):
-        a = JoinPolyline("a", [(0, 0, 1, 0, 0.0, 5.0, 0.0)])
-        b = JoinPolyline("b", [(0, 0, 1, 0, 6.0, 9.0, 0.0)])
-        assert not pair_within(a, b, 1000.0, "dll")
-        assert not pair_within(a, b, 1000.0, "cpa")
-
-    def test_tolerances_loosen_the_test(self):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tolerances_loosen_the_test(self, mode):
         # Segments 10 apart; eps 5 fails without tolerances, passes when
         # each side carries tolerance 3 (bound = 5 + 3 + 3 = 11 >= 10).
-        tight_a = JoinPolyline("a", [(0, 0, 1, 0, 0.0, 5.0, 0.0)])
-        tight_b = JoinPolyline("b", [(0, 10, 1, 10, 0.0, 5.0, 0.0)])
-        loose_a = JoinPolyline("a", [(0, 0, 1, 0, 0.0, 5.0, 3.0)])
-        loose_b = JoinPolyline("b", [(0, 10, 1, 10, 0.0, 5.0, 3.0)])
-        assert not pair_within(tight_a, tight_b, 5.0, "dll")
-        assert pair_within(loose_a, loose_b, 5.0, "dll")
+        tight_a = simplified("a", [(0, 0, 0), (1, 0, 5)])
+        tight_b = simplified("b", [(0, 10, 0), (1, 10, 5)])
+        loose_a = simplified("a", [(0, 0, 0), (1, 0, 5)], [3.0])
+        loose_b = simplified("b", [(0, 10, 0), (1, 10, 5)], [3.0])
+        assert not linked(tight_a, tight_b, 5.0, mode)
+        assert linked(loose_a, loose_b, 5.0, mode)
+        assert not linked(loose_a, loose_b, 5.0, mode,
+                          use_actual_tolerance=False)
 
 
 class TestSegmentsCrossDegenerateCases:
     """The inlined crossing test against the geometry reference on the
     inputs random floats never produce: exact collinearity, endpoints
-    lying on the other segment, and zero-length segments.  (Inside
-    ``pair_within`` such touches are already caught by the endpoint
+    lying on the other segment, and zero-length segments.  (Inside the
+    DLL kernel such touches are already caught by the endpoint
     distances, so only a direct check reaches these branches.)"""
 
     @pytest.mark.parametrize("ab, cd, expected", [
@@ -116,72 +198,167 @@ class TestSegmentsCrossDegenerateCases:
             assert _segments_cross(*p, *q, *r, *s) is expected
 
 
-class TestAdjacency:
-    def _random_partition(self, rng, n):
-        parts = []
-        joins = []
-        for i in range(n):
-            part, join = random_polyline(rng, f"o{i}", rng.randint(0, 2), rng.randint(1, 4))
-            parts.append(part)
-            joins.append(join)
-        return parts, joins
+class TestJoinMatchesReference:
+    """Window by window, on databases whose segments mostly outlast λ, so
+    most records straddle windows and most pairs are settled in one
+    window and applied to later ones."""
 
-    def test_sweep_equals_brute_force(self):
-        rng = random.Random(5)
+    @pytest.mark.parametrize("use_actual_tolerance", [True, False],
+                             ids=["actual-tol", "global-tol"])
+    @pytest.mark.parametrize("use_lemma2", [True, False],
+                             ids=["sweep", "all-pairs"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_random_databases(self, mode, use_lemma2, use_actual_tolerance):
+        rng = random.Random(f"{mode}/{use_lemma2}/{use_actual_tolerance}")
         for trial in range(40):
-            _parts, joins = self._random_partition(rng, rng.randint(2, 15))
-            eps = rng.uniform(1, 25)
-            mode = rng.choice(["dll", "cpa"])
-            swept = polyline_adjacency(joins, eps, mode, use_sweep=True)
-            brute = polyline_adjacency(joins, eps, mode, use_sweep=False)
-            assert [sorted(a) for a in swept] == [sorted(a) for a in brute]
+            t_hi = rng.randint(10, 30)
+            database = [
+                random_simplified(
+                    rng, f"o{i}", rng.randint(0, t_hi // 2), t_hi,
+                    max_duration=9, lone_share=0.2,
+                )
+                for i in range(rng.randint(2, 12))
+            ]
+            t_lo = rng.choice([0, 0, rng.randint(1, 4)])
+            lam = rng.randint(1, 3)
+            eps = rng.uniform(1.0, 6.0)
+            got = joined(database, t_lo, t_hi, lam, eps, mode,
+                         use_lemma2=use_lemma2,
+                         use_actual_tolerance=use_actual_tolerance)
+            want = reference(database, t_lo, t_hi, lam, eps, mode,
+                             use_actual_tolerance=use_actual_tolerance)
+            assert got == want, f"trial {trial}"
 
-    def test_adjacency_is_symmetric(self):
-        rng = random.Random(6)
-        _parts, joins = self._random_partition(rng, 12)
-        adjacency = polyline_adjacency(joins, 10.0, "dll")
-        for i, neighbors in enumerate(adjacency):
-            for j in neighbors:
-                assert i in adjacency[j]
-
-    def test_every_item_is_own_neighbor(self):
-        rng = random.Random(7)
-        _parts, joins = self._random_partition(rng, 8)
-        adjacency = polyline_adjacency(joins, 0.001, "cpa")
-        for i, neighbors in enumerate(adjacency):
-            assert i in neighbors
-
-    def test_stats_counters(self):
-        rng = random.Random(8)
-        _parts, joins = self._random_partition(rng, 10)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_long_segment_links_every_window_it_shares(self, mode):
+        """Two parallel segments over t=0..9 with λ=2: one settled pair
+        links all five windows; a third object that joins at t=6 is
+        linked only where it is present."""
+        a = simplified("a", [(0, 0, 0), (9, 0, 9)])
+        b = simplified("b", [(0, 1, 0), (9, 1, 9)])
+        c = simplified("c", [(6, 1, 6), (9, 1, 9)])
         stats = {}
-        polyline_adjacency(joins, 5.0, "dll", stats=stats)
-        assert stats["pairs_considered"] >= stats["pairs_linked"]
+        got = joined([a, b, c], 0, 9, 2, 1.5, mode, stats=stats)
+        ab, bc, ac = (frozenset(p) for p in ("ab", "bc", "ac"))
+        assert [links for links, _ in got] == [
+            {ab}, {ab}, {ab}, {ab, bc, ac}, {ab, bc, ac}
+        ]
+        assert [members for _, members in got] == [
+            ["a", "b"], ["a", "b"], ["a", "b"], ["a", "b", "c"],
+            ["a", "b", "c"],
+        ]
+        assert got == reference([a, b, c], 0, 9, 2, 1.5, mode)
+        assert stats == {"pairs_considered": 3, "pairs_linked": 3}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ties_exactly_at_the_bound(self, mode):
+        """Exactly representable distances equal to ``e + δa + δb`` link;
+        a hair less ``e`` does not."""
+        cases = [
+            # Parallel segments 6 apart with tolerance 1 each.
+            (simplified("a", [(0, 0, 0), (10, 0, 4)], [1.0]),
+             simplified("b", [(0, 6, 0), (10, 6, 4)], [1.0]), 4.0),
+            # Lone points (zero-duration segments) 5 apart.
+            (simplified("a", [(0, 0, 2)]), simplified("b", [(3, 4, 2)]), 5.0),
+            # A lone point on top of a moving segment's path at t=2.
+            (simplified("a", [(0, 3, 2)], [0.5]),
+             simplified("b", [(-4, 0, 0), (4, 0, 4)], [0.5]), 2.0),
+        ]
+        for a, b, eps in cases:
+            assert linked(a, b, eps, mode)
+            assert linked(a, b, eps, mode, use_lemma2=False)
+            assert not linked(a, b, eps - 1e-9, mode)
+            [part_a, part_b] = build_partition_polylines([a, b], 0, 4)
+            assert polyline_omega(part_a, part_b, mode) == eps
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_sweep_keeps_a_pair_its_rounded_edges_would_part(self, mode):
+        """Two lone points whose gap equals ``e + δa + δb`` after rounding.
+        The kernel links them, but the unwidened expanded edges round
+        apart (``-6.28… + 1.74… < -1.24… - 3.29…``): only the margin
+        slack keeps the sweep from dropping the pair."""
+        xa = float.fromhex("-0x1.920a3c1b4db49p+2")
+        xb = float.fromhex("-0x1.3fbacacf7a4e4p+0")
+        ta = float.fromhex("0x1.ef2a4f7c7db80p-3")
+        tb = float.fromhex("0x1.ca88dbae2cccep+0")
+        eps = 3.0
+        assert xa + (0.5 * eps + ta) < xb - (0.5 * eps + tb)
+        a = simplified("a", [(xa, 0.0, 0)], [ta])
+        b = simplified("b", [(xb, 0.0, 0)], [tb])
+        [[ra], [rb]] = [segment_records([s], 0, 0, 1, eps, mode)[0][0]
+                        for s in (a, b)]
+        assert KERNELS[mode](rb, ra, eps + tb + ta)
+        assert linked(a, b, eps, mode)
+        assert linked(a, b, eps, mode, use_lemma2=False)
+
+
+class TestFilterStats:
+    def test_linked_never_exceeds_considered(self):
+        rng = random.Random(8)
+        for use_lemma2 in (True, False):
+            database = [random_simplified(rng, f"o{i}", 0, 20, 5)
+                        for i in range(10)]
+            stats = {}
+            joined(database, 0, 20, 2, 5.0, "dll", use_lemma2=use_lemma2,
+                   stats=stats)
+            assert 0 < stats["pairs_linked"] <= stats["pairs_considered"]
 
     def test_sweep_prunes_far_pairs(self):
-        # Two clusters far apart: the sweep should consider fewer pairs
-        # than the brute-force n*(n-1)/2.
-        joins = []
-        for i in range(10):
-            x = 0.0 if i < 5 else 10_000.0
-            joins.append(JoinPolyline(f"o{i}", [(x + i, 0, x + i, 1, 0.0, 4.0, 0.0)]))
+        # Two groups 10,000 apart: the sweep considers only pairs inside
+        # a group; the all-pairs configuration considers all 45.
+        database = [
+            simplified(f"o{i}", [((0.0 if i < 5 else 1e4) + i, 0, 0),
+                                 ((0.0 if i < 5 else 1e4) + i, 1, 4)])
+            for i in range(10)
+        ]
+        swept, brute = {}, {}
+        joined(database, 0, 4, 2, 5.0, "dll", stats=swept)
+        joined(database, 0, 4, 2, 5.0, "dll", use_lemma2=False, stats=brute)
+        assert brute["pairs_considered"] == 45
+        assert swept["pairs_considered"] == 20
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_unlinked_pair_spanning_windows_is_settled_once(self, mode):
+        """Parallel diagonals 4.2 apart over five windows: the boxes
+        overlap, the kernel says no, and the pair is tested once, in the
+        window both segments enter.  When ``c`` enters window 2 (far off
+        in y) the sweep runs again, and ``a`` and ``b`` meet there only
+        as carried records, which are not paired again."""
+        a = simplified("a", [(0, 0, 0), (9, 9, 9)])
+        b = simplified("b", [(6, 0, 0), (15, 9, 9)])
+        c = simplified("c", [(-5, 100, 4), (20, 100, 5)])
         stats = {}
-        polyline_adjacency(joins, 5.0, "dll", stats=stats)
-        assert stats["pairs_considered"] < 45
+        got = joined([a, b, c], 0, 9, 2, 1.0, mode, stats=stats)
+        assert got == [
+            (set(), ["a", "b"]), (set(), ["a", "b"]),
+            (set(), ["a", "b", "c"]), (set(), ["a", "b"]),
+            (set(), ["a", "b"]),
+        ]
+        assert stats == {"pairs_considered": 1, "pairs_linked": 0}
 
-
-class TestJoinPolyline:
-    def test_bounds_and_tol(self):
-        poly = JoinPolyline(
-            "a",
-            [(0, 0, 4, 2, 0.0, 3.0, 1.0), (4, 2, -1, 5, 3.0, 6.0, 2.5)],
+    @pytest.mark.parametrize("mode", MODES)
+    def test_all_pairs_settles_each_segment_pair_once(self, mode):
+        """Without the box prefilter every time-overlapping segment pair
+        of two objects is tested exactly once per query, however many
+        windows the two segments share; the sweep tests fewer."""
+        rng = random.Random(9)
+        database = [random_simplified(rng, f"o{i}", rng.randint(0, 5), 25, 9,
+                                      lone_share=0.2)
+                    for i in range(8)]
+        segments = [
+            (owner, segment)
+            for owner, s in enumerate(database)
+            for segment in s.segments
+        ]
+        overlapping = sum(
+            1
+            for (oa, sa), (ob, sb) in itertools.combinations(segments, 2)
+            if oa != ob and max(sa.t_start, sb.t_start)
+            <= min(sa.t_end, sb.t_end)
         )
-        assert poly.bounds == (-1, 0, 4, 5)
-        assert poly.max_tol == 2.5
-
-    def test_from_partition_polyline(self):
-        seg = TimestampedSegment((1, 2), (3, 4), 5, 8)
-        part = PartitionPolyline("a", (seg,), (0.7,))
-        join = JoinPolyline.from_partition_polyline(part)
-        assert join.segs == [(1, 2, 3, 4, 5.0, 8.0, 0.7)]
-        assert join.object_id == "a"
+        stats = {}
+        joined(database, 0, 25, 2, 3.0, mode, use_lemma2=False, stats=stats)
+        assert stats["pairs_considered"] == overlapping
+        swept = {}
+        joined(database, 0, 25, 2, 3.0, mode, stats=swept)
+        assert swept["pairs_considered"] < overlapping

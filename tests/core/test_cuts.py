@@ -239,3 +239,72 @@ class TestExactness:
             db, 2, 3, 5.0, delta=3.0, lam=3, use_actual_tolerance=False
         )
         assert with_actual.refinement_unit <= with_global.refinement_unit
+
+
+def bumpy_database(rng, eps):
+    """Objects on parallel lanes a little more than ``eps`` apart.
+
+    Each lane object makes tent-shaped excursions, 0.4-1.0 lane gaps
+    high, toward or away from its neighbours; only at the peaks does a
+    pair come within ``eps``.  Simplifying with δ comparable to ``eps``
+    drops those peaks, so the filter finds the pair only through the
+    tolerance term of the Lemma 1/3 bound.
+    """
+    trajectories = []
+    t_end = rng.randint(12, 24)
+    speed = rng.uniform(0.5, 1.5)
+    for lane in range(rng.randint(2, 4)):
+        gap = rng.uniform(1.1, 1.8) * eps
+        bumps = {}
+        t = rng.randint(0, 4)
+        while t < t_end:
+            width = rng.randint(1, 3)
+            height = rng.uniform(0.4, 1.0) * gap * rng.choice((1, -1))
+            for dt in range(-width, width + 1):
+                bumps[t + dt] = height * (1 - abs(dt) / (width + 1))
+            t += 2 * width + rng.randint(2, 6)
+        points = [(speed * t, lane * gap + bumps.get(t, 0.0), t)
+                  for t in range(t_end + 1)]
+        trajectories.append(Trajectory(f"lane{lane}", points))
+    return TrajectoryDatabase(trajectories)
+
+
+class TestToleranceTermOfTheBound:
+    """Every variant needs ``δ(l_a) + δ(l_b)`` in its Lemma 1/3 bound:
+    with the tolerances left out, the filter dismisses convoys whose
+    closeness simplification smoothed away."""
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_peak_dropped_by_simplification(self, variant):
+        """``a`` peaks at (5, 3) one unit below the parked ``b``; δ = 3.5
+        simplifies ``a`` to its base chord, 4 units from ``b``, with
+        actual tolerance 3."""
+        db = db_of(
+            ("a", [(t, 0.6 * min(t, 10 - t), t) for t in range(11)]),
+            ("b", [(5, 4, t) for t in range(3, 8)]),
+        )
+        want = [Convoy({"a", "b"}, 5, 5)]
+        assert normalize_convoys(cmc(db, 2, 1, 1.5)) == want
+        result = cuts(db, 2, 1, 1.5, delta=3.5, lam=2, variant=variant)
+        assert result.simplification["kept_points"] == 4
+        assert result.convoys == want
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_equals_cmc_where_simplification_drops_close_points(
+        self, variant
+    ):
+        dropped = 0
+        for seed in range(20):
+            rng = random.Random(seed)
+            eps = rng.uniform(1.0, 4.0)
+            db = bumpy_database(rng, eps)
+            k = rng.randint(1, 2)
+            exact = normalize_convoys(cmc(db, 2, k, eps))
+            result = cuts(
+                db, 2, k, eps, delta=eps * rng.uniform(0.8, 1.6),
+                lam=rng.randint(1, 5), variant=variant,
+            )
+            report = result.simplification
+            dropped += report["original_points"] - report["kept_points"]
+            assert convoy_sets_equal(exact, result.convoys), f"seed={seed}"
+        assert dropped > 0

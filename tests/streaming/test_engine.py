@@ -6,7 +6,12 @@ import pytest
 
 from repro.core.convoy import Convoy
 from repro.service import ProtocolError, build_miner
-from repro.streaming import ReorderBuffer, StreamingConvoyMiner, mine_stream
+from repro.streaming import (
+    ReorderBuffer,
+    StreamingConvoyMiner,
+    mine_stream,
+    reorder_ticks,
+)
 
 
 def pair_snapshot(t, apart=1.0):
@@ -73,6 +78,36 @@ class TestValidation:
         else:
             with pytest.raises(ValueError, match=match):
                 self.build(surface, self.config(name, value))
+
+    #: Tick times the miner used to pass through ``int()``: 2.7 was mined
+    #: as tick 2, 3.0 as tick 3, NaN and inf raised from ``int()`` itself.
+    BAD_TIMES = [2.7, math.nan, math.inf, True, "3", 3.0]
+    BAD_TIME_IDS = ["fraction", "nan", "inf", "bool", "str", "integral-float"]
+
+    @staticmethod
+    def feed_at(surface, t):
+        ticks = [(0, pair_snapshot(0)), (t, pair_snapshot(1))]
+        if surface == "miner":
+            miner = StreamingConvoyMiner(2, 1, 2.0)
+            for tick_t, snapshot in ticks:
+                miner.feed(tick_t, snapshot)
+            return miner.flush()
+        if surface == "mine_stream":
+            return mine_stream(ticks, 2, 1, 2.0)
+        if surface == "reorder_ticks":
+            return list(reorder_ticks(ticks, allowed_lateness=1))
+        buffer = ReorderBuffer(allowed_lateness=1)
+        return [buffer.push(tick_t, snapshot) for tick_t, snapshot in ticks]
+
+    @pytest.mark.parametrize("t", BAD_TIMES, ids=BAD_TIME_IDS)
+    @pytest.mark.parametrize(
+        "surface", ["miner", "mine_stream", "reorder_ticks", "buffer"]
+    )
+    def test_rejects_non_integer_tick_times(self, surface, t):
+        """A tick time is an int (bools refused) or it is refused with a
+        message naming ``t``, never truncated to a tick it did not name."""
+        with pytest.raises(ValueError, match=r"tick time t must be an int"):
+            self.feed_at(surface, t)
 
     def test_rejects_time_going_backwards(self):
         miner = StreamingConvoyMiner(2, 3, 2.0)

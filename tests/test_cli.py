@@ -471,6 +471,24 @@ class TestMalformedCsv:
         assert re.fullmatch(f"{command} error: {reason}.*\n", text), text
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", sorted(CSV_COMMANDS))
+    @pytest.mark.parametrize("case", ["missing", "directory"])
+    def test_unreadable_path_in_one_line(self, tmp_path, case, command):
+        """A CSV path that does not exist or names a directory exits 1
+        with the OS error in one line, never a traceback."""
+        if case == "missing":
+            path = tmp_path / "absent.csv"
+            reason = r"\[Errno 2\] No such file or directory"
+        else:
+            path = tmp_path
+            reason = r"\[Errno 21\] Is a directory"
+        out = tmp_path / "out.csv"
+        argv = [arg.format(csv=path, out=out) for arg in CSV_COMMANDS[command]]
+        code, text = run_cli(argv)
+        assert code == 1
+        assert re.fullmatch(f"{command} error: {reason}: .*\n", text), text
+        assert not out.exists()
+
 
 class TestStats:
     def test_table3_style_output(self, convoy_csv):
