@@ -1,29 +1,24 @@
 """End-to-end incremental convoy tracking — snapshots/sec by churn.
 
-PR 2 made the *clustering* layer incremental but still paid Algorithm 1's
-other per-tick cost in full: ``CandidateTracker.advance()`` re-intersects
-every live candidate against every cluster.  This bench charts what
-propagating the clusterer's :class:`ClusterDelta` into the tracker
-(``advance_delta`` splicing) buys end to end.  Three pipelines ingest
-identical ``churn_stream`` snapshot sequences through a complete
-:class:`~repro.streaming.StreamingConvoyMiner`:
+Two pipelines ingest identical ``churn_stream`` snapshot sequences
+through a complete :class:`~repro.streaming.StreamingConvoyMiner`:
 
-* ``full``   — fresh DBSCAN per tick + classic candidate advance;
-* ``pr2``    — incremental clustering, delta withheld (classic advance):
-  exactly the PR 2 pipeline;
-* ``delta``  — incremental clustering with the cluster diff propagated
-  into the candidate tracker (this PR).
+* ``full``        — fresh DBSCAN per tick;
+* ``incremental`` — the
+  :class:`~repro.clustering.incremental.IncrementalSnapshotClusterer`,
+  which re-clusters only the dirty region around the objects that moved.
 
-All three emit identical convoys at every tick — asserted here on every
-run, and exhaustively in ``tests/streaming/test_delta_equivalence.py`` —
-so the speedups carry no semantic caveats.  The headline regime is low
-churn (<= 10% movers per tick), where the delta pipeline must clear
->= 1.5x over PR 2; the 50% row shows the fallback holding parity.
+Both run one candidate ``advance`` per tick and emit identical convoys
+at every tick — asserted here on every run, and exhaustively in
+``tests/streaming/test_delta_equivalence.py`` — so the speedups carry no
+semantic caveats.  The table shows where incremental clustering pays
+end to end and where the churn threshold sends it back to full passes.
 
 Run ``python benchmarks/bench_incremental_tracking.py`` for the table,
-``--smoke`` for a seconds-long CI-sized run (equivalence and splice-path
-assertions only), and ``--json PATH`` to also write the machine-readable
-result record that CI uploads as a perf-trajectory artifact.
+``--smoke`` for a seconds-long CI-sized run (equivalence assertions and
+a check that incremental passes ran), and ``--json PATH`` to also write
+the machine-readable result record that CI uploads as a
+perf-trajectory artifact.
 """
 
 import argparse
@@ -38,33 +33,20 @@ from repro.streaming import StreamingConvoyMiner, churn_stream
 
 M, K, EPS = 3, 10, 10.0
 
-#: churn levels swept by the CLI report; the acceptance regime is <= 10%.
+#: churn levels swept by the CLI report.
 CHURN_LEVELS = (0.01, 0.05, 0.10, 0.50)
 
 #: Scales carry their own world side length (as a multiple of eps): the
 #: point density must keep many independent mid-size clusters alive —
 #: dense enough that clusters (hence live candidates) exist on most
 #: ticks, sparse enough that one tick's movers do not touch every
-#: cluster (a single giant blob leaves nothing to splice).
+#: cluster (a single giant blob leaves no clean region to keep).
 FULL_SCALE = dict(
     n_objects=800, n_snapshots=120, turnover=0.01, area=36.0 * EPS
 )
 SMOKE_SCALE = dict(
     n_objects=120, n_snapshots=25, turnover=0.01, area=12.0 * EPS
 )
-
-#: minimum delta-vs-pr2 speedup the full run must show at <= 10% churn.
-SPEEDUP_BAR = 1.5
-
-
-class ClusterOnly:
-    """Hide ``cluster_with_delta``: PR 2's pipeline, byte for byte."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def cluster(self, snapshot):
-        return self.inner.cluster(snapshot)
 
 
 def make_snapshots(churn, *, n_objects, n_snapshots, turnover, area,
@@ -82,52 +64,43 @@ def make_snapshots(churn, *, n_objects, n_snapshots, turnover, area,
 def make_miner(pipeline):
     if pipeline == "full":
         return StreamingConvoyMiner(M, K, EPS)
-    clusterer = IncrementalSnapshotClusterer(EPS, M)
-    if pipeline == "pr2":
-        clusterer = ClusterOnly(clusterer)
-    return StreamingConvoyMiner(M, K, EPS, clusterer=clusterer)
+    return StreamingConvoyMiner(
+        M, K, EPS, clusterer=IncrementalSnapshotClusterer(EPS, M)
+    )
 
 
 def run_pipeline(pipeline, snapshots):
-    """Feed one pipeline; return (per-tick emissions, counters, seconds)."""
+    """Feed one pipeline; return (per-tick emissions, miner, seconds)."""
     miner = make_miner(pipeline)
     emitted = []
     started = time.perf_counter()
     for t, snapshot in enumerate(snapshots):
         emitted.append(miner.feed(t, snapshot))
     emitted.append(miner.flush())
-    return emitted, miner.counters, time.perf_counter() - started
+    return emitted, miner, time.perf_counter() - started
 
 
 def compare(churn, scale):
-    """Run the three pipelines on one churn level; assert tick-for-tick
-    convoy equality; return the result row."""
+    """Run both pipelines on one churn level; assert tick-for-tick convoy
+    equality; return the result row."""
     snapshots = make_snapshots(churn, **scale)
-    results = {p: run_pipeline(p, snapshots) for p in ("full", "pr2", "delta")}
+    results = {p: run_pipeline(p, snapshots) for p in ("full", "incremental")}
     base_emitted = results["full"][0]
-    for pipeline in ("pr2", "delta"):
-        assert results[pipeline][0] == base_emitted, (
-            f"{pipeline} pipeline diverged from the full pipeline at "
-            f"churn={churn}"
-        )
-    n = len(snapshots)
-    counters = results["delta"][1]
-    candidate_steps = (
-        counters["spliced_candidates"] + counters["reintersected_candidates"]
+    assert results["incremental"][0] == base_emitted, (
+        f"incremental pipeline diverged from the full pipeline at "
+        f"churn={churn}"
     )
+    n = len(snapshots)
+    passes = results["incremental"][1].clusterer.counters
     return {
         "churn": churn,
         "snapshots": n,
         "convoys": sum(len(batch) for batch in base_emitted),
         "full_rate": n / results["full"][2],
-        "pr2_rate": n / results["pr2"][2],
-        "delta_rate": n / results["delta"][2],
-        "speedup_vs_pr2": results["pr2"][2] / results["delta"][2],
-        "speedup_vs_full": results["full"][2] / results["delta"][2],
-        "spliced_pct": 100.0 * counters["spliced_candidates"]
-        / max(candidate_steps, 1),
-        "spliced_candidates": counters["spliced_candidates"],
-        "reintersected_candidates": counters["reintersected_candidates"],
+        "incremental_rate": n / results["incremental"][2],
+        "speedup_vs_full": results["full"][2] / results["incremental"][2],
+        "incremental_passes": passes["incremental_passes"],
+        "full_passes": passes["full_passes"],
     }
 
 
@@ -136,24 +109,25 @@ def test_incremental_tracking_benchmark(benchmark, churn):
     snapshots = make_snapshots(churn, **SMOKE_SCALE)
 
     def run():
-        return run_pipeline("delta", snapshots)
+        return run_pipeline("incremental", snapshots)
 
-    _emitted, counters, seconds = benchmark.pedantic(
+    _emitted, miner, seconds = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
     benchmark.extra_info["snapshots_per_sec"] = round(
         len(snapshots) / seconds, 1
     )
-    benchmark.extra_info["spliced_candidates"] = counters[
-        "spliced_candidates"
+    benchmark.extra_info["incremental_passes"] = miner.clusterer.counters[
+        "incremental_passes"
     ]
 
 
-def test_low_churn_mostly_splices():
-    """The cost model behind the speedup, asserted without wall clocks: at
-    1% churn most candidate-steps are splices, and the pipelines agree."""
+def test_low_churn_runs_incremental_passes():
+    """At 1% churn every tick after the first is an incremental pass, and
+    the pipelines agree."""
     row = compare(0.01, SMOKE_SCALE)
-    assert row["spliced_candidates"] > row["reintersected_candidates"]
+    assert row["full_passes"] == 1
+    assert row["incremental_passes"] == row["snapshots"] - 1
 
 
 def main(argv=None):
@@ -161,7 +135,7 @@ def main(argv=None):
     parser.add_argument(
         "--smoke", action="store_true",
         help="CI-sized run: tiny stream, two churn levels, equivalence and "
-        "splice-path assertions only (timings are not meaningful)",
+        "incremental-pass assertions only (timings are not meaningful)",
     )
     parser.add_argument(
         "--json", metavar="PATH", default=None,
@@ -181,15 +155,13 @@ def main(argv=None):
             row["snapshots"],
             row["convoys"],
             round(row["full_rate"], 1),
-            round(row["pr2_rate"], 1),
-            round(row["delta_rate"], 1),
-            f"{row['speedup_vs_pr2']:.2f}x",
+            round(row["incremental_rate"], 1),
             f"{row['speedup_vs_full']:.2f}x",
-            f"{row['spliced_pct']:.0f}%",
+            f"{row['incremental_passes']}/{row['snapshots']}",
         ])
-        if args.smoke and row["spliced_candidates"] == 0:
+        if args.smoke and row["incremental_passes"] == 0:
             raise SystemExit(
-                f"smoke failure: splice path never engaged at churn "
+                f"smoke failure: no incremental pass ran at churn "
                 f"{churn:.0%}"
             )
     print_report(
@@ -197,8 +169,8 @@ def main(argv=None):
             "End-to-end incremental convoy tracking — churn_stream "
             f"({scale['n_objects']} objects, m={M}, k={K}, e={EPS:g}; "
             "identical convoys asserted every tick)",
-            ["churn", "snapshots", "convoys", "full snap/s", "pr2 snap/s",
-             "delta snap/s", "vs pr2", "vs full", "spliced"],
+            ["churn", "snapshots", "convoys", "full snap/s",
+             "incremental snap/s", "vs full", "incremental passes"],
             table_rows,
         )
     )
@@ -210,17 +182,8 @@ def main(argv=None):
         )
         print(f"json results written to {args.json}")
     if args.smoke:
-        print("smoke ok: all three pipelines agree on every tick, splice "
-              "path exercised")
-    else:
-        best = max(
-            row["speedup_vs_pr2"] for row in rows if row["churn"] <= 0.10
-        )
-        if best < SPEEDUP_BAR:
-            raise SystemExit(
-                f"acceptance failure: best delta-vs-pr2 speedup at <= 10% "
-                f"churn is {best:.2f}x, below the {SPEEDUP_BAR}x bar"
-            )
+        print("smoke ok: both pipelines agree on every tick, incremental "
+              "passes exercised")
     return 0
 
 

@@ -5,28 +5,27 @@ snapshot cluster ``c`` on ``|c ∩ v| >= m``.
 :func:`repro.core.candidates.match_candidates` answers it as one join:
 density clusters are disjoint, so a cluster sharing ``m`` of a
 candidate's ``n`` objects must own one of any ``n - m + 1`` of them,
-and a job whose ``n - m + 1`` owner lookups (plus a constant margin)
-undercut its *fan* — the clusters it would scan — probes an owner table
-instead of intersecting pairwise.
+and a candidate whose ``n - m + 1`` owner lookups (plus a constant
+margin) undercut the number of clusters probes an owner table instead
+of intersecting pairwise.
 :func:`~repro.core.candidates.match_candidates_pairwise` is the
 reference loop it must equal.
 
 Both run inside the candidate tracker, driven directly over
 precomputed clusterings so the measured per-tick cost is the tracker's
-plan → match → apply step and nothing else.  Two regimes, each preceded
-by identical *untimed warmup ticks*:
+match → apply step and nothing else.  Two regimes, each preceded by
+identical *untimed warmup ticks*, both replayed through ``advance``:
 
 * ``dense`` — the hotspot-drift workload
   (:func:`repro.streaming.hotspot_drift_scenario`, 10^5 objects in the
-  full run): large stable packs replayed as every tick's clustering
-  through the classic ``advance``, so every job scans every cluster and
-  the join takes its probe side.
-* ``small-delta`` — an incremental clusterer's ``(clusters, delta)``
-  pairs on a churn stream replayed through ``advance_delta``: stable
-  candidates splice through, and the rest scan only the few dirty
-  clusters, so most jobs stay on the pairwise side.  Acceptance: the
-  join must reach ``SMALL_DELTA_BAR`` of the pairwise rate here — the
-  probe/scan rule may not tax the regime it does not help.
+  full run): large stable packs replayed as every tick's clustering,
+  so the join takes its probe side.
+* ``small-delta`` — an incremental clusterer's cluster lists on a
+  churn stream: a handful of clusters per tick and hundreds of small
+  candidates, so most candidates stay on the pairwise side.
+  Acceptance: the join must reach ``SMALL_DELTA_BAR`` of the pairwise
+  rate here — the probe/scan rule may not tax the regime it does not
+  help.
 
 Every run asserts identical convoys tick for tick between the join and
 the reference, both on the bare tracker and with the join running
@@ -59,8 +58,8 @@ M, K, EPS = 3, 8, 10.0
 class PairwiseTracker(CandidateTracker):
     """The candidate tracker with its join swapped for the reference."""
 
-    def _match_live(self, members, jobs):
-        return match_candidates_pairwise(members, jobs, self._m)
+    def _match_live(self, members, object_sets):
+        return match_candidates_pairwise(members, object_sets, self._m)
 
 
 TRACKERS = {"join": CandidateTracker, "pairwise": PairwiseTracker}
@@ -98,15 +97,14 @@ def make_dense_workload(scale, seed=42):
     """The hotspot-drift packs as every tick's clustering.
 
     The planted packs *are* the clusters (each pack is density-connected
-    by construction), so each step is ``(packs, None)`` — no delta, the
-    classic full join.
+    by construction), so every step replays the same pack list.
     """
     _t, _snapshot, groups = next(iter(hotspot_drift_scenario(
         scale["n_objects"], scale["n_snapshots"], seed=seed, eps=EPS,
         hotspots=scale["hotspots"], background=scale["background"],
     )))
     packs = [set(group) for group in groups]
-    return [(packs, None)] * scale["n_snapshots"]
+    return [packs] * scale["n_snapshots"]
 
 
 def make_small_workload(scale, seed=42):
@@ -117,10 +115,10 @@ def make_small_workload(scale, seed=42):
     ))
 
 
-def make_delta_steps(ticks):
-    """Each tick's incremental ``(clusters, delta)``, computed once."""
+def make_small_steps(ticks):
+    """Each tick's incremental cluster list, computed once."""
     clusterer = IncrementalSnapshotClusterer(EPS, M)
-    return [clusterer.cluster_with_delta(snapshot) for _t, snapshot in ticks]
+    return [clusterer.cluster(snapshot) for _t, snapshot in ticks]
 
 
 def run_timed(tracker_cls, steps, warmup):
@@ -142,9 +140,9 @@ def run_timed(tracker_cls, steps, warmup):
         tracker = tracker_cls(M, K)
         closed = []
         step_seconds = []
-        for t, (clusters, delta) in enumerate(steps):
+        for t, clusters in enumerate(steps):
             started = time.perf_counter()
-            closed.append(tracker.advance_delta(clusters, delta, t, t))
+            closed.append(tracker.advance(clusters, t, t))
             if t >= warmup:
                 step_seconds.append(time.perf_counter() - started)
         closed.append(tracker.flush())
@@ -198,12 +196,11 @@ def check_miner(steps):
     """Assert the join's emissions through the streaming miner equal
     the pairwise reference's."""
     expected, _seconds = run_timed(PairwiseTracker, steps, 0)
-    clusters = [step_clusters for step_clusters, _delta in steps]
     miner = StreamingConvoyMiner(
-        M, K, EPS, clusterer=ReplayClusterer(clusters)
+        M, K, EPS, clusterer=ReplayClusterer(steps)
     )
     emitted = []
-    for t, members in enumerate(clusters):
+    for t, members in enumerate(steps):
         # The replayed clusters ignore positions; any snapshot of at
         # least m objects lets the tick reach them.
         snapshot = dict.fromkeys(set().union(*members), (0.0, 0.0))
@@ -221,7 +218,7 @@ def run_all(smoke):
         "dense", make_dense_workload(dense_scale), dense_scale["warmup"],
         dense_scale["reps"],
     )
-    small_steps = make_delta_steps(make_small_workload(small_scale))
+    small_steps = make_small_steps(make_small_workload(small_scale))
     rows.extend(run_regime(
         "small-delta", small_steps, small_scale["warmup"],
         small_scale["reps"],

@@ -3,13 +3,11 @@
 The reorder buffer buys out-of-order tolerance with two bounded costs:
 latency (a snapshot waits until the watermark passes it) and memory (the
 pending heap).  This bench charts both against the ``allowed_lateness``
-setting, for all three clusterer pipelines, on identically jittered
+setting, for both clusterer pipelines, on identically jittered
 ``churn_stream`` feeds:
 
-* ``full``  — fresh DBSCAN per tick + classic candidate advance;
-* ``pr2``   — incremental clustering, delta withheld (classic advance);
-* ``delta`` — incremental clustering with the cluster diff propagated
-  into the candidate tracker.
+* ``full``        — fresh DBSCAN per tick;
+* ``incremental`` — incremental clustering (dirty-region maintenance).
 
 Each lateness row feeds a stream jittered to just fit the watermark
 (``jitter = allowed_lateness``), so the buffer genuinely reorders on
@@ -43,22 +41,12 @@ CHURN = 0.05
 #: lateness settings swept by the CLI report (time units of watermark lag).
 LATENESS_LEVELS = (2, 8, 32)
 
-PIPELINES = ("full", "pr2", "delta")
+PIPELINES = ("full", "incremental")
 
 FULL_SCALE = dict(n_objects=600, n_snapshots=120, turnover=0.01,
                   area=30.0 * EPS)
 SMOKE_SCALE = dict(n_objects=100, n_snapshots=30, turnover=0.01,
                    area=12.0 * EPS)
-
-
-class ClusterOnly:
-    """Hide ``cluster_with_delta``: PR 2's pipeline, byte for byte."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def cluster(self, snapshot):
-        return self.inner.cluster(snapshot)
 
 
 def make_ticks(jitter, *, n_objects, n_snapshots, turnover, area, seed=42):
@@ -72,10 +60,8 @@ def make_ticks(jitter, *, n_objects, n_snapshots, turnover, area, seed=42):
 
 def make_miner(pipeline, lateness=None):
     clusterer = None
-    if pipeline != "full":
+    if pipeline == "incremental":
         clusterer = IncrementalSnapshotClusterer(EPS, M)
-        if pipeline == "pr2":
-            clusterer = ClusterOnly(clusterer)
     reorder = None if lateness is None else dict(allowed_lateness=lateness)
     return StreamingConvoyMiner(M, K, EPS, clusterer=clusterer,
                                 reorder=reorder)
@@ -134,7 +120,7 @@ def compare(lateness, scale, baselines):
         n = len(jittered)
         row[f"{pipeline}_rate"] = n / seconds
         row[f"{pipeline}_inorder_rate"] = n / base_seconds
-        if pipeline == "delta":
+        if pipeline == "incremental":
             row["convoys"] = len(convoys)
             row["reordered_snapshots"] = counters["reordered_snapshots"]
             row["peak_pending"] = counters["peak_pending"]
@@ -147,7 +133,7 @@ def test_reorder_ingestion_benchmark(benchmark, lateness):
     ticks = make_ticks(lateness, **SMOKE_SCALE)
 
     def run():
-        return run_pipeline("delta", ticks, lateness=lateness)
+        return run_pipeline("incremental", ticks, lateness=lateness)
 
     _convoys, counters, seconds = benchmark.pedantic(
         run, rounds=1, iterations=1
@@ -192,9 +178,8 @@ def main(argv=None):
             row["reordered_snapshots"],
             row["peak_pending"],
             round(row["full_rate"], 1),
-            round(row["pr2_rate"], 1),
-            round(row["delta_rate"], 1),
-            f"{row['delta_rate'] / row['delta_inorder_rate']:.2f}x",
+            round(row["incremental_rate"], 1),
+            f"{row['incremental_rate'] / row['incremental_inorder_rate']:.2f}x",
         ])
         if args.smoke and row["reordered_snapshots"] == 0:
             raise SystemExit(
@@ -208,7 +193,7 @@ def main(argv=None):
             f"k={K}, e={EPS:g}; buffered convoys == in-order convoys "
             "asserted for every pipeline)",
             ["lateness", "snapshots", "convoys", "reordered", "peak buf",
-             "full snap/s", "pr2 snap/s", "delta snap/s", "vs in-order"],
+             "full snap/s", "incremental snap/s", "vs in-order"],
             table_rows,
         )
     )

@@ -137,9 +137,9 @@ def build_parser():
                         help="use Algorithm 1's published candidate rule")
     stream.add_argument(
         "--incremental", action="store_true",
-        help="maintain the previous snapshot's clustering across ticks and "
-        "propagate its cluster diff into the candidate tracker (identical "
-        "convoys; faster when most objects stand still between snapshots)",
+        help="maintain the previous snapshot's clustering across ticks, "
+        "re-clustering only the objects that moved (identical convoys; "
+        "faster when most objects stand still between snapshots)",
     )
     stream.add_argument(
         "--churn-threshold", default=None, metavar="FRACTION|adaptive",
@@ -486,15 +486,6 @@ def _cmd_stream(args, out):
             f"points reclustered",
             file=out,
         )
-        if counters.get("delta_steps"):
-            spliced = counters["spliced_candidates"]
-            reintersected = counters["reintersected_candidates"]
-            print(
-                f"candidate tracking: {spliced} candidate step(s) spliced "
-                f"+ {reintersected} re-intersected across "
-                f"{counters['delta_steps']} diff-aware step(s)",
-                file=out,
-            )
     if args.output or args.json:
         # Same normalization as ``discover`` so the artifacts of the two
         # subcommands (and of the CSV/JSON pair) are directly comparable.

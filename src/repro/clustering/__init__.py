@@ -24,7 +24,6 @@ from repro.clustering.generic_dbscan import density_cluster
 from repro.clustering.grid_index import GridIndex
 from repro.clustering.incremental import (
     AdaptiveChurnThreshold,
-    ClusterDelta,
     IncrementalSnapshotClusterer,
 )
 from repro.clustering.polyline import PartitionPolyline
@@ -32,7 +31,6 @@ from repro.clustering.range_search import PolylineRangeSearcher, polyline_omega
 
 __all__ = [
     "AdaptiveChurnThreshold",
-    "ClusterDelta",
     "GridIndex",
     "IncrementalSnapshotClusterer",
     "PartitionPolyline",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+from repro.checks import check_count
 from repro.clustering.generic_dbscan import density_cluster
 from repro.clustering.grid_index import GridIndex
 
@@ -22,8 +23,9 @@ def dbscan(points, eps, min_pts):
     Args:
         points: mapping ``{object_id: (x, y)}``.
         eps: the distance threshold ``e`` of the convoy query.
-        min_pts: the ``m`` of the convoy query; an object is a core object
-            when at least ``m`` objects (itself included) lie within ``e``.
+        min_pts: the ``m`` of the convoy query (an integer >= 1); an
+            object is a core object when at least ``m`` objects (itself
+            included) lie within ``e``.
 
     Returns:
         List of clusters, each a ``set`` of object ids; noise objects are in
@@ -33,6 +35,7 @@ def dbscan(points, eps, min_pts):
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
+    check_count("min_pts", min_pts)
     if not points:
         return []
     ids = list(points)

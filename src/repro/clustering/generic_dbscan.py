@@ -23,6 +23,8 @@ affects convoy results.
 
 from __future__ import annotations
 
+from repro.checks import check_count
+
 
 def density_cluster(num_items, neighbors_fn, min_pts):
     """Cluster items ``0 .. num_items-1`` by density connection.
@@ -33,15 +35,14 @@ def density_cluster(num_items, neighbors_fn, min_pts):
             indices within distance ``e`` of it, **including the item
             itself**.  The function may be called more than once per item.
         min_pts: the ``m`` of the paper — minimum neighbourhood size for an
-            item to be a core item.
+            item to be a core item (an integer >= 1).
 
     Returns:
         List of clusters, each a list of item indices.  Noise items are
         omitted.  Cluster and member order follow discovery order, which is
         deterministic given ``neighbors_fn``.
     """
-    if min_pts < 1:
-        raise ValueError(f"min_pts must be >= 1, got {min_pts}")
+    check_count("min_pts", min_pts)
     UNVISITED = -2
     NOISE = -1
     labels = [UNVISITED] * num_items

@@ -63,70 +63,19 @@ threshold; it only trades constant factors.  The threshold itself can be a
 fixed fraction or an :class:`AdaptiveChurnThreshold` that observes the
 measured cost of delta and full passes online and tracks the crossover.
 
-Cluster diffs
--------------
-
-:meth:`IncrementalSnapshotClusterer.cluster_with_delta` additionally
-returns a :class:`ClusterDelta` describing the tick *as a diff*: every
-output cluster carries a stable integer id (spliced components keep theirs
-across ticks) and a classification — ``unchanged`` (same member set as the
-previous tick), ``changed`` (the id survived but the member set differs),
-or ``appeared`` (the id is new this tick); ids present last tick but gone
-now are listed as ``vanished``.  Downstream consumers — specifically
-:meth:`repro.core.candidates.CandidateTracker.advance_delta` — use the
-diff to skip work on clusters that were spliced through untouched, turning
-the whole streaming convoy pipeline into a materialized view maintained
-under updates.  ``unchanged`` is exact (member sets compared against a
-pre-mutation copy taken on first touch), never merely "probably the same".
+The clusterer hands on cluster lists only: the candidate tracker joins
+every live candidate with every cluster each tick
+(:meth:`repro.core.candidates.CandidateTracker.advance`), so nothing
+downstream needs to know which clusters a tick left untouched.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
+from repro.checks import check_count
 from repro.clustering.grid_index import GridIndex
-
-#: :class:`ClusterDelta` classifications.
-UNCHANGED = "unchanged"
-CHANGED = "changed"
-APPEARED = "appeared"
-
-
-@dataclass(frozen=True)
-class ClusterDelta:
-    """One tick's clustering described as a diff against the previous tick.
-
-    Attributes:
-        ids: stable integer cluster id per output cluster, parallel to the
-            cluster list returned alongside this delta.  A spliced
-            component keeps its id for as long as it survives; rebuilt or
-            new components get fresh ids (ids are never reused).
-        status: classification per output cluster, parallel to ``ids`` —
-            :data:`UNCHANGED` (member set identical to this id's set at
-            the previous tick), :data:`CHANGED` (same id, different
-            members), or :data:`APPEARED` (id new this tick; includes
-            every cluster of a full rebuild pass).
-        vanished: sorted ids that existed at the previous tick but have no
-            output cluster this tick (dissolved, absorbed, or emptied).
-    """
-
-    ids: tuple
-    status: tuple
-    vanished: tuple
-
-    def __post_init__(self):
-        if len(self.ids) != len(self.status):
-            raise ValueError(
-                f"ids/status length mismatch: {len(self.ids)} ids, "
-                f"{len(self.status)} statuses"
-            )
-
-    @property
-    def unchanged_count(self):
-        """How many output clusters were spliced through byte-identical."""
-        return sum(1 for s in self.status if s == UNCHANGED)
 
 
 class AdaptiveChurnThreshold:
@@ -134,9 +83,8 @@ class AdaptiveChurnThreshold:
 
     The fixed ``churn_threshold`` default encodes a one-off measurement of
     where delta maintenance stops paying.  That crossover moves with the
-    hardware, the workload's cluster geometry, and — now that cluster
-    diffs feed the candidate tracker — with how much downstream work each
-    spliced cluster saves.  This policy measures instead of assuming.
+    hardware and the workload's cluster geometry, so this policy measures
+    instead of assuming.
 
     Cost model: a full pass costs ``phi`` seconds per snapshot point; a
     delta pass costs ``a + b * c`` seconds per snapshot point at churn
@@ -251,7 +199,8 @@ class IncrementalSnapshotClusterer:
     Args:
         eps: density distance threshold ``e``.
         min_pts: the ``m`` of the convoy query (minimum neighbourhood size
-            for a core object, the object itself included).
+            for a core object, the object itself included; an integer
+            >= 1).
         churn_threshold: fall back to a full rebuild when more than this
             fraction of the snapshot changed since the previous tick
             (insertions + removals + moves, over the new snapshot size).
@@ -266,15 +215,15 @@ class IncrementalSnapshotClusterer:
     def __init__(self, eps, min_pts, churn_threshold=0.35, counters=None):
         if not 0 < eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {eps}")
-        if min_pts < 1:
-            raise ValueError(f"min_pts must be >= 1, got {min_pts}")
+        check_count("min_pts", min_pts)
         if churn_threshold == "adaptive":
             self._adaptive = AdaptiveChurnThreshold()
         elif isinstance(churn_threshold, AdaptiveChurnThreshold):
             self._adaptive = churn_threshold
         else:
             if (
-                not isinstance(churn_threshold, (int, float))
+                isinstance(churn_threshold, bool)
+                or not isinstance(churn_threshold, (int, float))
                 or not 0.0 <= churn_threshold <= 1.0
             ):
                 raise ValueError(
@@ -308,7 +257,6 @@ class IncrementalSnapshotClusterer:
         self._comp_cores = {}      # label -> set of core ids
         self._border_cands = {}    # border id -> set of >= 2 adjacent labels
         self._next_label = 0
-        self._touched = {}         # label -> pre-tick member-set copy
 
     # -- public entry points -----------------------------------------------
 
@@ -326,42 +274,22 @@ class IncrementalSnapshotClusterer:
             :func:`~repro.clustering.dbscan.dbscan` pass over this snapshot
             returns.
         """
-        return self.cluster_with_delta(snapshot)[0]
-
-    def cluster_with_delta(self, snapshot):
-        """Cluster one snapshot and describe the tick as a diff.
-
-        The cluster list is exactly what :meth:`cluster` returns (it is
-        the same computation); the accompanying :class:`ClusterDelta`
-        names each output cluster with a stable id and classifies it
-        against the previous tick.  Consumers that maintain per-cluster
-        state — the candidate tracker's
-        :meth:`~repro.core.candidates.CandidateTracker.advance_delta` —
-        can then skip every cluster reported ``unchanged``.
-
-        Returns:
-            ``(clusters, delta)`` where ``clusters`` is the
-            :meth:`cluster` answer and ``delta`` a :class:`ClusterDelta`
-            parallel to it.
-        """
         started = time.perf_counter() if self._adaptive is not None else None
-        clusters, delta, pass_kind, churn = self._cluster_impl(snapshot)
+        clusters, pass_kind, churn = self._cluster_impl(snapshot)
         if started is not None:
             elapsed = time.perf_counter() - started
             if pass_kind == "full":
                 self._adaptive.observe_full(len(snapshot), elapsed)
             else:
                 self._adaptive.observe_delta(churn, len(snapshot), elapsed)
-        return clusters, delta
+        return clusters
 
     def _cluster_impl(self, snapshot):
-        """Run one tick; return ``(clusters, delta, pass_kind, churn)``."""
+        """Run one tick; return ``(clusters, pass_kind, churn)``."""
         self.counters["ticks"] += 1
         self.counters["clustered_points"] += len(snapshot)
-        self._touched = {}
-        prev_labels = frozenset(self._members)
         if self._snapshot is None:
-            return self._full_pass(snapshot, prev_labels)
+            return self._full_pass(snapshot)
 
         removed = [o for o in self._snapshot if o not in snapshot]
         changed = [
@@ -370,14 +298,12 @@ class IncrementalSnapshotClusterer:
         ]
         churn = len(removed) + len(changed)
         if churn > self.churn_threshold * max(len(snapshot), 1):
-            return self._full_pass(snapshot, prev_labels)
+            return self._full_pass(snapshot)
         self.counters["incremental_passes"] += 1
         if churn == 0:
             # Positions are identical; only the key order (hence creation
             # keys and ambiguous-border ties) can differ from last tick.
-            clusters, delta = self._finish(snapshot, frozenset(), (),
-                                           prev_labels)
-            return clusters, delta, "delta", churn
+            return self._finish(snapshot, frozenset(), ()), "delta", churn
 
         # Validate up front so a bad coordinate cannot leave the index
         # half-mutated.
@@ -469,13 +395,11 @@ class IncrementalSnapshotClusterer:
                     if n in recluster or n in self._core:
                         continue
                     recluster.add(n)
-        clusters, delta = self._finish(snapshot, absorb, recluster,
-                                       prev_labels)
-        return clusters, delta, "delta", churn
+        return self._finish(snapshot, absorb, recluster), "delta", churn
 
     # -- internals ---------------------------------------------------------
 
-    def _full_pass(self, snapshot, prev_labels):
+    def _full_pass(self, snapshot):
         """Rebuild everything from scratch (first call or high churn)."""
         self.counters["full_passes"] += 1
         eps = self._eps
@@ -487,14 +411,8 @@ class IncrementalSnapshotClusterer:
         self._members = {}
         self._comp_cores = {}
         self._border_cands = {}
-        clusters, delta = self._finish(snapshot, frozenset(), set(snapshot),
-                                       prev_labels)
-        return clusters, delta, "full", len(snapshot)
-
-    def _touch(self, label):
-        """Snapshot a component's member set before its first mutation."""
-        if label not in self._touched:
-            self._touched[label] = set(self._members[label])
+        clusters = self._finish(snapshot, frozenset(), set(snapshot))
+        return clusters, "full", len(snapshot)
 
     def _detach_removed(self, o):
         """Forget a departed object; return its component label (or None)."""
@@ -504,14 +422,13 @@ class IncrementalSnapshotClusterer:
         self._core.discard(o)
         label = self._comp_of.pop(o, None)
         if label is not None:
-            self._touch(label)
             self._members[label].discard(o)
             if was_core:
                 self._comp_cores[label].discard(o)
                 return label
         return None
 
-    def _finish(self, snapshot, absorb, recluster, prev_labels):
+    def _finish(self, snapshot, absorb, recluster):
         """Recluster ``recluster``, splice the rest, emit the sorted answer.
 
         Args:
@@ -521,12 +438,9 @@ class IncrementalSnapshotClusterer:
                 connections are rebuilt; every id outside it keeps its core
                 status, component and — unless recorded as ambiguous — its
                 border assignment.
-            prev_labels: the component labels that existed before this tick
-                (classifies the delta's appeared/vanished entries).
 
         Returns:
-            ``(clusters, delta)`` — the sorted cluster list and its
-            :class:`ClusterDelta`.
+            The cluster list, sorted by creation key.
         """
         min_pts = self._min_pts
         nbrs = self._nbrs
@@ -545,7 +459,6 @@ class IncrementalSnapshotClusterer:
         for q in recluster:
             label = comp_of.pop(q, None)
             if label is not None and label not in absorb:
-                self._touch(label)
                 members[label].discard(q)
             self._border_cands.pop(q, None)
 
@@ -606,7 +519,6 @@ class IncrementalSnapshotClusterer:
                 continue  # noise
             best = min(cands, key=creation_key.__getitem__)
             comp_of[q] = best
-            self._touch(best)
             members[best].add(q)
             if len(cands) > 1:
                 self._border_cands[q] = cands
@@ -619,29 +531,10 @@ class IncrementalSnapshotClusterer:
             best = min(cands, key=creation_key.__getitem__)
             current = comp_of[q]
             if best != current:
-                self._touch(current)
-                self._touch(best)
                 members[current].discard(q)
                 members[best].add(q)
                 comp_of[q] = best
 
         self._snapshot = dict(snapshot)
         order = sorted(members, key=creation_key.__getitem__)
-        # Classify each surviving label exactly: a label is ``unchanged``
-        # only when no mutation touched it this tick, or every mutation
-        # cancelled out against the pre-tick copy.
-        touched = self._touched
-        status = []
-        for label in order:
-            if label not in prev_labels:
-                status.append(APPEARED)
-            elif label in touched and members[label] != touched[label]:
-                status.append(CHANGED)
-            else:
-                status.append(UNCHANGED)
-        delta = ClusterDelta(
-            ids=tuple(order),
-            status=tuple(status),
-            vanished=tuple(sorted(prev_labels - members.keys())),
-        )
-        return [set(members[label]) for label in order], delta
+        return [set(members[label]) for label in order]

@@ -67,49 +67,19 @@ disjoint and the window cluster contains the chain's objects.)  Window
 histories are kept as shared-prefix cons lists so a long chain costs O(1)
 per step, and are only materialized when a chain closes.
 
-Diff-aware stepping
--------------------
+Match, apply
+------------
 
-:meth:`CandidateTracker.advance` matches every live candidate against
-every cluster, even when the clustering barely changed since the
-previous step.  :meth:`CandidateTracker.advance_delta` accepts the
-:class:`~repro.clustering.incremental.ClusterDelta` the incremental
-clusterer produces anyway and exploits two facts:
-
-* snapshot clusters are disjoint, and every live candidate's object set is
-  contained in the cluster that last extended (or seeded) it — its
-  *support* cluster;
-* therefore a candidate whose support cluster is ``unchanged`` this step
-  (same member set) can only be extended by that same cluster, and the
-  extension preserves its full member set.
-
-Such candidates are *spliced* straight through — ``t_end`` advanced and
-the window history extended in O(1), no set intersection — while
-candidates whose support is dirty (changed, rebuilt under a fresh id, or
-vanished) are re-intersected against the dirty clusters only (an
-unchanged cluster is disjoint from every candidate it does not support).
-Candidates carrying no support id (the previous step ran the classic
-:meth:`advance`) are re-intersected against everything.  The survivor
-*order*, the reports, and the window histories are bit-for-bit what
-:meth:`advance` would produce; the differential suite in
-``tests/streaming/test_delta_equivalence.py`` holds the two paths equal
-tick for tick.
-
-Plan, match, apply
-------------------
-
-Both stepping methods are factored as *plan → match → apply*: a first
-pass over the live list decides, per candidate, whether it splices
-through (unchanged support) or needs a cluster scan; the scans are then
-executed in bulk by the pure kernel :func:`match_candidates` behind the
-:meth:`CandidateTracker._match_live` method; finally one ordered apply
-pass replays the classic survivor/seed/report logic from the match
-results.  Because the kernel is a pure function of ``(clusters, object
-sets, scan lists)`` and the apply pass runs strictly in live-list order,
-the match step can be swapped for any function with the same contract
-without moving a single report or survivor out of the classic
-deterministic order — the tests swap in the pairwise reference
-:func:`match_candidates_pairwise` this way.
+:meth:`CandidateTracker.advance` is factored as *match → apply*: the
+pure kernel :func:`match_candidates` joins every live candidate with
+every cluster in bulk, behind the :meth:`CandidateTracker._match_live`
+method, and one ordered apply pass replays the classic
+survivor/seed/report logic from the match results.  Because the kernel
+is a pure function of ``(clusters, object sets)`` and the apply pass
+runs strictly in live-list order, the match step can be swapped for any
+function with the same contract without moving a single report or
+survivor out of the classic deterministic order — the tests swap in the
+pairwise reference :func:`match_candidates_pairwise` this way.
 """
 
 from __future__ import annotations
@@ -118,30 +88,17 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 
-from repro.clustering.incremental import UNCHANGED
+from repro.checks import check_count
 from repro.core.convoy import Convoy
 
 #: Counter keys a tracker maintains in its ``counters`` dict.
+#: ``spliced_candidates`` is always 0; it stays for readers that look
+#: the key up by name.
 COUNTER_KEYS = (
     "advance_steps",
-    "delta_steps",
     "spliced_candidates",
     "reintersected_candidates",
 )
-
-
-def check_count(name, value, minimum=1):
-    """Raise :class:`ValueError` unless ``value`` is an integer >= ``minimum``.
-
-    A NaN or infinite count compares false against every lifetime and
-    group size, and a fractional one acts as its ceiling, so neither
-    states a query; ``True`` and ``False`` are refused although they are
-    ints.  The message names the parameter.
-    """
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(
-            f"{name} must be >= {minimum} and an integer, got {value!r}"
-        )
 
 
 def check_query_counts(m, k):
@@ -150,26 +107,27 @@ def check_query_counts(m, k):
     check_count("k", k)
 
 
-#: A job probes the owner table only when its probe count plus this
-#: margin is below its fan.  Measured once on recorded match calls of
-#: the dense and small-delta regimes of ``benchmarks/bench_match_kernel.py``
-#: and of the fresh-DBSCAN pack stream: below 8 the small-delta calls,
-#: whose few tiny candidates gain little from probing, pay more for the
-#: owner table than probing saves; 8 to 16 time alike elsewhere.
+#: A candidate probes the owner table only when its probe count plus
+#: this margin is below the number of clusters.  Measured once on
+#: recorded match calls of the dense and small-delta regimes of
+#: ``benchmarks/bench_match_kernel.py`` and of the fresh-DBSCAN pack
+#: stream: below 8 the small-delta calls, whose few tiny candidates gain
+#: little from probing, pay more for the owner table than probing
+#: saves; 8 to 16 time alike elsewhere.
 _PROBE_MARGIN = 8
 
 
-def match_candidates(members, jobs, min_objects):
+def match_candidates(members, candidates, min_objects):
     """Pure matching kernel: the tracker's match step for one advance.
 
-    One join, two access paths per job.  Density clusters are disjoint,
-    so a cluster sharing at least ``m`` of a candidate's ``n`` objects
-    must own one of *any* ``n - m + 1`` of them: looking those objects up
-    in an owner table (built lazily, once per call) names every cluster
-    that can match, and only those are intersected — a semijoin in place
-    of the ``jobs x clusters`` pairwise scan.  A job takes that probe
-    path when ``n - m + 1`` lookups (plus a small constant margin) are
-    cheaper than its *fan*, the number of clusters it would scan;
+    One join, two access paths per candidate.  Density clusters are
+    disjoint, so a cluster sharing at least ``m`` of a candidate's ``n``
+    objects must own one of *any* ``n - m + 1`` of them: looking those
+    objects up in an owner table (built lazily, once per call) names
+    every cluster that can match, and only those are intersected — a
+    semijoin in place of the ``candidates x clusters`` pairwise scan.  A
+    candidate takes that probe path when ``n - m + 1`` lookups (plus a
+    small constant margin) are cheaper than scanning every cluster;
     otherwise it intersects pairwise exactly as
     :func:`match_candidates_pairwise` does.  An overlapping cluster
     family — legal here, never produced by DBSCAN — has no owner table,
@@ -177,67 +135,62 @@ def match_candidates(members, jobs, min_objects):
 
     Args:
         members: list of cluster member ``frozenset``s for this step.
-        jobs: list of ``(pos, objects, scan)`` triples — a candidate's
-            position in the live list, its object set, and the distinct
-            cluster indexes to scan, in any order (``None`` scans every
-            cluster).
+        candidates: list of candidate object sets.
         min_objects: the convoy query's ``m``.
 
     Returns:
-        List of ``(pos, matches)`` pairs in job order, where ``matches``
-        lists the ``(cluster_index, intersection)`` pairs with
-        ``len(intersection) >= min_objects``, in scan order — exactly
-        what :func:`match_candidates_pairwise` returns.
+        One list per candidate, in candidate order, of the
+        ``(cluster_index, intersection)`` pairs with
+        ``len(intersection) >= min_objects``, in cluster-index order —
+        exactly what :func:`match_candidates_pairwise` returns.
     """
     n_clusters = len(members)
-    # A job probes when n - m + 1 + _PROBE_MARGIN < fan, i.e. when its fan
-    # exceeds n + reach; m < 1 matches clusters no object names, so never.
+    every = range(n_clusters)
+    # A candidate probes when n - m + 1 + _PROBE_MARGIN < n_clusters, i.e.
+    # when n_clusters exceeds n + reach; m < 1 matches clusters no object
+    # names, so never.
     reach = _PROBE_MARGIN + 1 - min_objects if min_objects >= 1 else math.inf
     owner = None
     out = []
     append = out.append
-    for pos, objects, scan in jobs:
-        fan = n_clusters if scan is None else len(scan)
-        if fan <= len(objects) + reach:
-            append((pos, _scan_pairs(members, objects, scan, min_objects)))
+    for objects in candidates:
+        if n_clusters <= len(objects) + reach:
+            append(_scan_pairs(members, objects, every, min_objects))
             continue
         probes = len(objects) - min_objects + 1
         if probes <= 0:
-            append((pos, []))  # fewer than m objects: nothing can match
+            append([])  # fewer than m objects: nothing can match
             continue
         if owner is None:
             owner = _owner_table(members)
             if owner is None:  # overlapping clusters: pairwise from here on
                 reach = math.inf
-                append((pos, _scan_pairs(members, objects, scan, min_objects)))
+                append(_scan_pairs(members, objects, every, min_objects))
                 continue
         hit = set(map(owner.get, islice(objects, probes)))
         hit.discard(None)
-        if scan is None:
-            indexes = sorted(hit)
-        else:
-            indexes = [index for index in scan if index in hit]
-        append((pos, _scan_pairs(members, objects, indexes, min_objects)))
+        append(_scan_pairs(members, objects, sorted(hit), min_objects))
     return out
 
 
-def match_candidates_pairwise(members, jobs, min_objects):
-    """The pairwise matching loop: one set intersection per scanned pair.
+def match_candidates_pairwise(members, candidates, min_objects):
+    """The pairwise matching loop: one set intersection per pair.
 
     Same contract as :func:`match_candidates`, for any cluster family.
-    :func:`match_candidates` runs it for jobs too small to probe and for
-    overlapping families; the tests hold the join equal to it.
+    :func:`match_candidates` runs it for candidates too small to probe
+    and for overlapping families; the tests hold the join equal to it.
     """
+    every = range(len(members))
     return [
-        (pos, _scan_pairs(members, objects, scan, min_objects))
-        for pos, objects, scan in jobs
+        _scan_pairs(members, objects, every, min_objects)
+        for objects in candidates
     ]
 
 
-def _scan_pairs(members, objects, scan, min_objects):
-    """One job's matches by intersecting it with every scanned cluster."""
+def _scan_pairs(members, objects, indexes, min_objects):
+    """One candidate's matches among the clusters at ``indexes``."""
     matches = []
-    for index in (range(len(members)) if scan is None else scan):
+    for index in indexes:
         common = objects & members[index]
         if len(common) >= min_objects:
             matches.append((index, common))
@@ -299,21 +252,16 @@ class _Live:
     """One live candidate chain (mutable while tracked).
 
     ``history`` is a cons node ``(parent_node, ws, we, members)`` sharing
-    its prefix with the parent chain's node.  ``support`` is the stable id
-    (per :class:`~repro.clustering.incremental.ClusterDelta`) of the
-    cluster that extended or seeded the chain at the last step — the
-    chain's objects are a subset of that cluster — or None when the last
-    step ran without cluster ids.
+    its prefix with the parent chain's node.
     """
 
-    __slots__ = ("objects", "t_start", "t_end", "history", "support")
+    __slots__ = ("objects", "t_start", "t_end", "history")
 
-    def __init__(self, objects, t_start, t_end, history, support=None):
+    def __init__(self, objects, t_start, t_end, history):
         self.objects = objects
         self.t_start = t_start
         self.t_end = t_end
         self.history = history
-        self.support = support
 
     @property
     def lifetime(self):
@@ -344,10 +292,9 @@ class CandidateTracker:
             ``COUNTER_KEYS``); a fresh dict is created when omitted and is
             always available as :attr:`counters`.
 
-    Usage: call :meth:`advance` (or, with cluster diffs available,
-    :meth:`advance_delta`) once per time step (or partition) with the
-    clusters found there; collect the :class:`ClosedCandidate` records it
-    reports; call :meth:`flush` after the last step.
+    Usage: call :meth:`advance` once per time step (or partition) with
+    the clusters found there; collect the :class:`ClosedCandidate`
+    records it reports; call :meth:`flush` after the last step.
     """
 
     def __init__(self, min_objects, min_lifetime, paper_semantics=False,
@@ -361,21 +308,6 @@ class CandidateTracker:
         self.counters = counters if counters is not None else {}
         for key in COUNTER_KEYS:
             self.counters.setdefault(key, 0)
-
-    def _begin_step(self, window_start, window_end):
-        """Validate one step's window against the step-ordering contract."""
-        if window_end < window_start:
-            raise ValueError(
-                f"window reversed: [{window_start}, {window_end}]"
-            )
-        if self._last_end is not None and window_start <= self._last_end:
-            raise ValueError(
-                f"steps must advance in time: window [{window_start}, "
-                f"{window_end}] does not start after the previous end "
-                f"{self._last_end}"
-            )
-        self._last_end = window_end
-        self.counters["advance_steps"] += 1
 
     @property
     def live_candidates(self):
@@ -401,14 +333,14 @@ class CandidateTracker:
             return None
         return min(candidate.t_start for candidate in self._candidates)
 
-    def _match_live(self, members, jobs):
-        """Execute the step's cluster scans with :func:`match_candidates`.
+    def _match_live(self, members, candidates):
+        """Join the live object sets with the step's clusters.
 
-        A subclass may override this one method with any function of the
-        kernel's contract (the tests substitute the pairwise reference);
-        result order is irrelevant, because the caller keys by position.
+        Runs :func:`match_candidates`; a subclass may override this one
+        method with any function of the kernel's contract (the tests
+        substitute the pairwise reference).
         """
-        return match_candidates(members, jobs, self._m)
+        return match_candidates(members, candidates, self._m)
 
     def advance(self, clusters, window_start, window_end):
         """Process one time step covering ``[window_start, window_end]``.
@@ -427,25 +359,35 @@ class CandidateTracker:
             List of :class:`ClosedCandidate` — chains that died at this
             step after living at least ``k`` time points.
         """
-        self._begin_step(window_start, window_end)
+        if window_end < window_start:
+            raise ValueError(
+                f"window reversed: [{window_start}, {window_end}]"
+            )
+        if self._last_end is not None and window_start <= self._last_end:
+            raise ValueError(
+                f"steps must advance in time: window [{window_start}, "
+                f"{window_end}] does not start after the previous end "
+                f"{self._last_end}"
+            )
+        self._last_end = window_end
+        self.counters["advance_steps"] += 1
         usable = [frozenset(c) for c in clusters if len(c) >= self._m]
         if usable:
             # Clusterless steps (gaps, below-m snapshots) close every chain
-            # without a single set intersection; counting them would
-            # attribute classic-path work to steps that did none.
+            # without a single set intersection, so they count none.
             self.counters["reintersected_candidates"] += len(self._candidates)
-        matched = {}
-        if usable and self._candidates:
-            jobs = [(pos, candidate.objects, None)
-                    for pos, candidate in enumerate(self._candidates)]
-            matched = dict(self._match_live(usable, jobs))
+            matched = self._match_live(
+                usable, [candidate.objects for candidate in self._candidates]
+            )
+        else:
+            matched = [()] * len(self._candidates)
         closed = []
         survivors = {}  # (objects, t_start) -> _Live
         extended = [False] * len(usable)
-        for pos, candidate in enumerate(self._candidates):
+        for candidate, matches in zip(self._candidates, matched):
             assigned = False
             preserved = False  # some extension kept the full member set
-            for index, common in matched.get(pos, ()):
+            for index, common in matches:
                 assigned = True
                 extended[index] = True
                 if len(common) == len(candidate.objects):
@@ -484,143 +426,6 @@ class CandidateTracker:
                         window_start,
                         window_end,
                         (None, window_start, window_end, cluster),
-                    )
-        self._candidates = list(survivors.values())
-        return closed
-
-    def advance_delta(self, clusters, delta, window_start, window_end):
-        """Process one time step using a cluster diff (see module docs).
-
-        Produces exactly what ``advance(clusters, ...)`` would — the same
-        reports in the same order, the same survivors in the same order,
-        the same window histories — but pays per-candidate set
-        intersections only around clusters the diff marks dirty.
-
-        Args:
-            clusters: this step's cluster list, parallel to ``delta.ids``.
-            delta: the :class:`~repro.clustering.incremental.ClusterDelta`
-                describing ``clusters`` against the *previous step's*
-                clusters.  The diff must be stated against the cluster
-                list of this tracker's immediately preceding non-empty
-                step (the streaming engine guarantees that by feeding
-                every clustering it runs straight to the tracker).  None
-                falls back to the classic full re-intersection.
-            window_start, window_end: as for :meth:`advance`.
-
-        Returns:
-            List of :class:`ClosedCandidate`, exactly as :meth:`advance`.
-        """
-        if delta is None:
-            return self.advance(clusters, window_start, window_end)
-        if len(delta.ids) != len(clusters):
-            raise ValueError(
-                f"delta describes {len(delta.ids)} clusters, got "
-                f"{len(clusters)}"
-            )
-        self._begin_step(window_start, window_end)
-        self.counters["delta_steps"] += 1
-        usable = []  # (frozenset members, stable id, is_dirty)
-        for members, cid, status in zip(clusters, delta.ids, delta.status):
-            if len(members) >= self._m:
-                usable.append((frozenset(members), cid, status != UNCHANGED))
-        unchanged_at = {
-            cid: index
-            for index, (_members, cid, dirty) in enumerate(usable)
-            if not dirty
-        }
-        dirty_indexes = tuple(
-            index for index, (_m, _c, dirty) in enumerate(usable) if dirty
-        )
-        members = [entry[0] for entry in usable]
-        # Plan pass: decide, per candidate, splice vs scan (candidate order
-        # is preserved through the job positions, so the apply pass below
-        # replays the classic ordering exactly).
-        splice_at = {}  # pos -> unchanged cluster index
-        jobs = []
-        spliced = reintersected = 0
-        for pos, candidate in enumerate(self._candidates):
-            support = candidate.support
-            if support is not None and support in unchanged_at:
-                # Sole possible extension, full member-set preservation:
-                # splice the chain through in O(1).
-                splice_at[pos] = unchanged_at[support]
-                spliced += 1
-                continue
-            # Dirty or unknown support: re-intersect.  A known support
-            # confines the candidate inside a dirty (or vanished) previous
-            # cluster, so only dirty clusters can reach m shared objects;
-            # an unknown support (previous step ran the classic advance)
-            # gets the full scan.
-            if support is not None:
-                scan, scan_size = dirty_indexes, len(dirty_indexes)
-            else:
-                scan, scan_size = None, len(usable)
-            if scan_size:
-                # Mirror advance()'s rule: only count candidates that
-                # actually enter an intersection scan, so clusterless or
-                # all-unchanged steps don't inflate the re-intersection
-                # totals the CLI and benches report.
-                reintersected += 1
-                jobs.append((pos, candidate.objects, scan))
-        matched = dict(self._match_live(members, jobs)) if jobs else {}
-        closed = []
-        survivors = {}  # (objects, t_start) -> _Live, in classic order
-        extended = [False] * len(usable)
-        for pos, candidate in enumerate(self._candidates):
-            unchanged_index = splice_at.get(pos)
-            if unchanged_index is not None:
-                extended[unchanged_index] = True
-                key = (candidate.objects, candidate.t_start)
-                if key not in survivors:
-                    survivors[key] = _Live(
-                        candidate.objects,
-                        candidate.t_start,
-                        window_end,
-                        (candidate.history, window_start, window_end,
-                         members[unchanged_index]),
-                        support=candidate.support,
-                    )
-                continue
-            assigned = False
-            preserved = False
-            for index, common in matched.get(pos, ()):
-                assigned = True
-                extended[index] = True
-                if len(common) == len(candidate.objects):
-                    preserved = True
-                key = (common, candidate.t_start)
-                if key not in survivors:
-                    survivors[key] = _Live(
-                        common,
-                        candidate.t_start,
-                        window_end,
-                        (candidate.history, window_start, window_end,
-                         members[index]),
-                        support=usable[index][1],
-                    )
-            if self._paper_semantics:
-                report_run = not assigned
-            else:
-                report_run = not preserved
-            if report_run and candidate.lifetime >= self._k:
-                closed.append(candidate.close())
-        self.counters["spliced_candidates"] += spliced
-        self.counters["reintersected_candidates"] += reintersected
-        survivor_objects = {live.objects for live in survivors.values()}
-        for index, (cluster, cid, _dirty) in enumerate(usable):
-            if self._paper_semantics:
-                seed = not extended[index]
-            else:
-                seed = cluster not in survivor_objects
-            if seed:
-                key = (cluster, window_start)
-                if key not in survivors:
-                    survivors[key] = _Live(
-                        cluster,
-                        window_start,
-                        window_end,
-                        (None, window_start, window_end, cluster),
-                        support=cid,
                     )
         self._candidates = list(survivors.values())
         return closed

@@ -58,13 +58,9 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
             :class:`~repro.streaming.StreamingConvoyMiner` — ``None`` /
             ``"full"`` (default) for a fresh DBSCAN per time point,
             ``"incremental"`` for cross-tick delta maintenance (identical
-            answer, faster on slow-moving databases).  The incremental
-            clusterer's cluster diff additionally flows into the candidate
-            step (``CandidateTracker.advance_delta``), so candidates
-            supported by unchanged clusters are spliced through without
-            re-intersection; a pre-built ``IncrementalSnapshotClusterer``
-            instance (e.g. with an adaptive churn threshold) is accepted
-            too.
+            answer, faster on slow-moving databases); a pre-built
+            ``IncrementalSnapshotClusterer`` instance (e.g. with an
+            adaptive churn threshold) is accepted too.
         store: optional write-through persistence, forwarded to the
             miner — a :class:`~repro.store.base.ConvoyStore` or a path
             to a SQLite store; every convoy is persisted (with its

@@ -40,6 +40,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from repro.checks import check_count
 from repro.clustering.generic_dbscan import density_cluster
 from repro.clustering.spatial_join import segment_records, window_links
 from repro.core.candidates import CandidateTracker, check_query_counts
@@ -271,9 +272,9 @@ def cuts(
     Args:
         database: a :class:`repro.trajectory.TrajectoryDatabase`.
         m, k, eps: the convoy query parameters of Definition 3.
-        delta: simplification tolerance δ; derived via
-            :func:`repro.core.params.compute_delta` when None.
-        lam: time-partition length λ; derived via
+        delta: simplification tolerance δ, a finite real >= 0; derived
+            via :func:`repro.core.params.compute_delta` when None.
+        lam: time-partition length λ, an integer >= 1; derived via
             :func:`repro.core.params.compute_lambda` when None.
         variant: ``"cuts"``, ``"cuts+"``, or ``"cuts*"``.
         use_actual_tolerance: Figure 14 switch — False replaces every
@@ -293,6 +294,16 @@ def cuts(
     check_query_counts(m, k)
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
+    if lam is not None:
+        check_count("lambda", lam)
+    if delta is not None and (
+        isinstance(delta, bool)
+        or not isinstance(delta, (int, float))
+        or not 0 <= delta < math.inf
+    ):
+        raise ValueError(
+            f"delta must be non-negative and finite, got {delta!r}"
+        )
     config = VARIANTS[variant]
     simplifier = SIMPLIFIERS[config["simplifier"]]
     distance_mode = config["distance_mode"]

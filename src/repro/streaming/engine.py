@@ -25,11 +25,9 @@ stages own the data path.  Each stage is independently swappable:
 * **cluster** runs a fresh :func:`~repro.clustering.dbscan.dbscan` per
   tick by default, or the cross-tick delta maintenance of
   :class:`~repro.clustering.incremental.IncrementalSnapshotClusterer`
-  (``clusterer="incremental"``), whose
-  :class:`~repro.clustering.incremental.ClusterDelta` flows on to the
-  tracker so both per-tick costs are proportional to what changed;
+  (``clusterer="incremental"``), which re-clusters only what changed;
 * **track** holds the :class:`~repro.core.candidates.CandidateTracker`:
-  gap severing, the (diff-aware) candidate join, and the bounded-memory
+  gap severing, one candidate join per tick, and the bounded-memory
   window;
 * **emit** converts closed chains to convoys and keeps the counters.
 
@@ -59,12 +57,9 @@ from __future__ import annotations
 
 import math
 
+from repro.checks import check_count
 from repro.clustering.incremental import IncrementalSnapshotClusterer
-from repro.core.candidates import (
-    CandidateTracker,
-    check_count,
-    check_query_counts,
-)
+from repro.core.candidates import CandidateTracker, check_query_counts
 from repro.streaming.pipeline import (
     ClusterStage,
     EmitStage,
@@ -110,13 +105,9 @@ class StreamingConvoyMiner:
             :class:`~repro.clustering.incremental.IncrementalSnapshotClusterer`
             (identical clusters, hence identical convoys, but much faster
             when consecutive snapshots overlap heavily); any object with a
-            ``cluster(snapshot) -> list[set]`` method is used as-is, and
-            one that also exposes ``cluster_with_delta`` (as the
-            incremental clusterer does) feeds its cluster diff to the
-            candidate tracker's diff-aware
-            :meth:`~repro.core.candidates.CandidateTracker.advance_delta`
-            step.  The chosen strategy is introspectable as
-            :attr:`clusterer` (``None`` for the full pass).
+            ``cluster(snapshot) -> list[set]`` method is used as-is.  The
+            chosen strategy is introspectable as :attr:`clusterer`
+            (``None`` for the full pass).
         reorder: optional out-of-order tolerance in front of ``feed``.  A
             :class:`~repro.streaming.reorder.ReorderBuffer` instance, or
             a dict of its keyword arguments (``allowed_lateness``,
@@ -177,7 +168,7 @@ class StreamingConvoyMiner:
                 "reorder must be None, a ReorderBuffer, or a dict of "
                 f"ReorderBuffer keyword arguments, got {reorder!r}"
             )
-        # The tracker adds its own counter keys (splice and
+        # The tracker adds its own counter keys (step and
         # re-intersection totals) to the shared dict.
         tracker = CandidateTracker(
             m, k, paper_semantics=paper_semantics, counters=self.counters,

@@ -8,8 +8,8 @@ objects behind a small uniform interface and composes them:
 
     arrival ──> IngestStage ──> ClusterStage ──> TrackStage ──> EmitStage
                 (reorder,        (DBSCAN /        (candidate      (records ->
-                 time order,      incremental      advance,        convoys,
-                 gap detect)      + delta)         gaps, prune)    counters)
+                 time order,      incremental)     advance,        convoys,
+                 gap detect)                       gaps, prune)    counters)
 
 Each stage is a plain object with a ``name`` and one or two methods; a
 :class:`StreamingPipeline` wires them in sequence, so each stage can be
@@ -22,14 +22,11 @@ Stage contract, per in-order tick:
   it released as ``(t, snapshot, gap)`` triples in strictly increasing
   time order, where ``gap`` names the skipped closed interval
   ``[last + 1, t - 1]`` (or None); ``drain()`` flushes the buffer tail.
-* ``ClusterStage.cluster(snapshot)`` returns ``(clusters, delta)`` —
-  the snapshot's density clusters plus the cross-tick
-  :class:`~repro.clustering.incremental.ClusterDelta` when the
-  configured clusterer maintains one (below-``m`` snapshots short-circuit
-  to no clusters).
-* ``TrackStage.step(t, clusters, delta, gap)`` severs chains across the
-  gap, advances the candidate tracker (diff-aware when a delta is
-  present), applies the bounded-memory window, and returns the closed
+* ``ClusterStage.cluster(snapshot)`` returns the snapshot's density
+  clusters (below-``m`` snapshots short-circuit to no clusters).
+* ``TrackStage.step(t, clusters, gap)`` severs chains across the gap,
+  advances the candidate tracker once, applies the bounded-memory
+  window, and returns the closed
   :class:`~repro.core.candidates.ClosedCandidate` records;
   ``flush()`` closes every remaining chain.
 * ``EmitStage.emit_tick(records, live_count, oldest_live_start)`` /
@@ -100,8 +97,7 @@ class IngestStage:
 
 
 class ClusterStage:
-    """Density-cluster one snapshot, with the cross-tick delta when
-    the configured clusterer maintains one."""
+    """Density-cluster one snapshot."""
 
     name = "cluster"
 
@@ -112,29 +108,22 @@ class ClusterStage:
         self.counters = counters
 
     def cluster(self, snapshot):
-        """Return ``(clusters, delta)`` for the snapshot (``(), None`` when
-        fewer than ``m`` objects reported — no cluster can exist)."""
+        """Return the snapshot's clusters (``()`` when fewer than ``m``
+        objects reported — no cluster can exist)."""
         if len(snapshot) < self._m:
-            return (), None
-        delta = None
+            return ()
         if self.clusterer is None:
             clusters = dbscan(snapshot, self._eps, self._m)
         else:
-            cluster_with_delta = getattr(
-                self.clusterer, "cluster_with_delta", None
-            )
-            if cluster_with_delta is not None:
-                clusters, delta = cluster_with_delta(snapshot)
-            else:
-                clusters = self.clusterer.cluster(snapshot)
+            clusters = self.clusterer.cluster(snapshot)
         self.counters["clustering_calls"] += 1
         self.counters["clustered_points"] += len(snapshot)
-        return clusters, delta
+        return clusters
 
 
 class TrackStage:
-    """Advance the candidate tracker: gap severing, (diff-aware)
-    extension, bounded-memory pruning."""
+    """Advance the candidate tracker: gap severing, extension,
+    bounded-memory pruning."""
 
     name = "track"
 
@@ -156,14 +145,12 @@ class TrackStage:
         the write-through sink's position-log retention horizon."""
         return self.tracker.oldest_live_start
 
-    def step(self, t, clusters, delta, gap):
+    def step(self, t, clusters, gap):
         """One in-order tick; returns the ClosedCandidate records."""
         records = []
         if gap is not None:
             records.extend(self.tracker.advance((), gap[0], gap[1]))
-        # advance_delta falls back to the classic advance when no delta is
-        # available (fresh DBSCAN, custom clusterers, gap ticks).
-        records.extend(self.tracker.advance_delta(clusters, delta, t, t))
+        records.extend(self.tracker.advance(clusters, t, t))
         if self.window is not None:
             records.extend(self.tracker.prune_longer_than(self.window))
         return records
@@ -258,7 +245,7 @@ class StreamingPipeline:
 
     def _run_tick(self, t, snapshot, gap):
         self.emit.observe(t, snapshot)
-        clusters, delta = self.cluster.cluster(snapshot)
-        records = self.track.step(t, clusters, delta, gap)
+        clusters = self.cluster.cluster(snapshot)
+        records = self.track.step(t, clusters, gap)
         return self.emit.emit_tick(records, self.track.live_count,
                                    self.track.oldest_live_start)

@@ -58,7 +58,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from repro.core.candidates import check_count
+from repro.checks import check_count
 
 #: Late-arrival policies accepted by :class:`ReorderBuffer`.
 LATE_POLICIES = ("raise", "drop", "amend")

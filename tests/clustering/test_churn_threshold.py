@@ -1,12 +1,9 @@
-"""ClusterDelta contract tests and the adaptive churn-threshold policy.
+"""The adaptive churn-threshold policy and the clusterer's threshold forms.
 
-The :class:`~repro.clustering.incremental.ClusterDelta` returned by
-``cluster_with_delta`` is what the candidate tracker's splice path trusts,
-so its contract is checked against a brute-force oracle: replaying the
-stream while remembering every ``{id: member set}`` from the previous tick
-and verifying each classification literally — ``unchanged`` really means
-the identical member set, ``vanished`` is exactly the disappeared ids, and
-ids are never reused.
+:class:`~repro.clustering.incremental.AdaptiveChurnThreshold` re-times
+the incremental clusterer's fallback to a full pass from measured pass
+costs; whatever it decides, every clustering must stay exactly
+:func:`~repro.clustering.dbscan.dbscan`'s.
 """
 
 import random
@@ -17,50 +14,10 @@ from hypothesis import strategies as st
 
 from repro.clustering.dbscan import dbscan
 from repro.clustering.incremental import (
-    APPEARED,
-    CHANGED,
-    UNCHANGED,
     AdaptiveChurnThreshold,
-    ClusterDelta,
     IncrementalSnapshotClusterer,
 )
 from repro.streaming import churn_stream
-
-
-def assert_delta_contract(snapshots, eps, m, **kwargs):
-    """Replay a stream checking every delta against the previous tick."""
-    clusterer = IncrementalSnapshotClusterer(eps, m, **kwargs)
-    previous = {}   # id -> frozenset(members) as of the last tick
-    ever = set()    # every id that has ever appeared
-    for tick, snapshot in enumerate(snapshots):
-        clusters, delta = clusterer.cluster_with_delta(snapshot)
-        assert clusters == dbscan(snapshot, eps, m), f"tick {tick}"
-        assert len(delta.ids) == len(clusters) == len(delta.status)
-        assert len(set(delta.ids)) == len(delta.ids), "duplicate ids"
-        current = {}
-        for members, cid, status in zip(clusters, delta.ids, delta.status):
-            current[cid] = frozenset(members)
-            if status == UNCHANGED:
-                assert previous.get(cid) == frozenset(members), (
-                    f"tick {tick}: cluster {cid} marked unchanged but "
-                    f"was {previous.get(cid)} -> {sorted(members)}"
-                )
-            elif status == CHANGED:
-                assert cid in previous, f"tick {tick}: changed id {cid} is new"
-                assert previous[cid] != frozenset(members), (
-                    f"tick {tick}: cluster {cid} marked changed but is equal"
-                )
-            elif status == APPEARED:
-                assert cid not in ever, f"tick {tick}: id {cid} reused"
-            else:
-                raise AssertionError(f"unknown status {status!r}")
-        assert set(delta.vanished) == set(previous) - set(current), (
-            f"tick {tick}: vanished {delta.vanished}"
-        )
-        assert list(delta.vanished) == sorted(delta.vanished)
-        ever.update(current)
-        previous = current
-    return clusterer
 
 
 def churn_snapshots(churn, *, n=80, ticks=35, turnover=0.03, seed=5,
@@ -71,70 +28,6 @@ def churn_snapshots(churn, *, n=80, ticks=35, turnover=0.03, seed=5,
             area=area,
         )
     ]
-
-
-class TestDeltaContract:
-    @pytest.mark.parametrize("churn", [0.0, 0.05, 0.2, 0.6])
-    def test_churn_stream(self, churn):
-        assert_delta_contract(churn_snapshots(churn), 5.0, 3)
-
-    def test_dense_stream_with_border_contention(self):
-        """Small area: clusters merge/split constantly, borders contested."""
-        assert_delta_contract(
-            churn_snapshots(0.1, n=90, area=60.0), 5.0, 3
-        )
-
-    def test_key_order_shuffles_flip_changed(self):
-        """Shuffling keys without moving anyone can only yield unchanged or
-        changed (border ties flipping) — never appeared/vanished."""
-        rng = random.Random(3)
-        pos = {f"o{i}": (rng.uniform(0, 25), rng.uniform(0, 25))
-               for i in range(60)}
-        snapshots = []
-        for _ in range(20):
-            items = list(pos.items())
-            rng.shuffle(items)
-            snapshots.append(dict(items))
-        clusterer = IncrementalSnapshotClusterer(3.0, 2)
-        clusterer.cluster(snapshots[0])
-        for snapshot in snapshots[1:]:
-            _clusters, delta = clusterer.cluster_with_delta(snapshot)
-            assert delta.vanished == ()
-            assert all(s in (UNCHANGED, CHANGED) for s in delta.status)
-        assert_delta_contract(snapshots, 3.0, 2)
-
-    def test_full_pass_marks_everything_appeared(self):
-        snapshots = churn_snapshots(0.05, ticks=6)
-        clusterer = IncrementalSnapshotClusterer(5.0, 3, churn_threshold=0.0)
-        previous_ids = set()
-        for snapshot in snapshots:
-            clusters, delta = clusterer.cluster_with_delta(snapshot)
-            assert all(s == APPEARED for s in delta.status)
-            assert set(delta.vanished) == previous_ids
-            previous_ids = set(delta.ids)
-        assert clusterer.counters["full_passes"] == len(snapshots)
-
-    def test_frozen_world_is_all_unchanged(self):
-        snapshot = churn_snapshots(0.0, ticks=1)[0]
-        clusterer = IncrementalSnapshotClusterer(5.0, 3)
-        _clusters, first = clusterer.cluster_with_delta(dict(snapshot))
-        clusters, delta = clusterer.cluster_with_delta(dict(snapshot))
-        assert all(s == APPEARED for s in first.status)
-        assert all(s == UNCHANGED for s in delta.status)
-        assert delta.ids == first.ids
-        assert delta.vanished == ()
-        assert delta.unchanged_count == len(clusters)
-
-    def test_cluster_and_cluster_with_delta_agree(self):
-        snapshots = churn_snapshots(0.1, ticks=10)
-        a = IncrementalSnapshotClusterer(5.0, 3)
-        b = IncrementalSnapshotClusterer(5.0, 3)
-        for snapshot in snapshots:
-            assert a.cluster(snapshot) == b.cluster_with_delta(snapshot)[0]
-
-    def test_delta_validates_parallel_lengths(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            ClusterDelta(ids=(1, 2), status=(UNCHANGED,), vanished=())
 
 
 class TestAdaptiveChurnThreshold:
@@ -221,9 +114,12 @@ class TestAdaptiveChurnThreshold:
     def test_clusterer_accepts_adaptive_forms(self):
         snapshots = churn_snapshots(0.05, ticks=12)
         for form in ("adaptive", AdaptiveChurnThreshold(initial=0.5)):
-            clusterer = assert_delta_contract(
-                snapshots, 5.0, 3, churn_threshold=form
+            clusterer = IncrementalSnapshotClusterer(
+                5.0, 3, churn_threshold=form
             )
+            for snapshot in snapshots:
+                assert clusterer.cluster(snapshot) == dbscan(snapshot, 5.0, 3)
+            assert clusterer.counters["incremental_passes"] > 0
             assert 0.0 <= clusterer.churn_threshold <= 1.0
 
     def test_clusterer_rejects_bad_threshold_values(self):
@@ -231,6 +127,13 @@ class TestAdaptiveChurnThreshold:
             IncrementalSnapshotClusterer(1.0, 2, churn_threshold=1.5)
         with pytest.raises(ValueError, match="adaptive"):
             IncrementalSnapshotClusterer(1.0, 2, churn_threshold="fast")
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_clusterer_rejects_a_bool_threshold(self, flag):
+        """Regression: ``True`` was taken as the fraction 1.0 (never fall
+        back) and ``False`` as 0.0 (always fall back)."""
+        with pytest.raises(ValueError, match="churn_threshold"):
+            IncrementalSnapshotClusterer(1.0, 2, churn_threshold=flag)
 
 
 class TestAdaptiveChurnThresholdProperties:

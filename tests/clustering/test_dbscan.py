@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clustering.dbscan import dbscan, dbscan_brute_force
+from repro.clustering.generic_dbscan import density_cluster
+from repro.clustering.incremental import IncrementalSnapshotClusterer
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -25,6 +27,36 @@ class TestBasicBehaviour:
         for eps in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="eps"):
                 dbscan({"a": (0, 0)}, eps, 2)
+
+    @pytest.mark.parametrize(
+        "min_pts", [math.nan, 2.5, math.inf, True],
+        ids=["nan", "fraction", "inf", "bool"],
+    )
+    @pytest.mark.parametrize("surface", [
+        "dbscan", "dbscan-empty", "dbscan_brute_force", "density_cluster",
+        "incremental",
+    ])
+    def test_min_pts_must_be_an_integer_count(self, surface, min_pts):
+        """Regression: a NaN min_pts made dbscan() return a lone point as
+        a cluster while the incremental clusterer returned none, and
+        2.5, inf and True ran without a word on every surface."""
+        points = {"a": (0, 0), "b": (1, 0), "c": (50, 50)}
+        calls = {
+            "dbscan": lambda: dbscan(points, 2.0, min_pts),
+            "dbscan-empty": lambda: dbscan({}, 2.0, min_pts),
+            "dbscan_brute_force": lambda: dbscan_brute_force(
+                points, 2.0, min_pts
+            ),
+            "density_cluster": lambda: density_cluster(
+                3, lambda item: [item], min_pts
+            ),
+            "incremental": lambda: IncrementalSnapshotClusterer(
+                2.0, min_pts
+            ).cluster(points),
+        }
+        with pytest.raises(ValueError, match="min_pts must be >= 1 and an "
+                                             "integer"):
+            calls[surface]()
 
     def test_single_cluster(self):
         points = {"a": (0, 0), "b": (1, 0), "c": (2, 0)}

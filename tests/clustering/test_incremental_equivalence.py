@@ -146,17 +146,18 @@ class TestTickForTickEquality:
         clusterer = IncrementalSnapshotClusterer(eps, m)
         answers = []
         for snapshot in (a_first, b_first, nudged, a_first):
-            clusters, delta = clusterer.cluster_with_delta(snapshot)
+            clusters = clusterer.cluster(snapshot)
             assert clusters == dbscan(snapshot, eps, m)
-            answers.append((clusters, delta))
+            answers.append(clusters)
         owner = [
             next(sorted(c - {"q"})[0][0] for c in clusters if "q" in c)
-            for clusters, _delta in answers
+            for clusters in answers
         ]
         assert owner == ["a", "b", "b", "a"]
-        # A flip with no movement still changes both member sets, so the
-        # delta must say so (the tracker skips "unchanged" clusters).
-        assert answers[1][1].status == ("changed", "changed")
+        # Only the first tick rebuilt; the unmoved flip at the second was
+        # the spliced-border re-assignment of an incremental pass.
+        assert clusterer.counters["full_passes"] == 1
+        assert clusterer.counters["incremental_passes"] == 3
 
     def test_min_pts_one_and_empty_snapshots(self):
         rng = random.Random(5)

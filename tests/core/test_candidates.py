@@ -2,27 +2,12 @@
 
 import pytest
 
-from repro.clustering.incremental import (
-    APPEARED,
-    CHANGED,
-    UNCHANGED,
-    ClusterDelta,
-)
 from repro.core.candidates import CandidateTracker, ClosedCandidate
 from repro.core.convoy import Convoy
 
 
 def convoys_of(records):
     return [r.as_convoy() for r in records]
-
-
-def delta_of(*status_by_id):
-    """Build a ClusterDelta from ``(cluster_id, status)`` pairs."""
-    return ClusterDelta(
-        ids=tuple(cid for cid, _status in status_by_id),
-        status=tuple(status for _cid, status in status_by_id),
-        vanished=(),
-    )
 
 
 class TestBasicLifecycle:
@@ -38,6 +23,38 @@ class TestBasicLifecycle:
             assert tracker.advance([{"a", "b"}], t, t) == []
         closed = convoys_of(tracker.flush())
         assert closed == [Convoy(["a", "b"], 0, 4)]
+        assert tracker.flush() == []
+
+    def test_step_counters(self):
+        """Every step counts; only steps with clusters re-intersect, and
+        no step splices (the key stays, always 0, for its readers)."""
+        tracker = CandidateTracker(2, 3)
+        tracker.advance([{"a", "b"}, {"c", "d"}], 0, 0)  # nothing live yet
+        tracker.advance([{"a", "b"}, {"c", "d"}], 1, 1)  # 2 re-intersected
+        tracker.advance([], 2, 2)                        # gap: none
+        assert tracker.counters == {
+            "advance_steps": 3,
+            "spliced_candidates": 0,
+            "reintersected_candidates": 2,
+        }
+
+    def test_prune_then_same_cluster_reseeds(self):
+        """A window prune closes the only chain of a cluster that comes
+        back unchanged next step; the cluster seeds a fresh chain."""
+        for paper_semantics in (False, True):
+            tracker = CandidateTracker(
+                2, 2, paper_semantics=paper_semantics
+            )
+            cluster = {"a", "b"}
+            tracker.advance([cluster], 0, 0)
+            tracker.advance([cluster], 1, 1)
+            pruned = tracker.prune_longer_than(2)
+            assert convoys_of(pruned) == [Convoy(["a", "b"], 0, 1)]
+            assert tracker.live_candidates == []
+            tracker.advance([cluster], 2, 2)
+            assert tracker.live_candidates == [Convoy(["a", "b"], 2, 2)]
+            tracker.advance([cluster], 3, 3)
+            assert convoys_of(tracker.flush()) == [Convoy(["a", "b"], 2, 3)]
 
     def test_short_lived_cluster_not_reported(self):
         tracker = CandidateTracker(2, 3)
@@ -74,7 +91,7 @@ class TestBasicLifecycle:
     def test_steps_must_advance(self):
         tracker = CandidateTracker(2, 2)
         tracker.advance([{"a", "b"}], 0, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\[3, 5\].*end 3"):
             tracker.advance([{"a", "b"}], 3, 5)  # overlaps previous window
 
     def test_reversed_window_rejected(self):
@@ -160,118 +177,6 @@ class TestCompleteSemantics:
         tracker.advance([{"a", "b", "c"}], 1, 1)
         closed = tracker.advance([{"a", "b"}], 2, 2)
         assert closed == []
-
-
-class TestAdvanceDelta:
-    def test_none_delta_is_the_classic_advance(self):
-        tracker = CandidateTracker(2, 3)
-        for t in range(5):
-            assert tracker.advance_delta([{"a", "b"}], None, t, t) == []
-        assert tracker.counters["delta_steps"] == 0
-        assert tracker.counters["advance_steps"] == 5
-        assert convoys_of(tracker.flush()) == [Convoy(["a", "b"], 0, 4)]
-
-    def test_unchanged_support_splices_without_intersection(self):
-        tracker = CandidateTracker(2, 3)
-        cluster = {"a", "b", "c"}
-        tracker.advance_delta([cluster], delta_of((7, APPEARED)), 0, 0)
-        for t in range(1, 6):
-            tracker.advance_delta([cluster], delta_of((7, UNCHANGED)), t, t)
-        assert tracker.counters["spliced_candidates"] == 5
-        assert tracker.counters["reintersected_candidates"] == 0
-        assert convoys_of(tracker.flush()) == [Convoy(["a", "b", "c"], 0, 5)]
-
-    def test_spliced_chain_window_history_matches_classic(self):
-        """Splicing must extend the per-step window history exactly as the
-        classic path would — refinement depends on those clusters."""
-        classic = CandidateTracker(2, 2)
-        delta = CandidateTracker(2, 2)
-        steps = [
-            ([{"a", "b", "c"}], delta_of((1, APPEARED))),
-            ([{"a", "b", "c"}], delta_of((1, UNCHANGED))),
-            ([{"a", "b", "d"}], delta_of((1, CHANGED))),
-            ([], None),
-        ]
-        classic_closed = []
-        delta_closed = []
-        for t, (clusters, d) in enumerate(steps):
-            classic_closed += classic.advance(clusters, t, t)
-            delta_closed += delta.advance_delta(clusters, d, t, t)
-        assert classic_closed == delta_closed
-        assert [r.windows for r in delta_closed] == [
-            r.windows for r in classic_closed
-        ]
-
-    def test_changed_cluster_reintersects_and_narrows(self):
-        tracker = CandidateTracker(2, 2)
-        tracker.advance_delta([{"a", "b", "c"}], delta_of((1, APPEARED)), 0, 0)
-        closed = tracker.advance_delta(
-            [{"a", "b"}], delta_of((1, CHANGED)), 1, 1
-        )
-        assert closed == []  # [0,0] run is below k
-        assert Convoy(["a", "b"], 0, 1) in tracker.live_candidates
-        assert tracker.counters["reintersected_candidates"] == 1
-
-    def test_vanished_support_treated_as_dirty(self):
-        tracker = CandidateTracker(2, 2)
-        tracker.advance_delta([{"a", "b"}], delta_of((1, APPEARED)), 0, 0)
-        # Cluster 1 dissolved; its objects reappear inside a fresh id.
-        tracker.advance_delta(
-            [{"a", "b", "c"}], delta_of((2, APPEARED)), 1, 1
-        )
-        assert Convoy(["a", "b"], 0, 1) in tracker.live_candidates
-
-    def test_prune_then_unchanged_cluster_reseeds(self):
-        """A window prune can close the only chain supported by a cluster
-        that next tick reports unchanged; the cluster must seed afresh,
-        exactly as the classic path would."""
-        for paper_semantics in (False, True):
-            tracker = CandidateTracker(
-                2, 2, paper_semantics=paper_semantics
-            )
-            cluster = {"a", "b"}
-            tracker.advance_delta([cluster], delta_of((3, APPEARED)), 0, 0)
-            tracker.advance_delta([cluster], delta_of((3, UNCHANGED)), 1, 1)
-            pruned = tracker.prune_longer_than(2)
-            assert convoys_of(pruned) == [Convoy(["a", "b"], 0, 1)]
-            assert tracker.live_candidates == []
-            tracker.advance_delta([cluster], delta_of((3, UNCHANGED)), 2, 2)
-            assert tracker.live_candidates == [Convoy(["a", "b"], 2, 2)]
-            tracker.advance_delta([cluster], delta_of((3, UNCHANGED)), 3, 3)
-            assert convoys_of(tracker.flush()) == [Convoy(["a", "b"], 2, 3)]
-
-    def test_flush_closes_spliced_chains(self):
-        tracker = CandidateTracker(2, 2)
-        tracker.advance_delta([{"a", "b"}], delta_of((1, APPEARED)), 0, 0)
-        tracker.advance_delta([{"a", "b"}], delta_of((1, UNCHANGED)), 1, 1)
-        assert convoys_of(tracker.flush()) == [Convoy(["a", "b"], 0, 1)]
-        assert tracker.flush() == []
-
-    def test_classic_advance_resets_supports(self):
-        """After a classic step the tracker cannot trust stale supports: a
-        following delta step must re-intersect, not splice."""
-        tracker = CandidateTracker(2, 3)
-        tracker.advance_delta([{"a", "b"}], delta_of((1, APPEARED)), 0, 0)
-        tracker.advance([{"a", "b"}], 1, 1)  # no ids available
-        tracker.advance_delta([{"a", "b"}], delta_of((1, UNCHANGED)), 2, 2)
-        assert tracker.counters["spliced_candidates"] == 0
-        assert tracker.counters["reintersected_candidates"] >= 1
-        assert convoys_of(tracker.flush()) == [Convoy(["a", "b"], 0, 2)]
-
-    def test_delta_length_mismatch_rejected(self):
-        tracker = CandidateTracker(2, 2)
-        with pytest.raises(ValueError, match="delta describes"):
-            tracker.advance_delta(
-                [{"a", "b"}, {"c", "d"}], delta_of((1, APPEARED)), 0, 0
-            )
-
-    def test_steps_must_advance_with_both_timestamps_named(self):
-        tracker = CandidateTracker(2, 2)
-        tracker.advance_delta([{"a", "b"}], delta_of((1, APPEARED)), 0, 3)
-        with pytest.raises(ValueError, match=r"\[2, 5\].*3"):
-            tracker.advance_delta(
-                [{"a", "b"}], delta_of((1, UNCHANGED)), 2, 5
-            )
 
 
 class TestWindowHistories:

@@ -71,6 +71,32 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match="eps must be positive and finite"):
             cuts(db, 2, 2, eps, variant="cuts*")
 
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(lam=2.5), "lambda must be >= 1 and an integer, got 2.5"),
+        (dict(lam=3.0), "lambda must be >= 1 and an integer, got 3.0"),
+        (dict(lam=True), "lambda must be >= 1 and an integer, got True"),
+        (dict(delta=math.nan), "delta must be non-negative and finite"),
+        (dict(delta=math.inf), "delta must be non-negative and finite"),
+        (dict(delta=True), "delta must be non-negative and finite"),
+    ], ids=["lam-fraction", "lam-float", "lam-bool", "delta-nan",
+            "delta-inf", "delta-bool"])
+    def test_bad_lam_or_delta_is_rejected_by_name(self, variant, kwargs,
+                                                  match):
+        """Regression: lam=2.5 died with a TypeError from the filter,
+        lam=True ran as λ=1, and a NaN, infinite or bool δ ran and was
+        echoed back in the result."""
+        db = db_of(straight("a", 0, 0, 0, 5), straight("b", 0, 1, 0, 5))
+        with pytest.raises(ValueError, match=match):
+            cuts(db, 2, 2, 1.0, variant=variant, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [dict(lam=2.5), dict(delta=math.nan)],
+                             ids=["lam", "delta"])
+    def test_bad_lam_or_delta_checked_before_the_empty_shortcut(self,
+                                                                kwargs):
+        with pytest.raises(ValueError, match="must be"):
+            cuts(TrajectoryDatabase(), 2, 2, 1.0, **kwargs)
+
     def test_empty_database(self):
         result = cuts(TrajectoryDatabase(), 2, 2, 1.0)
         assert result.convoys == []

@@ -1,20 +1,18 @@
 """Shared pipeline-comparison helpers for the streaming differential suites.
 
-Every differential suite in this directory compares the same three
-clusterer pipelines — fresh DBSCAN (+ classic candidate advance),
-incremental clustering with its delta withheld (PR 2's path), and
-incremental clustering with the cluster diff propagated into the
-candidate tracker (the delta path) — optionally behind a reorder buffer
-or in front of a store.  The miner factories, the lockstep driver, and
-the seeded fuzz-workload generator used to be copy-pasted per suite;
-they live here once, exposed as fixtures:
+Every differential suite in this directory compares the same two
+clusterer pipelines — fresh DBSCAN per tick and the incremental
+clusterer, each feeding one candidate advance per tick — optionally
+behind a reorder buffer or in front of a store.  The miner factories,
+the lockstep driver, and the seeded fuzz-workload generator used to be
+copy-pasted per suite; they live here once, exposed as fixtures:
 
 * ``make_miner(pipeline, m, k, eps, **kwargs)`` — one miner for one
-  pipeline name (``"delta"`` / ``"pr2"`` / ``"full"``); extra kwargs
+  pipeline name (``"incremental"`` / ``"full"``); extra kwargs
   (``paper_semantics``, ``window``, ``reorder``, ``store``, clusterer
   options) forward to the engine.
-* ``make_pipeline_miners(m, k, eps, **kwargs)`` — the full dict of all
-  three, for lockstep comparisons.
+* ``make_pipeline_miners(m, k, eps, **kwargs)`` — the dict of both, for
+  lockstep comparisons.
 * ``assert_lockstep(ticks, miners, flush=True)`` — feed every miner the
   same ticks, assert identical emissions at every single ``feed`` (and
   at ``flush``); returns the miners for follow-up counter assertions.
@@ -31,18 +29,8 @@ import pytest
 from repro.clustering.incremental import IncrementalSnapshotClusterer
 from repro.streaming import StreamingConvoyMiner, churn_stream, jitter_ticks
 
-#: The three clusterer pipelines every differential suite compares.
-PIPELINE_NAMES = ("delta", "pr2", "full")
-
-
-class PipelineClusterOnly:
-    """Hide ``cluster_with_delta`` so the engine runs PR 2's classic path."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def cluster(self, snapshot):
-        return self.inner.cluster(snapshot)
+#: The clusterer pipelines every differential suite compares.
+PIPELINE_NAMES = ("incremental", "full")
 
 
 def build_miner(pipeline, m, k, eps, *, paper_semantics=False, window=None,
@@ -55,10 +43,8 @@ def build_miner(pipeline, m, k, eps, *, paper_semantics=False, window=None,
     if pipeline not in PIPELINE_NAMES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
     clusterer = None
-    if pipeline != "full":
+    if pipeline == "incremental":
         clusterer = IncrementalSnapshotClusterer(eps, m, **clusterer_kwargs)
-        if pipeline == "pr2":
-            clusterer = PipelineClusterOnly(clusterer)
     return StreamingConvoyMiner(
         m, k, eps, paper_semantics=paper_semantics, window=window,
         clusterer=clusterer, reorder=reorder, store=store,
@@ -153,7 +139,7 @@ def make_miner():
 
 @pytest.fixture
 def make_pipeline_miners():
-    """Factory fixture: all three pipeline miners with shared kwargs."""
+    """Factory fixture: both pipeline miners with shared kwargs."""
     return build_pipeline_miners
 
 
@@ -161,12 +147,6 @@ def make_pipeline_miners():
 def assert_lockstep():
     """Lockstep driver fixture (see :func:`run_lockstep`)."""
     return run_lockstep
-
-
-@pytest.fixture
-def cluster_only():
-    """The delta-hiding clusterer wrapper (PR 2's pipeline)."""
-    return PipelineClusterOnly
 
 
 @pytest.fixture

@@ -1,15 +1,12 @@
-"""Differential suite: the diff-aware candidate path == the classic path.
+"""Differential suite: the delta-maintained clustering pipeline == the
+fresh one, convoy for convoy.
 
-PR 2's equivalence suite proved incremental clustering identical to a
-fresh DBSCAN per tick.  This suite is the same contract one layer up: a
-:class:`~repro.streaming.StreamingConvoyMiner` whose candidate tracker
-consumes :class:`~repro.clustering.incremental.ClusterDelta` diffs
-(``advance_delta`` splicing) must emit, at every single ``feed`` and at
-``flush``, exactly the convoys of
-
-* the PR 2 pipeline — the same incremental clusterer but with its delta
-  withheld, forcing the classic full ``advance`` re-intersection; and
-* the baseline pipeline — fresh DBSCAN plus classic ``advance``.
+``tests/clustering/test_incremental_equivalence.py`` holds the
+incremental clusterer equal to a fresh DBSCAN per tick.  This suite is
+the same contract one layer up: a
+:class:`~repro.streaming.StreamingConvoyMiner` running the incremental
+clusterer must emit, at every single ``feed`` and at ``flush``, exactly
+the convoys of the baseline pipeline (fresh DBSCAN per tick).
 
 Equality is asserted tick-for-tick (not just on the final answer), under
 both candidate-semantics modes, across churn/turnover sweeps, time gaps,
@@ -44,16 +41,15 @@ class TestTickForTickConvoyEquality:
             make_pipeline_miners(3, 5, 8.0, paper_semantics=paper_semantics),
         )
         if churn <= 0.1:
-            # The low-churn regime must actually exercise the splice path,
+            # The low-churn regime must actually run incremental passes,
             # or this whole suite is vacuous.
-            assert miners["delta"].counters["spliced_candidates"] > 0
-            assert miners["pr2"].counters["spliced_candidates"] == 0
-            assert miners["full"].counters["delta_steps"] == 0
+            passes = miners["incremental"].clusterer.counters
+            assert passes["incremental_passes"] > 0
 
     @pytest.mark.parametrize("paper_semantics", SEMANTICS)
     def test_high_turnover(self, make_pipeline_miners, assert_lockstep,
                            paper_semantics):
-        """Arrivals/departures exercise appeared/vanished classifications."""
+        """Arrivals and departures insert and remove grid entries."""
         ticks = list(churn_stream(60, 40, seed=31, eps=8.0, churn=0.05,
                                   turnover=0.15))
         assert_lockstep(
@@ -65,7 +61,7 @@ class TestTickForTickConvoyEquality:
     def test_database_replay_with_gaps(self, make_pipeline_miners,
                                        assert_lockstep, paper_semantics):
         """Empty and below-m snapshots interleave clusterless advances
-        (classic path) with delta steps; supports must recover."""
+        with incremental passes that skip the unseen snapshots."""
         spec = synthetic_dataset(
             "delta-replay", 47, n_objects=30, t_domain=45, eps=5.0, m=3,
             k=5, episode_count=5, episode_size=(3, 5),
@@ -80,7 +76,8 @@ class TestTickForTickConvoyEquality:
     @pytest.mark.parametrize("paper_semantics", SEMANTICS)
     def test_explicit_time_gaps(self, make_pipeline_miners, assert_lockstep,
                                 paper_semantics):
-        """Skipped time points (gap advances) between delta steps."""
+        """Skipped time points (gap advances) between incremental
+        passes."""
         ticks = [
             (t, snapshot)
             for t, snapshot in churn_stream(50, 40, seed=37, eps=8.0,
@@ -94,8 +91,8 @@ class TestTickForTickConvoyEquality:
 
     def test_key_order_shuffles_without_movement(self, make_pipeline_miners,
                                                  assert_lockstep):
-        """Reordered snapshot keys flip border ties (clusters 'changed'
-        with no churn); the delta path must re-intersect exactly those."""
+        """Reordered snapshot keys flip border ties with no churn; the
+        incremental pass must re-assign exactly those borders."""
         import random
 
         rng = random.Random(13)
@@ -127,8 +124,8 @@ class TestWindowAndFlushInteraction:
     def test_bounded_window_prunes_identically(self, make_pipeline_miners,
                                                assert_lockstep,
                                                paper_semantics, window):
-        """prune_longer_than() force-closes spliced chains too; pruned
-        supports must re-seed their unchanged cluster next tick."""
+        """prune_longer_than() force-closes chains whose cluster comes
+        back unchanged next tick; that cluster must re-seed."""
         ticks = list(churn_stream(100, 45, seed=43, eps=8.0, churn=0.05,
                                   turnover=0.02, area=96.0))
         miners = assert_lockstep(
@@ -136,8 +133,8 @@ class TestWindowAndFlushInteraction:
             make_pipeline_miners(3, 5, 8.0, paper_semantics=paper_semantics,
                                  window=window),
         )
-        # Windowed low-churn streams still splice between prunes.
-        assert miners["delta"].counters["spliced_candidates"] > 0
+        passes = miners["incremental"].clusterer.counters
+        assert passes["incremental_passes"] > 0
 
     def test_flush_after_gap(self, make_pipeline_miners, assert_lockstep):
         """A trailing gap closes every chain before the flush; both paths
@@ -160,7 +157,7 @@ class TestWindowAndFlushInteraction:
                 miner.feed(t, dict(snapshot))
             live = {name: miner.live_candidates
                     for name, miner in miners.items()}
-            assert live["delta"] == live["pr2"] == live["full"], f"tick {t}"
+            assert live["incremental"] == live["full"], f"tick {t}"
 
 
 class TestOfflineCmcDeltaPath:
@@ -171,11 +168,12 @@ class TestOfflineCmcDeltaPath:
             episode_count=4, episode_size=(3, 4),
         )
         base = cmc(spec.database, 3, 5, 5.0, paper_semantics=paper_semantics)
-        counters = {}
+        # Every object moves every tick here, so only a threshold of 1
+        # keeps the clusterer off the full-pass fallback.
+        clusterer = IncrementalSnapshotClusterer(5.0, 3, churn_threshold=1.0)
         got = cmc(
             spec.database, 3, 5, 5.0, paper_semantics=paper_semantics,
-            clusterer=IncrementalSnapshotClusterer(5.0, 3),
-            counters=counters,
+            clusterer=clusterer,
         )
         assert got == base
-        assert counters["delta_steps"] > 0
+        assert clusterer.counters["incremental_passes"] > 0

@@ -1,14 +1,14 @@
 """Differential fuzz suite: reordered ingestion == in-order ingestion.
 
-The delta suite (``test_delta_equivalence.py``) proved the diff-aware
-candidate path identical to the classic one.  This suite is the same
+The delta suite (``test_delta_equivalence.py``) proved the incremental
+clustering pipeline identical to the fresh one.  This suite is the same
 contract one layer further out: a jittered, duplicated, gap-ridden feed
 pushed through a :class:`~repro.streaming.ReorderBuffer` (standalone or
 via ``StreamingConvoyMiner(reorder=...)``) must produce convoys
 bit-for-bit equal to feeding the same snapshots in order with no buffer —
-across all three clusterer pipelines (fresh DBSCAN, incremental
-clustering, incremental + cluster-diff candidate splicing), both
-``paper_semantics`` modes, explicit time gaps, and bounded windows.
+across both clusterer pipelines (fresh DBSCAN and incremental
+clustering), both ``paper_semantics`` modes, explicit time gaps, and
+bounded windows.
 
 Two layers of the claim:
 
@@ -18,8 +18,8 @@ Two layers of the claim:
   contract, checked bit-for-bit on the ticks themselves.
 * **Convoy equality** — the buffered miners' emissions (every ``feed``
   return plus ``flush``) concatenate to exactly the in-order miners'
-  emissions, and the three buffered pipelines agree with each other at
-  every single ``feed`` call (tick-for-tick, not just at the end).
+  emissions, and the buffered pipelines agree with each other at every
+  single ``feed`` call (tick-for-tick, not just at the end).
 
 The seeded workload generator and the miner factories are the shared
 fixtures of ``tests/streaming/conftest.py``; every knob is drawn from a
@@ -35,7 +35,7 @@ from repro.core.verification import normalize_convoys
 from repro.streaming import reorder_ticks
 
 SEMANTICS = (False, True)
-PIPELINES = ("delta", "pr2", "full")
+PIPELINES = ("incremental", "full")
 
 
 class TestStreamRestoration:
@@ -88,10 +88,10 @@ class TestConvoyEquivalence:
             assert buffered.counters["late_dropped"] == 0
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_three_pipelines_agree_tick_for_tick(self, make_miner,
+    def test_pipelines_agree_tick_for_tick(self, make_miner,
                                                  fuzz_workload, seed):
-        """Beyond the final answer: at every push, the three buffered
-        pipelines release the same ticks and emit the same convoys."""
+        """Beyond the final answer: at every push, the buffered pipelines
+        release the same ticks and emit the same convoys."""
         _base, feed, lateness = fuzz_workload(seed)
         miners = {
             pipeline: make_miner(
@@ -105,18 +105,19 @@ class TestConvoyEquivalence:
                 name: miner.feed(t, dict(snapshot))
                 for name, miner in miners.items()
             }
-            assert emitted["delta"] == emitted["pr2"] == emitted["full"], (
-                f"seed {seed}, push t={t}: delta {emitted['delta']} / "
-                f"pr2 {emitted['pr2']} / full {emitted['full']}"
+            assert emitted["incremental"] == emitted["full"], (
+                f"seed {seed}, push t={t}: incremental "
+                f"{emitted['incremental']} / full {emitted['full']}"
             )
             live = {name: miner.live_candidates
                     for name, miner in miners.items()}
-            assert live["delta"] == live["pr2"] == live["full"]
+            assert live["incremental"] == live["full"]
         flushed = {name: miner.flush() for name, miner in miners.items()}
-        assert flushed["delta"] == flushed["pr2"] == flushed["full"]
-        # The splice path must actually engage, or the delta leg of this
-        # suite is vacuous.
-        assert miners["delta"].counters["delta_steps"] > 0
+        assert flushed["incremental"] == flushed["full"]
+        # Incremental passes must actually run, or the incremental leg of
+        # this suite is vacuous.
+        passes = miners["incremental"].clusterer.counters
+        assert passes["incremental_passes"] > 0
 
     @pytest.mark.parametrize("paper_semantics", SEMANTICS)
     @pytest.mark.parametrize("window", [5, 8])
@@ -189,10 +190,10 @@ class TestConvoyEquivalence:
         drop policy must not fire and the answer must not move."""
         base, feed, lateness = fuzz_workload(seed)
         raise_miner = make_miner(
-            "delta", 3, 5, 8.0, reorder=dict(allowed_lateness=lateness),
+            "incremental", 3, 5, 8.0, reorder=dict(allowed_lateness=lateness),
         )
         drop_miner = make_miner(
-            "delta", 3, 5, 8.0,
+            "incremental", 3, 5, 8.0,
             reorder=dict(allowed_lateness=lateness, late_policy="drop"),
         )
         got_raise, got_drop = [], []

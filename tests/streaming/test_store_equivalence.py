@@ -1,7 +1,7 @@
 """Differential suite: mining with a write-through store changes nothing,
 and the store's read-back is bit-for-bit the in-memory answer.
 
-Two properties, held jointly across all three clusterer pipelines, both
+Two properties, held jointly across both clusterer pipelines, both
 candidate semantics, gap-severed streams, and bounded windows:
 
 * **transparency** — a miner with ``store=`` emits, tick for tick,
@@ -23,7 +23,7 @@ from repro.store import SQLiteConvoyStore, convoy_identity, rank_key
 from repro.streaming import churn_stream
 
 SEMANTICS = (False, True)
-PIPELINES = ("delta", "pr2", "full")
+PIPELINES = ("incremental", "full")
 
 
 def gap_workload(n_objects=50, n_snapshots=36, seed=29):

@@ -16,7 +16,7 @@ from benchmarks.bench_service_ingestion import (
 from benchmarks.bench_match_kernel import (
     KERNELS as MATCH_KERNEL_ORDER,
     SMOKE_SMALL,
-    make_delta_steps,
+    make_small_steps,
     make_small_workload,
     run_regime,
 )
@@ -224,7 +224,7 @@ class TestMatchKernelBenchSchema:
         # run_regime still times both variants and asserts their
         # emissions identical.
         scale = dict(SMOKE_SMALL, n_objects=40, n_snapshots=6, warmup=2)
-        steps = make_delta_steps(make_small_workload(scale))
+        steps = make_small_steps(make_small_workload(scale))
         return run_regime("schema", steps, scale["warmup"], reps=1)
 
     def test_rows_are_stable_and_finite(self, tmp_path):

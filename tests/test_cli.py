@@ -101,8 +101,12 @@ class TestDiscover:
         (["-e", "2.0", "-m", "0"], "m must be >= 1"),
         (["-e", "2.0", "--delta", "-1"], "delta must be non-negative"),
         (["-e", "2.0", "--lam", "0"], "lambda must be >= 1"),
+        (["-e", "2.0", "--delta", "nan"], "delta must be non-negative and "
+                                          "finite, got nan"),
+        (["-e", "2.0", "--delta", "inf"], "delta must be non-negative and "
+                                          "finite, got inf"),
     ], ids=["eps-nan", "eps-inf", "cmc-eps-nan", "m-zero", "negative-delta",
-            "zero-lambda"])
+            "zero-lambda", "nan-delta", "inf-delta"])
     def test_bad_query_parameters_exit_2(self, convoy_csv, flags, match):
         """Regression: a NaN eps answered "0 convoy(s) found" and the
         other bad values died with a traceback (exit 1)."""
@@ -188,16 +192,6 @@ class TestStream:
         assert "incremental clustering:" in inc_text
         assert "objects=a,b" in inc_text
         assert inc_out.read_text() == base_out.read_text()
-
-    def test_incremental_reports_candidate_splicing(self, convoy_csv,
-                                                    tmp_path):
-        code, text = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0",
-             "--incremental"]
-        )
-        assert code == 0
-        assert "candidate tracking:" in text
-        assert "spliced" in text
 
     def test_churn_threshold_flag(self, convoy_csv, tmp_path):
         base_out = tmp_path / "base.csv"
