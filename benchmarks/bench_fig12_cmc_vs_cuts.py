@@ -17,7 +17,10 @@ All methods must return identical answers — the equality with CMC is
 asserted here on every run, at both eps values.
 
 ``--smoke`` runs small scales (the CI step); ``--json PATH`` writes the
-rows as ``BENCH_fig12.json`` through ``write_bench_json``.
+rows as ``BENCH_fig12.json`` through ``write_bench_json``.  A full run
+then checks the bar :data:`CUTS_STAR_BAR` (CuTS* cold at least as fast
+as CMC on every dataset) and exits non-zero, naming the datasets below
+it, when it fails; the JSON is written first either way.
 """
 
 import argparse
@@ -46,6 +49,10 @@ WARM_EPS_FACTOR = 0.8
 
 #: Scales of the ``--smoke`` run: about a fifth of the bench scales.
 SMOKE_SCALES = {name: scale / 5 for name, scale in BENCH_SCALES.items()}
+
+#: The least CMC/CuTS* time ratio a full run accepts, cold, per dataset.
+#: The paper reports 3.9-33.1x; this bar only asks CuTS* not to lose.
+CUTS_STAR_BAR = 1.0
 
 
 def run_algorithm(database, spec, algorithm, eps):
@@ -138,6 +145,17 @@ def test_fig12_answers_agree(name):
     measure(dataset(name))
 
 
+def below_bar(rows):
+    """``[(dataset, speedup)]`` for every cold CuTS* row under the bar."""
+    return [
+        (row["dataset"], row["speedup_vs_cmc"])
+        for row in rows
+        if row["algorithm"] == "cuts*" and row["state"] == "cold"
+        and row["speedup_vs_cmc"] is not None
+        and row["speedup_vs_cmc"] < CUTS_STAR_BAR
+    ]
+
+
 def report(rows):
     """The Fig. 12 grid and the CuTS phase split, as printable tables."""
     grid = []
@@ -195,6 +213,12 @@ def main(argv=None):
             {"smoke": args.smoke, "scales": scales,
              "warm_eps_factor": WARM_EPS_FACTOR},
             rows,
+        )
+    failing = [] if args.smoke else below_bar(rows)
+    if failing:
+        raise SystemExit(
+            f"CuTS* cold below {CUTS_STAR_BAR}x CMC on: "
+            + ", ".join(f"{name} {speedup:.2f}x" for name, speedup in failing)
         )
 
 

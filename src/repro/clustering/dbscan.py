@@ -10,9 +10,7 @@ the clustering skeleton is
 
 from __future__ import annotations
 
-import math
-
-from repro.checks import check_count
+from repro.checks import check_count, check_eps
 from repro.clustering.generic_dbscan import density_cluster
 from repro.clustering.grid_index import GridIndex
 
@@ -33,8 +31,7 @@ def dbscan(points, eps, min_pts):
         members, because a cluster contains at least one core object and
         that object's entire neighbourhood.
     """
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    check_eps(eps)
     check_count("min_pts", min_pts)
     if not points:
         return []
@@ -60,8 +57,7 @@ def dbscan_brute_force(points, eps, min_pts):
     clustering skeleton but computes neighbourhoods by checking every pair,
     so any disagreement isolates a bug in the grid index.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    check_eps(eps)
     if not points:
         return []
     ids = list(points.keys())

@@ -71,10 +71,9 @@ downstream needs to know which clusters a tick left untouched.
 
 from __future__ import annotations
 
-import math
 import time
 
-from repro.checks import check_count
+from repro.checks import check_count, check_eps
 from repro.clustering.grid_index import GridIndex
 
 
@@ -213,8 +212,7 @@ class IncrementalSnapshotClusterer:
     """
 
     def __init__(self, eps, min_pts, churn_threshold=0.35, counters=None):
-        if not 0 < eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {eps}")
+        check_eps(eps)
         check_count("min_pts", min_pts)
         if churn_threshold == "adaptive":
             self._adaptive = AdaptiveChurnThreshold()

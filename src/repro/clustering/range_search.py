@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 
+from repro.checks import check_eps
 from repro.geometry.bbox import box_min_distance
 
 DISTANCE_MODES = ("dll", "cpa")
@@ -144,8 +145,7 @@ class PolylineRangeSearcher:
     def __init__(self, polylines, eps, mode="dll", bucket_capacity=8, use_lemma2=True):
         if mode not in DISTANCE_MODES:
             raise ValueError(f"unknown distance mode {mode!r}; expected {DISTANCE_MODES}")
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
+        check_eps(eps)
         if bucket_capacity < 1:
             raise ValueError(f"bucket_capacity must be >= 1, got {bucket_capacity}")
         self._polylines = list(polylines)

@@ -40,6 +40,21 @@ times the record's coordinate magnitude plus the margin, which dwarfs the
 few ulps involved (the 3×3 grid of :mod:`repro.clustering.grid_index` is
 widened the same way).
 
+Why the gap test and the kernels accept a hair past ``e + δ(l_a) +
+δ(l_b)``: the CuTS refinement evaluates ``e`` only over the pairs linked
+here, so the join must link every pair that the snapshot predicate
+``dx*dx + dy*dy <= e*e`` accepts at a tick of the window, ties included.
+Rounding works against that at a tie: the snapshot positions, the
+simplifier's tolerances and the kernel's own arithmetic each carry a few
+ulps of the magnitudes they compute with.  The ``D*`` kernel computes
+positions as ``p + v·t`` from t=0 anchors ``p = x1 - v·t1``, so its
+magnitudes are those anchors and ``|v·t|``, far larger than the
+coordinates once times are large; at a tie it could round above the bound
+where the snapshot predicate accepts.  Each record therefore carries the
+scale of what its kernel computes (the coordinates, plus the anchors and
+``|v|·max|t|`` for ``D*``), and a pair's bound is widened by ``2**-40``
+times the bound plus both scales.
+
 The inlined segment kernels mirror :mod:`repro.geometry.distance` and
 :mod:`repro.geometry.cpa`; the geometry modules stay the readable
 reference implementations, and :mod:`repro.clustering.range_search`
@@ -62,6 +77,7 @@ _SLACK = 2.0**-40
 #  4-5  t1, t2 (floats)      11-14  expanded box lo_x, hi_x, lo_y, hi_y
 #  6    tolerance δ(l)       15-18  vx, vy, px, py
 #  19   owner (object index) 20-21  first and last window
+#  22   scale of the kernel's arithmetic (see the module docstring)
 _LO_X = itemgetter(11)
 
 
@@ -119,9 +135,8 @@ def segment_records(simplified_list, t_lo, t_hi, lam, eps, mode="dll",
             min_x, max_x = (x1, x2) if x1 <= x2 else (x2, x1)
             min_y, max_y = (y1, y2) if y1 <= y2 else (y2, y1)
             half = half_eps + tol
-            margin = half + (
-                half + abs(min_x) + abs(max_x) + abs(min_y) + abs(max_y)
-            ) * _SLACK
+            scale = abs(min_x) + abs(max_x) + abs(min_y) + abs(max_y)
+            margin = half + (half + scale) * _SLACK
             if cpa:
                 # Zero-duration segments are stationary.
                 duration = t2 - t1
@@ -132,6 +147,9 @@ def segment_records(simplified_list, t_lo, t_hi, lam, eps, mode="dll",
                     vx = vy = 0.0
                 px = x1 - vx * t1
                 py = y1 - vy * t1
+                scale += abs(px) + abs(py) + (abs(vx) + abs(vy)) * max(
+                    abs(t1), abs(t2)
+                )
             else:
                 vx = vy = px = py = 0.0
             entering[z_first].append((
@@ -139,7 +157,7 @@ def segment_records(simplified_list, t_lo, t_hi, lam, eps, mode="dll",
                 min_x, max_x, min_y, max_y,
                 min_x - margin, max_x + margin, min_y - margin, max_y + margin,
                 vx, vy, px, py,
-                owner, z_first, z_last,
+                owner, z_first, z_last, scale,
             ))
         if z_lo is not None:
             for z in range(z_lo, z_last + 1):
@@ -268,9 +286,13 @@ def window_links(entering, eps, mode="dll", use_lemma2=True, stats=None):
 
     Yields:
         For each window, a flat list ``[a1, b1, a2, b2, ...]`` of owner
-        pairs with ``ω(a, b) <= e`` in that window, each pair once.
+        pairs with ``ω(a, b) <= e`` in that window (up to the rounding
+        slack of the module docstring), each pair once.  By Lemmas 1 and
+        3 it holds every pair of objects whose positions are within
+        ``e`` at some tick of the window.
     """
     kernel = _dll_within if mode == "dll" else _cpa_within
+    slack = _SLACK
     pending = [[] for _ in entering]
     # For each linked owner pair, the last window it is linked in.  Every
     # link found by window z starts at or before z, so the windows from z
@@ -303,7 +325,7 @@ def window_links(entering, eps, mode="dll", use_lemma2=True, stats=None):
                  min_x, max_x, min_y, max_y,
                  lo_x, _hi_x, lo_y, hi_y,
                  _vx, _vy, _px, _py,
-                 a, z_first, z_last) = record
+                 a, z_first, z_last, scale) = record
                 if z_first == z:
                     remaining -= 1
                     lists = (active_new, active_old)
@@ -337,6 +359,7 @@ def window_links(entering, eps, mode="dll", use_lemma2=True, stats=None):
                         # Per-pair Lemma 2: the axis gaps between the two
                         # segment boxes bound their distance from below.
                         bound = eps + tol + other[6]
+                        bound += (bound + scale + other[22]) * slack
                         gap_x = min_x - other[8]
                         gap = other[7] - max_x
                         if gap_x < gap:
@@ -380,7 +403,9 @@ def window_links(entering, eps, mode="dll", use_lemma2=True, stats=None):
                     ):
                         continue
                     considered += 1
-                    if kernel(record, other, eps + record[6] + other[6]):
+                    bound = eps + record[6] + other[6]
+                    bound += (bound + record[22] + other[22]) * slack
+                    if kernel(record, other, bound):
                         linked += 1
                         link(
                             a, b, (a, b) if a < b else (b, a), z,

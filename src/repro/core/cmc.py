@@ -3,8 +3,9 @@
 CMC is the exact-but-expensive baseline: densify every trajectory with
 virtual points, run snapshot DBSCAN at *every* time point of the domain,
 and chain clusters through the shared-objects test ``|c ∩ v| >= m``.  The
-CuTS family's refinement step reuses this exact routine on each candidate's
-original trajectories, so convoy semantics are defined in one place.
+chaining is :class:`~repro.core.candidates.CandidateTracker`'s, which the
+CuTS filter and refinement drive too, so convoy semantics are defined in
+one place.
 
 CMC follows the paper's candidate semantics: when a cluster extends an
 existing candidate, the candidate narrows to the intersection and the
@@ -22,14 +23,13 @@ driver), so Algorithm 1's chaining semantics exist exactly once.
 
 from __future__ import annotations
 
-import math
-
+from repro.checks import check_eps
 from repro.core.candidates import check_query_counts
 from repro.streaming.engine import StreamingConvoyMiner
 
 
 def cmc(database, m, k, eps, time_range=None, counters=None,
-        paper_semantics=False, allowed_at=None, clusterer=None, store=None):
+        paper_semantics=False, clusterer=None, store=None):
     """Run the CMC convoy-discovery algorithm.
 
     Args:
@@ -38,8 +38,7 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
         k: minimum lifetime in consecutive time points.
         eps: density distance threshold ``e``.
         time_range: optional ``(t_lo, t_hi)`` restriction; defaults to the
-            database's full time domain.  The CuTS refinement step passes
-            each candidate's interval here.
+            database's full time domain.
         counters: optional dict; when given, receives bookkeeping totals
             (``clustering_calls``, ``interpolated_points``,
             ``clustered_points``, plus the engine's ``snapshots`` /
@@ -49,11 +48,6 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
             published seeding rule verbatim, which can miss convoys whose
             membership grows mid-stream; the default complete semantics
             fixes that (see :mod:`repro.core.candidates`).
-        allowed_at: optional callable ``t -> container of object ids``;
-            when given, the snapshot at time ``t`` only includes the listed
-            objects.  The CuTS refinement uses this to re-cluster, at every
-            time point, exactly the members of the filter cluster its
-            candidate passed through.
         clusterer: snapshot-clustering strategy, forwarded to
             :class:`~repro.streaming.StreamingConvoyMiner` — ``None`` /
             ``"full"`` (default) for a fresh DBSCAN per time point,
@@ -74,8 +68,7 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
         maximal run, per Definition 3.
     """
     check_query_counts(m, k)
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    check_eps(eps)
     if len(database) == 0:
         return []
     if time_range is None:
@@ -108,12 +101,9 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
                 next_idx += 1
             if active:
                 active = [tr for tr in active if tr.end_time >= t]
-            allowed = allowed_at(t) if allowed_at is not None else None
             snapshot = {}
             interpolated = 0
             for tr in active:
-                if allowed is not None and tr.object_id not in allowed:
-                    continue
                 snapshot[tr.object_id] = tr.location_at(t)
                 if not tr.has_sample_at(t):
                     interpolated += 1

@@ -14,13 +14,19 @@ The filter-and-refinement pipeline:
    per query (:mod:`repro.clustering.spatial_join`): each simplified
    segment pair is settled once, in the first window both segments meet,
    and a link holds in every window they share.
-3. **Refine** (Algorithm 3): for each candidate, run exact CMC over the
-   candidate objects' *original* trajectories restricted to the candidate's
-   time interval; the union of these runs, deduplicated, is the answer.
+3. **Refine** (Algorithm 3): re-cluster the candidates' objects on their
+   *original* trajectories at every time point a candidate covers, and
+   chain the snapshot clusters exactly as CMC does; the union of the
+   chains, deduplicated, is the answer.  Each snapshot's ε-join runs over
+   the filter's own links of that window, not over all pairs: the Lemma
+   bounds link every pair of objects that is within e at a time point of
+   the window, so the exact distance test on the linked pairs finds every
+   neighbour pair a snapshot DBSCAN would (a semijoin reduction).
 
 Because the Lemma bounds never under-estimate closeness, every true convoy
-survives the filter (no false dismissals); refinement then removes the
-false positives, so the family returns exactly CMC's result set.
+survives the filter (no false dismissals) and every close pair is linked;
+refinement then removes the false positives, so the family returns
+exactly CMC's result set.
 
 The three paper variants differ only in configuration:
 
@@ -37,14 +43,17 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from repro.checks import check_count
+from repro.checks import check_count, check_eps
 from repro.clustering.generic_dbscan import density_cluster
 from repro.clustering.spatial_join import segment_records, window_links
 from repro.core.candidates import CandidateTracker, check_query_counts
-from repro.core.cmc import cmc
+
+# Unused here since the refinement stopped running CMC, but perfbench's
+# traced offline_cuts run looks cmc up on this module by name.
+from repro.core.cmc import cmc  # noqa: F401
 from repro.core.params import compute_delta, compute_lambda
 from repro.core.partition import TimePartitioner
 from repro.core.verification import normalize_convoys
@@ -154,8 +163,13 @@ def cuts_filter(
             :mod:`repro.core.candidates`.
 
     Returns:
-        List of :class:`~repro.core.candidates.ClosedCandidate` records
-        whose filter lifetime is at least ``k``.
+        ``(candidates, links)``: the
+        :class:`~repro.core.candidates.ClosedCandidate` records whose
+        filter lifetime is at least ``k``, and ``{window_start: pairs}``
+        holding, for every window where the filter found a cluster, the
+        flat owner-pair list ``[a1, b1, a2, b2, ...]`` its join linked
+        there (owners index ``simplified_list``).  The refinement
+        evaluates ``e`` over these pairs only.
     """
     tracker = CandidateTracker(m, k, paper_semantics=paper_semantics)
     windows = TimePartitioner(t_lo, t_hi, lam)
@@ -164,11 +178,12 @@ def cuts_filter(
         use_actual_tolerance=use_actual_tolerance,
     )
     candidates = []
-    links = window_links(
+    links = {}
+    joined = window_links(
         entering, eps, mode=distance_mode, use_lemma2=use_lemma2,
         stats=filter_stats,
     )
-    for (lo, hi), members, pairs in zip(windows, present, links):
+    for (lo, hi), members, pairs in zip(windows, present, joined):
         clusters = []
         if len(members) >= m:
             index = {owner: i for i, owner in enumerate(members)}
@@ -184,33 +199,63 @@ def cuts_filter(
                 clusters.append(
                     {simplified_list[members[i]].object_id for i in cluster}
                 )
+        if clusters:
+            links[lo] = pairs
         candidates.extend(tracker.advance(clusters, lo, hi))
     candidates.extend(tracker.flush())
-    return candidates
+    return candidates, links
 
 
-def cuts_refine(database, candidates, m, k, eps, paper_semantics=False):
+def cuts_refine(database, candidates, links, m, k, eps,
+                paper_semantics=False):
     """Run the CuTS refinement step (Algorithm 3, coverage-map form).
 
     Conceptually, Algorithm 3 re-runs exact CMC per candidate over the
     candidate's objects and time interval.  Doing that literally repeats
     the same snapshot clusterings for every candidate that covers the same
     times, so the refinement instead builds a *coverage map*: for every
-    time window, the union of the members of every candidate cluster
-    covering that window.  One CMC pass per contiguous covered region,
-    with the snapshot at each time restricted to the covered members,
-    performs each candidate's re-clustering exactly once.
+    filter window, the union of the members of every candidate cluster
+    covering that window.  Every covered time point is clustered once,
+    over the covered members alive there, and one
+    :class:`~repro.core.candidates.CandidateTracker` chains the clusters
+    as CMC does; a time point no candidate covers closes every chain.
 
     Using per-window cluster members (rather than each chain's final
     intersection) is what keeps refinement exact: any snapshot cluster
     containing a convoy's objects at a covered time is a subset of the
     filter cluster the candidate passed through there, so no density
     bridge is lost.
+
+    Each snapshot's ε-join runs over the window's ``links`` (from
+    :func:`cuts_filter`) between covered members, not over all pairs.
+    This is exact because the join links every pair of objects that is
+    within ``e`` at some time point of the window (Lemmas 1 and 3; the
+    join's kernels carry a rounding slack so that ties the snapshot
+    predicate accepts are linked too).  Each linked pair then gets the
+    snapshot predicate ``dx*dx + dy*dy <= e*e`` of
+    :class:`~repro.clustering.grid_index.GridIndex` on positions
+    interpolated with the arithmetic of
+    :func:`~repro.trajectory.interpolation.interpolate_position`, and
+    each snapshot lists its objects in CMC's order (database order,
+    stable-sorted by start time), so every clustering is the one CMC
+    computes over the same objects.
+
+    Args:
+        database: the queried database; its iteration order is the
+            filter's owner order.
+        candidates: the filter's
+            :class:`~repro.core.candidates.ClosedCandidate` records.
+        links: the filter's ``{window_start: pairs}``.
+        m, k, eps: the convoy query parameters.
+        paper_semantics: candidate-seeding rule; see
+            :mod:`repro.core.candidates`.
+
+    Returns:
+        The refined convoys, not yet normalized.
     """
     coverage = {}
     for candidate in candidates:
-        for window in candidate.windows:
-            ws, we, members = window
+        for ws, we, members in candidate.windows:
             have = coverage.get((ws, we))
             if have is None:
                 coverage[(ws, we)] = set(members)
@@ -218,41 +263,82 @@ def cuts_refine(database, candidates, m, k, eps, paper_semantics=False):
                 have |= members
     if not coverage:
         return []
-    windows = sorted(coverage)
-    blocks = [[windows[0]]]
-    for window in windows[1:]:
-        if window[0] == blocks[-1][-1][1] + 1:
-            blocks[-1].append(window)
-        else:
-            blocks.append([window])
-    convoys = []
-    for block in blocks:
-        t_lo = block[0][0]
-        t_hi = block[-1][1]
-        union = set()
-        for window in block:
-            union |= coverage[window]
-        sub_db = database.restricted(union, t_lo, t_hi)
-        if len(sub_db) < m:
-            continue
-        starts = [window[0] for window in block]
-        members = [coverage[window] for window in block]
-
-        def allowed_at(t, starts=starts, members=members):
-            return members[bisect_right(starts, t) - 1]
-
-        convoys.extend(
-            cmc(
-                sub_db,
-                m,
-                k,
-                eps,
-                time_range=(t_lo, t_hi),
-                paper_semantics=paper_semantics,
-                allowed_at=allowed_at,
-            )
-        )
-    return convoys
+    trajectories = list(database)
+    owner_of = {tr.object_id: owner for owner, tr in enumerate(trajectories)}
+    # rank[owner]: the owner's place in CMC's snapshot order, database
+    # order stable-sorted by start time.
+    rank = [0] * len(trajectories)
+    by_start = sorted(range(len(trajectories)),
+                      key=lambda owner: trajectories[owner].start_time)
+    for position, owner in enumerate(by_start):
+        rank[owner] = position
+    eps2 = eps * eps
+    tracker = CandidateTracker(m, k, paper_semantics=paper_semantics)
+    closed = []
+    t_next = None
+    for ws, we in sorted(coverage):
+        if t_next is not None and ws > t_next:
+            closed += tracker.advance((), t_next, ws - 1)
+        t_next = we + 1
+        covered = {owner_of[object_id] for object_id in coverage[(ws, we)]}
+        flat = links[ws]
+        pairs = [
+            (a, b) for a, b in zip(flat[::2], flat[1::2])
+            if a in covered and b in covered
+        ]
+        # For m >= 2 an object without a linked partner is noise; for
+        # m = 1 it is a cluster of its own.
+        involved = covered if m == 1 else {o for pair in pairs for o in pair}
+        order = sorted(involved, key=rank.__getitem__)
+        local = {owner: i for i, owner in enumerate(order)}
+        pairs = [(local[a], local[b]) for a, b in pairs]
+        ids = [trajectories[owner].object_id for owner in order]
+        n = len(order)
+        # frames[t - ws][i]: object i's position at t, None when not alive.
+        frames = [[None] * n for _ in range(we - ws + 1)]
+        for i, owner in enumerate(order):
+            times, xs, ys = trajectories[owner].coordinates()
+            t_from = ws if ws > times[0] else times[0]
+            t_to = we if we < times[-1] else times[-1]
+            if t_from > t_to:
+                continue
+            j = bisect_left(times, t_from)  # cursor: first sample >= t
+            for t in range(t_from, t_to + 1):
+                while times[j] < t:
+                    j += 1
+                if times[j] == t:
+                    frames[t - ws][i] = (xs[j], ys[j])
+                else:
+                    lo = j - 1
+                    ratio = (t - times[lo]) / (times[j] - times[lo])
+                    frames[t - ws][i] = (
+                        xs[lo] + (xs[j] - xs[lo]) * ratio,
+                        ys[lo] + (ys[j] - ys[lo]) * ratio,
+                    )
+        for t, position in enumerate(frames, ws):
+            adjacency = [[i] for i in range(n)]
+            linked = False
+            for a, b in pairs:
+                pa = position[a]
+                pb = position[b]
+                if pa is None or pb is None:
+                    continue
+                dx = pb[0] - pa[0]
+                dy = pb[1] - pa[1]
+                if dx * dx + dy * dy <= eps2:
+                    adjacency[a].append(b)
+                    adjacency[b].append(a)
+                    linked = True
+            clusters = []
+            if linked or m == 1:
+                # Objects not alive at t are noise for m >= 2 and clusters
+                # of their own for m = 1; the latter are dropped.
+                for cluster in density_cluster(n, adjacency.__getitem__, m):
+                    if position[cluster[0]] is not None:
+                        clusters.append({ids[i] for i in cluster})
+            closed += tracker.advance(clusters, t, t)
+    closed += tracker.flush()
+    return [record.as_convoy() for record in closed]
 
 
 def cuts(
@@ -292,8 +378,7 @@ def cuts(
             f"unknown variant {variant!r}; expected one of {sorted(VARIANTS)}"
         )
     check_query_counts(m, k)
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    check_eps(eps)
     if lam is not None:
         check_count("lambda", lam)
     if delta is not None and (
@@ -325,7 +410,7 @@ def cuts(
 
     filter_stats = {}
     started = time.perf_counter()
-    candidates = cuts_filter(
+    candidates, links = cuts_filter(
         simplified_list,
         m,
         k,
@@ -343,7 +428,8 @@ def cuts(
 
     started = time.perf_counter()
     raw_convoys = cuts_refine(
-        database, candidates, m, k, eps, paper_semantics=paper_semantics
+        database, candidates, links, m, k, eps,
+        paper_semantics=paper_semantics,
     )
     refinement_seconds = time.perf_counter() - started
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from repro.checks import check_eps
 from repro.simplification.dp import spatial_chord
 
 
@@ -69,8 +70,7 @@ def compute_delta(database, eps, sample_fraction=0.1, min_samples=5, seed=0,
         every sampled trajectory is degenerate (straight lines produce no
         division tolerances below the cap).
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    check_eps(eps)
     if not (0.0 < cap_fraction <= 1.0):
         raise ValueError(f"cap_fraction must be in (0, 1], got {cap_fraction}")
     trajectories = list(database)

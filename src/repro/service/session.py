@@ -89,8 +89,8 @@ def build_miner(config):
     try:
         miner = StreamingConvoyMiner(**miner_kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: an integer eps past the float range reaching
-        # the incremental clusterer's float().
+        # OverflowError: an integer past the float range reaching a
+        # float() (check_eps refuses such an eps before that).
         raise ProtocolError(f"bad miner config: {exc}") from None
     return miner, delay, max_queue
 

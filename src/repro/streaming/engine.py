@@ -55,9 +55,7 @@ O(live chains x window).
 
 from __future__ import annotations
 
-import math
-
-from repro.checks import check_count
+from repro.checks import check_count, check_eps
 from repro.clustering.incremental import IncrementalSnapshotClusterer
 from repro.core.candidates import CandidateTracker, check_query_counts
 from repro.streaming.pipeline import (
@@ -150,8 +148,7 @@ class StreamingConvoyMiner:
     def __init__(self, m, k, eps, paper_semantics=False, window=None,
                  counters=None, clusterer=None, reorder=None, store=None):
         check_query_counts(m, k)
-        if not 0 < eps < math.inf:
-            raise ValueError(f"eps must be positive and finite, got {eps}")
+        check_eps(eps)
         if window is not None:
             check_count("window", window, k)
         self.counters = counters if counters is not None else {}

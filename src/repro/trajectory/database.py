@@ -128,23 +128,6 @@ class TrajectoryDatabase:
             if tr.is_alive_at(t)
         }
 
-    def restricted(self, object_ids, t_lo, t_hi):
-        """Return a sub-database for the refinement step.
-
-        Keeps only the given objects, each sliced to ``[t_lo, t_hi]``;
-        objects with no samples in the window are dropped.
-        """
-        wanted = set(object_ids)
-        sliced = []
-        for object_id in wanted:
-            trajectory = self._trajectories.get(object_id)
-            if trajectory is None:
-                continue
-            piece = trajectory.sliced(t_lo, t_hi)
-            if piece is not None:
-                sliced.append(piece)
-        return TrajectoryDatabase(sliced)
-
     def _require_non_empty(self):
         if not self._trajectories:
             raise ValueError("operation requires a non-empty database")

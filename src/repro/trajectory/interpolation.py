@@ -4,8 +4,10 @@ CMC needs every object's location at every clustered time point, but real
 trajectories are sampled irregularly — the paper's Taxi data reports
 "every three minutes ... some once in several minutes".  The paper's fix is
 linear interpolation between the neighbouring real samples; these helpers
-implement it once so CMC, the refinement step, and the dataset generators
-all share the same semantics.
+implement it once so CMC and the dataset generators share the same
+semantics.  The CuTS refinement walks each trajectory with a cursor
+instead of a bisect per time point, and evaluates the same float
+expressions in the same order, so its positions are bit-identical.
 """
 
 from __future__ import annotations

@@ -48,21 +48,6 @@ class Trajectory:
         self._ys = [p.y for p in cleaned]
         self._trees = ()
 
-    @classmethod
-    def _from_arrays(cls, object_id, times, xs, ys):
-        """Adopt parallel arrays that already hold validated samples.
-
-        ``times`` must be strictly increasing integers and every
-        coordinate finite: nothing is checked, copied or sorted.
-        """
-        trajectory = cls.__new__(cls)
-        trajectory.object_id = object_id
-        trajectory._times = times
-        trajectory._xs = xs
-        trajectory._ys = ys
-        trajectory._trees = ()
-        return trajectory
-
     # ------------------------------------------------------------------
     # Basic protocol
     # ------------------------------------------------------------------
@@ -168,52 +153,6 @@ class Trajectory:
         tree = SplitTree(self, chord)
         self._trees = trees + (tree,)
         return tree
-
-    def sliced(self, t_lo, t_hi):
-        """Return this trajectory restricted to the window ``[t_lo, t_hi]``.
-
-        The CuTS refinement step runs CMC on each candidate's original
-        trajectories *within the candidate's time interval*; slicing avoids
-        re-clustering the full histories.
-
-        The slice must answer ``o(t)`` identically to the full trajectory
-        for every ``t`` in the window: with irregular sampling the nearest
-        real samples can lie *outside* the window, so the slice gains
-        synthesized (interpolated) boundary samples at the window edges.
-        Dropping those edge times instead would shrink the object's alive
-        interval and make refinement miss convoy time points that the
-        exact algorithm covers.
-
-        The slice copies the recorded samples inside the window from this
-        trajectory's arrays, which were validated at construction; only
-        the synthesized boundary samples are validated, as ``__init__``
-        would validate them.
-
-        Returns ``None`` when the window is disjoint from ``o.tau``.
-        """
-        if t_hi < t_lo:
-            raise ValueError(f"slice window reversed: [{t_lo}, {t_hi}]")
-        times = self._times
-        lo_t = max(t_lo, times[0])
-        hi_t = min(t_hi, times[-1])
-        if lo_t > hi_t:
-            return None
-        lo = bisect_left(times, lo_t)
-        hi = bisect_left(times, hi_t + 1)
-        times = times[lo:hi]
-        xs = self._xs[lo:hi]
-        ys = self._ys[lo:hi]
-        if not times or times[0] != lo_t:
-            first = self.point_at(lo_t).validate()
-            times.insert(0, first.t)
-            xs.insert(0, first.x)
-            ys.insert(0, first.y)
-        if times[-1] != hi_t:
-            last = self.point_at(hi_t).validate()
-            times.append(last.t)
-            xs.append(last.x)
-            ys.append(last.y)
-        return Trajectory._from_arrays(self.object_id, times, xs, ys)
 
     def bounding_box(self):
         """Return the spatial bounding box of all samples."""

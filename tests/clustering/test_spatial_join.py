@@ -20,10 +20,13 @@ from repro.clustering.spatial_join import (
     segment_records,
     window_links,
 )
+from repro.core.cuts import VARIANTS
 from repro.core.partition import TimePartitioner, build_partition_polylines
 from repro.geometry.distance import _segments_intersect
-from repro.simplification import SimplifiedTrajectory
+from repro.simplification import SIMPLIFIERS, SimplifiedTrajectory
 from repro.trajectory.point import TrajectoryPoint
+from repro.trajectory.trajectory import Trajectory
+from tests.oracle import tie_eps
 
 MODES = ("dll", "cpa")
 KERNELS = {"dll": _dll_within, "cpa": _cpa_within}
@@ -362,3 +365,121 @@ class TestFilterStats:
         swept = {}
         joined(database, 0, 25, 2, 3.0, mode, stats=swept)
         assert swept["pairs_considered"] < overlapping
+
+
+def walk_database(rng, offset):
+    """2-6 random walks with missing samples, times shifted by ``offset``."""
+    trajectories = []
+    for i in range(rng.randint(2, 6)):
+        start = rng.randint(0, 6)
+        end = start + rng.randint(1, 12)
+        x, y = rng.uniform(-60, 60), rng.uniform(-60, 60)
+        samples = []
+        for t in range(start, end + 1):
+            x += rng.uniform(-6, 6)
+            y += rng.uniform(-6, 6)
+            if t in (start, end) or rng.random() < 0.6:
+                samples.append((x, y, t + offset))
+        trajectories.append(Trajectory(f"o{i}", samples))
+    return trajectories
+
+
+def tied_walks(rng, offset):
+    """Random walks and an eps tied to one pair at one tick they share."""
+    while True:
+        trajectories = walk_database(rng, offset)
+        a, b = rng.sample(trajectories, 2)
+        lo = max(a.start_time, b.start_time)
+        hi = min(a.end_time, b.end_time)
+        if lo <= hi:
+            t = rng.randint(lo, hi)
+            pa, pb = a.location_at(t), b.location_at(t)
+            if pa != pb:
+                return trajectories, tie_eps(pa, pb)
+
+
+def tied_segments(rng, offset):
+    """Two 2-sample objects over one interval, eps tied at the closer end.
+
+    The closer end is where the two time-parameterized segments come
+    closest whenever their CPA falls outside the interval, so ``D*``
+    meets the snapshot distance exactly there.
+    """
+    t1 = rng.randint(0, 3) + offset
+    t2 = t1 + rng.randint(1, 10)
+    a, b = (
+        Trajectory(name, [
+            (rng.uniform(-100, 100), rng.uniform(-100, 100), t1),
+            (rng.uniform(-100, 100), rng.uniform(-100, 100), t2),
+        ])
+        for name in "ab"
+    )
+    eps = min(tie_eps(a.location_at(t), b.location_at(t)) for t in (t1, t2))
+    return [a, b], eps
+
+
+def unlinked_snapshot_pairs(trajectories, eps, variant, delta, lam,
+                            use_lemma2, use_actual_tolerance):
+    """Pairs the snapshot predicate accepts at a tick of a window where
+    the join did not link them."""
+    config = VARIANTS[variant]
+    simplify = SIMPLIFIERS[config["simplifier"]]
+    simplified = [simplify(trajectory, delta) for trajectory in trajectories]
+    t_lo = min(trajectory.start_time for trajectory in trajectories)
+    t_hi = max(trajectory.end_time for trajectory in trajectories)
+    entering, _present = segment_records(
+        simplified, t_lo, t_hi, lam, eps, mode=config["distance_mode"],
+        use_actual_tolerance=use_actual_tolerance,
+    )
+    links = window_links(entering, eps, config["distance_mode"], use_lemma2)
+    missed = []
+    for (lo, hi), pairs in zip(TimePartitioner(t_lo, t_hi, lam), links):
+        linked = {frozenset(pair) for pair in zip(pairs[::2], pairs[1::2])}
+        for t in range(lo, hi + 1):
+            alive = [
+                (owner, trajectory.location_at(t))
+                for owner, trajectory in enumerate(trajectories)
+                if trajectory.is_alive_at(t)
+            ]
+            for (a, pa), (b, pb) in itertools.combinations(alive, 2):
+                dx = pb[0] - pa[0]
+                dy = pb[1] - pa[1]
+                if (dx * dx + dy * dy <= eps * eps
+                        and frozenset((a, b)) not in linked):
+                    missed.append((t, a, b))
+    return missed
+
+
+class TestLinksHoldEverySnapshotPair:
+    """The CuTS refinement evaluates ``e`` on the pairs the join linked in
+    a window, and on no others.  So in every window the join must link
+    every pair the snapshot predicate ``dx*dx + dy*dy <= e*e`` accepts at
+    one of its ticks, ties included, however large the times are."""
+
+    @pytest.mark.parametrize("offset", [0, 10**6], ids=["t0", "t1e6"])
+    @pytest.mark.parametrize("use_actual_tolerance", [True, False],
+                             ids=["actual-tol", "global-tol"])
+    @pytest.mark.parametrize("use_lemma2", [True, False],
+                             ids=["sweep", "all-pairs"])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_random_databases_and_ties(self, variant, use_lemma2,
+                                       use_actual_tolerance, offset):
+        rng = random.Random(
+            f"{variant}/{use_lemma2}/{use_actual_tolerance}/{offset}"
+        )
+        for trial in range(150):
+            draw = trial % 3
+            if draw == 0:
+                trajectories = walk_database(rng, offset)
+                eps = rng.uniform(2.0, 30.0)
+            elif draw == 1:
+                trajectories, eps = tied_walks(rng, offset)
+            else:
+                trajectories, eps = tied_segments(rng, offset)
+            delta = rng.choice([0.0, rng.uniform(0.0, eps)])
+            lam = rng.randint(1, 4)
+            missed = unlinked_snapshot_pairs(
+                trajectories, eps, variant, delta, lam, use_lemma2,
+                use_actual_tolerance,
+            )
+            assert not missed, (trial, eps, delta, lam, missed)

@@ -197,16 +197,3 @@ class TestSemantics:
         convoys = cmc(db, 2, 3, 5.0)
         for convoy in convoys:
             assert is_valid_convoy(db, convoy, 2, 3, 5.0)
-
-    def test_allowed_at_restricts_membership(self):
-        db = db_of(
-            straight("a", 0, 0, 1, 0, 0, 9),
-            straight("b", 0, 1, 1, 0, 0, 9),
-            straight("c", 0, 2, 1, 0, 0, 9),
-        )
-        full = normalize_convoys(cmc(db, 2, 5, 2.0))
-        assert full == [Convoy(["a", "b", "c"], 0, 9)]
-        restricted = normalize_convoys(
-            cmc(db, 2, 5, 2.0, allowed_at=lambda t: {"a", "b"})
-        )
-        assert restricted == [Convoy(["a", "b"], 0, 9)]

@@ -13,6 +13,7 @@ from repro.core.verification import convoy_sets_equal, normalize_convoys
 from repro.simplification import SIMPLIFIERS
 from repro.trajectory.database import TrajectoryDatabase
 from repro.trajectory.trajectory import Trajectory
+from tests.oracle import tie_eps
 
 
 def random_database(seed, n_lo=4, n_hi=12, t_hi=40):
@@ -164,7 +165,7 @@ class TestFilterStep:
             lam = rng.randint(1, 8)
             exact = cmc(db, m, k, eps)
             simplified = self._simplify(db, delta)
-            candidates = cuts_filter(
+            candidates, _links = cuts_filter(
                 simplified, m, k, eps, lam, db.min_time, db.max_time
             )
             for convoy in exact:
@@ -193,7 +194,7 @@ class TestFilterStep:
             straight("b", 0, 1, 0, 9),
         )
         simplified = self._simplify(db, 0.1)
-        candidates = cuts_filter(simplified, 2, 5, 2.0, 1, 0, 9)
+        candidates, _links = cuts_filter(simplified, 2, 5, 2.0, 1, 0, 9)
         assert any(
             c.t_start == 0 and c.t_end == 9 and c.objects == frozenset({"a", "b"})
             for c in candidates
@@ -334,3 +335,118 @@ class TestToleranceTermOfTheBound:
             dropped += report["original_points"] - report["kept_points"]
             assert convoy_sets_equal(exact, result.convoys), f"seed={seed}"
         assert dropped > 0
+
+
+class TestRefinementOverLinks:
+    """The refinement re-clusters each covered time point over the
+    filter's links and must still give CMC's answer exactly."""
+
+    def test_tie_at_eps_is_kept_by_every_variant(self):
+        """Regression: the D* kernel computed ``p + v·t`` from t=0
+        anchors and rounded this pair above the bound, so CuTS* answered
+        nothing where CMC finds ``{a, b}`` at t=9."""
+        db = db_of(
+            ("a", [(89.55112570963837, 73.0985766095911, 0),
+                   (-3.45591736596036, 77.20319698531108, 9)]),
+            ("b", [(-40.543672335192824, 96.09169432820414, 0),
+                   (-35.42906840417844, 84.86821258077458, 9)]),
+        )
+        eps = 32.8790944429953
+        want = [Convoy({"a", "b"}, 9, 9)]
+        assert normalize_convoys(cmc(db, 2, 1, eps)) == want
+        for variant in sorted(VARIANTS):
+            assert cuts(db, 2, 1, eps, variant=variant).convoys == want
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_ties_at_virtual_points_equal_cmc(self, variant):
+        """Two sparsely sampled objects with eps tied at a tick between
+        samples: the refinement's cursor must interpolate bit for bit as
+        CMC's ``location_at`` does, or the tie lands on the other side."""
+        rng = random.Random(variant)
+        for trial in range(60):
+            tracks = []
+            for name in "ab":
+                times = sorted(rng.sample(range(12), 3))
+                tracks.append((name, [
+                    (rng.uniform(-50, 50), rng.uniform(-50, 50), t)
+                    for t in times
+                ]))
+            db = db_of(*tracks)
+            a, b = db["a"], db["b"]
+            lo = max(a.start_time, b.start_time)
+            hi = min(a.end_time, b.end_time)
+            virtual = [t for t in range(lo, hi + 1)
+                       if not a.has_sample_at(t) or not b.has_sample_at(t)]
+            if not virtual:
+                continue
+            t = rng.choice(virtual)
+            pa, pb = a.location_at(t), b.location_at(t)
+            if pa == pb:
+                continue
+            eps = tie_eps(pa, pb)
+            exact = normalize_convoys(cmc(db, 2, 1, eps))
+            result = cuts(db, 2, 1, eps, delta=rng.uniform(0.0, eps),
+                          lam=rng.randint(1, 4), variant=variant)
+            assert result.convoys == exact, (trial, t, eps)
+
+    @pytest.mark.parametrize("case", [
+        "left-listed-first", "right-listed-first", "right-starts-first",
+    ])
+    def test_border_object_goes_where_cmc_puts_it(self, case):
+        """Object 13 is a border object within e of a core object of
+        either group, so it joins whichever group's cluster a snapshot
+        scan reaches first, and with m=4 the left group is a convoy only
+        with 13 in it.  CMC scans in database order stable-sorted by
+        start time, and so must the refinement, whatever order a set of
+        the ids iterates in (ascending for these small ints)."""
+        left = [(10, -0.9), (11, -0.5), (12, 0.0)]
+        right = [(1, 2.0), (2, 2.3), (3, 2.6), (4, 2.9)]
+
+        def track(oid, x, early):
+            points = [(x, 0.0, 5)]
+            if early:  # alive from t=4, far from every other object
+                points.insert(0, (100.0 * oid, 50.0, 4))
+            return oid, points
+
+        listed = right + left if case == "right-listed-first" else left + right
+        early = case == "right-starts-first"
+        db = db_of(
+            *[track(oid, x, early and oid < 10) for oid, x in listed],
+            (13, [(1.0, 0.0, 5)]),
+        )
+        if case == "left-listed-first":
+            want = [Convoy({1, 2, 3, 4}, 5, 5), Convoy({10, 11, 12, 13}, 5, 5)]
+        else:
+            want = [Convoy({1, 2, 3, 4, 13}, 5, 5)]
+        assert normalize_convoys(cmc(db, 4, 1, 1.0)) == want
+        for variant in sorted(VARIANTS):
+            result = cuts(db, 4, 1, 1.0, delta=0.0, lam=1, variant=variant)
+            assert result.convoys == want
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_single_objects_equal_cmc_at_m_1(self, variant):
+        """With m = 1 an alive object with no neighbour is a cluster of
+        its own, so the refinement clusters the covered objects that
+        have no link too."""
+        for seed in range(12):
+            db, rng = random_database(seed * 5 + 3)
+            k = rng.randint(1, 6)
+            eps = rng.uniform(1, 10)
+            exact = normalize_convoys(cmc(db, 1, k, eps))
+            result = cuts(
+                db, 1, k, eps, delta=rng.uniform(0.1, eps),
+                lam=rng.randint(1, 2 * k), variant=variant,
+            )
+            assert convoy_sets_equal(exact, result.convoys), f"seed={seed}"
+
+    def test_filter_keeps_the_links_of_every_clustered_window(self):
+        db = db_of(
+            straight("a", 0, 0, 0, 9),
+            straight("b", 0, 1, 0, 9),
+            straight("c", 0, 200, 0, 9),
+        )
+        simplified = [SIMPLIFIERS["dp"](tr, 0.1) for tr in db]
+        candidates, links = cuts_filter(simplified, 2, 2, 2.0, 4, 0, 9)
+        assert sorted(links) == [0, 4, 8]
+        assert all(sorted(pairs) == [0, 1] for pairs in links.values())
+        assert {(c.t_start, c.t_end) for c in candidates} == {(0, 9)}

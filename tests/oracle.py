@@ -24,6 +24,7 @@ The enumeration is exponential in the object count, so the oracle refuses
 inputs above :data:`MAX_OBJECTS` objects or :data:`MAX_TICKS` ticks.
 """
 
+import math
 from itertools import combinations
 
 from repro.clustering.dbscan import dbscan_brute_force
@@ -84,3 +85,24 @@ def oracle_convoys(database, m, k, eps):
         )
     ]
     return sorted(maximal, key=Convoy.sort_key)
+
+
+def tie_eps(pa, pb):
+    """The least eps at which the snapshot predicate accepts ``pa, pb``.
+
+    Every snapshot clustering here and in the miners tests a pair with
+    ``dx*dx + dy*dy <= eps*eps``; at this eps the pair sits exactly on
+    that edge, where a path computing positions or bounds with different
+    rounding would answer differently.
+    """
+    dx = pb[0] - pa[0]
+    dy = pb[1] - pa[1]
+    d2 = dx * dx + dy * dy
+    eps = math.sqrt(d2)
+    while eps * eps < d2:
+        eps = math.nextafter(eps, math.inf)
+    below = math.nextafter(eps, 0.0)
+    while below * below >= d2:
+        eps = below
+        below = math.nextafter(eps, 0.0)
+    return eps

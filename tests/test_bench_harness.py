@@ -20,7 +20,12 @@ from benchmarks.bench_match_kernel import (
     make_small_workload,
     run_regime,
 )
-from benchmarks.bench_fig12_cmc_vs_cuts import WARM_EPS_FACTOR, measure
+from benchmarks.bench_fig12_cmc_vs_cuts import (
+    CUTS_STAR_BAR,
+    WARM_EPS_FACTOR,
+    below_bar,
+    measure,
+)
 from benchmarks.common import fresh_database, safe_rate, write_bench_json
 from repro import datasets
 from repro.bench import PhaseTimer, format_series, format_table, time_call
@@ -390,6 +395,21 @@ class TestFig12BenchSchema:
         loaded = json.loads(path.read_text())
         assert loaded["bench"] == "fig12"
         assert [set(row) for row in loaded["rows"]] == [self.ROW_KEYS] * 6
+
+    def test_bar_names_each_dataset_where_cold_cuts_star_trails_cmc(self):
+        def row(dataset, algorithm, state, speedup):
+            return {"dataset": dataset, "algorithm": algorithm,
+                    "state": state, "speedup_vs_cmc": speedup}
+
+        rows = [
+            row("truck", "cuts*", "cold", 1.2),
+            row("truck", "cuts*", "warm", 0.5),
+            row("cattle", "cuts", "cold", 0.4),
+            row("cattle", "cuts*", "cold", 0.66),
+            row("car", "cuts*", "cold", CUTS_STAR_BAR),
+            row("taxi", "cuts*", "cold", None),
+        ]
+        assert below_bar(rows) == [("cattle", 0.66)]
 
     def test_fresh_database_shares_no_split_tree(self):
         spec = datasets.car_dataset(scale=0.005)

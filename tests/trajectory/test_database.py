@@ -72,34 +72,3 @@ class TestSnapshots:
         )
         assert set(db.snapshot(5)) == set()
         assert set(db.snapshot(4)) == {"a"}
-
-
-class TestRestriction:
-    def test_restricted_objects_and_window(self):
-        db = db_of(
-            ("a", [(i, 0, i) for i in range(10)]),
-            ("b", [(i, 1, i) for i in range(10)]),
-            ("c", [(i, 2, i) for i in range(10)]),
-        )
-        sub = db.restricted(["a", "b"], 2, 5)
-        assert set(sub.object_ids) == {"a", "b"}
-        assert sub.min_time == 2
-        assert sub.max_time == 5
-
-    def test_restricted_drops_uncovered_objects(self):
-        db = db_of(
-            ("a", [(0, 0, 0), (1, 0, 3)]),
-            ("b", [(0, 0, 7), (1, 0, 9)]),
-        )
-        sub = db.restricted(["a", "b"], 6, 9)
-        assert set(sub.object_ids) == {"b"}
-
-    def test_restricted_ignores_unknown_ids(self):
-        db = db_of(("a", [(0, 0, 0), (1, 0, 3)]))
-        sub = db.restricted(["a", "ghost"], 0, 3)
-        assert set(sub.object_ids) == {"a"}
-
-    def test_restricted_preserves_interpolation(self):
-        db = db_of(("a", [(0, 0, 0), (10, 0, 10)]))
-        sub = db.restricted(["a"], 3, 7)
-        assert sub["a"].location_at(5) == pytest.approx((5.0, 0.0))
