@@ -21,8 +21,16 @@ and proves what it must not cost:
 
 Per-tick latency is measured by the dispatcher around each worker step,
 so the percentiles isolate miner service time from client I/O; the
-fast-vs-solo bar uses the same step clock (``step_rate``) because wall
-rates on second-long smoke runs drown in connection setup noise.
+fast-vs-solo bar uses the same step clock because wall rates on
+second-long smoke runs drown in connection setup noise.  The bar
+compares *median* step times, each the median over
+:data:`ISOLATION_RUNS` alternating solo and backpressure runs.  A step
+of about 0.17 ms is mostly the thread hand-off into and out of the
+worker pool, so its cost moves with where the host schedules the
+threads.  On a 2-vCPU VM, one stalled step of 3 ms inside a sum of 30
+swung the mean (``step_rate``), and one run's median step time ranged
+over 0.09–0.43 ms between runs; the median over several alternating
+runs moves only when every step slows down.
 
 Run ``python benchmarks/bench_service_ingestion.py`` for the table,
 ``--smoke`` for a seconds-long CI-sized run (backpressure assertions
@@ -33,9 +41,8 @@ only), and ``--json PATH`` for the machine-readable record CI uploads
 import argparse
 import asyncio
 import math
+import statistics
 import time
-
-import pytest
 
 from benchmarks.common import print_report, safe_rate, write_bench_json
 from repro.bench import format_table
@@ -54,6 +61,13 @@ FULL_SCALE = dict(n_objects=40, n_snapshots=200)
 SMOKE_SCALE = dict(n_objects=12, n_snapshots=30)
 
 FLEET_SIZE = 8
+
+#: Solo and backpressure runs alternate this many times for the
+#: isolation bar (see the module docstring).
+ISOLATION_RUNS = 5
+
+#: The fast tenant's floor: its per-step throughput over solo's.
+ISOLATION_BAR = 0.8
 
 #: Fields every result row carries (pinned by the schema guard in
 #: ``tests/test_bench_harness.py``).
@@ -155,46 +169,73 @@ def fleet_specs():
     return specs
 
 
-def run_suite(smoke=False):
-    """All three runs; returns the rows with the backpressure contract
-    already asserted."""
-    scale = SMOKE_SCALE if smoke else FULL_SCALE
-    rows = run_tenants(
-        "solo", {"solo": dict(BASE_CONFIG)}, scale, max_workers=2
-    )
-    solo = rows[0]
-    rows += run_tenants("fleet", fleet_specs(), scale, max_workers=4)
+def isolation_runs(scale, fast_config=None):
+    """Alternate :data:`ISOLATION_RUNS` solo and backpressure runs.
+
+    Returns ``(solo_rows, backpressure_rows)``: one solo row, and one
+    ``[slow, fast]`` row pair, per run.  ``fast_config`` replaces the
+    fast tenant's default config (a negative control slows it down).
+    """
     slow_config = dict(
         BASE_CONFIG, tick_delay=SLOW_TICK_DELAY,
         max_queue=SLOW_MAX_QUEUE,
     )
-    bp_rows = run_tenants(
-        "backpressure",
-        {"slow": slow_config, "fast": dict(BASE_CONFIG)},
-        scale, max_workers=2,
-    )
-    rows += bp_rows
-    slow = next(r for r in bp_rows if r["tenant"] == "slow")
-    fast = next(r for r in bp_rows if r["tenant"] == "fast")
+    fast_config = fast_config or dict(BASE_CONFIG)
+    solo_rows, backpressure_rows = [], []
+    for _ in range(ISOLATION_RUNS):
+        solo_rows += run_tenants(
+            "solo", {"solo": dict(BASE_CONFIG)}, scale, max_workers=2
+        )
+        backpressure_rows.append(run_tenants(
+            "backpressure", {"slow": slow_config, "fast": fast_config},
+            scale, max_workers=2,
+        ))
+    return solo_rows, backpressure_rows
 
-    # The backpressure contract.  Queue bounded at the high-water mark
-    # with real throttled waits: the feed was flow-controlled, never
-    # buffered without bound and never dropped.
-    assert slow["throttled_waits"] > 0, (
-        f"the slow tenant never hit its high-water mark: {slow}"
+
+def check_isolation(solo_rows, backpressure_rows):
+    """Assert the fast tenant's median step rate is within 20% of solo's.
+
+    Takes :func:`isolation_runs`' rows.  Each side's step time is the
+    median over runs of the run's median (``p50_ms``) step time.
+    """
+    solo_ms = statistics.median(row["p50_ms"] for row in solo_rows)
+    fast_ms = statistics.median(
+        row["p50_ms"] for rows in backpressure_rows for row in rows
+        if row["tenant"] == "fast"
     )
-    # Tick enqueues wait at the mark; control steps (drain/flush) skip
-    # the throttle, so the hard bound is the mark plus one.
-    assert slow["peak_queue"] <= SLOW_MAX_QUEUE + 1, (
-        f"slow tenant queue {slow['peak_queue']} exceeded its "
-        f"high-water mark {SLOW_MAX_QUEUE}"
+    assert 1.0 / fast_ms >= ISOLATION_BAR / solo_ms, (
+        f"a slow neighbor degraded the fast tenant: median step "
+        f"{fast_ms:.4f} ms vs solo {solo_ms:.4f} ms"
     )
+
+
+def run_suite(smoke=False):
+    """All three runs; returns the rows with the backpressure contract
+    already asserted.  The rows hold the first solo and backpressure
+    runs; every run is checked."""
+    scale = SMOKE_SCALE if smoke else FULL_SCALE
+    solo_rows, backpressure_rows = isolation_runs(scale)
+    rows = solo_rows[:1]
+    rows += run_tenants("fleet", fleet_specs(), scale, max_workers=4)
+    rows += backpressure_rows[0]
+    for bp_rows in backpressure_rows:
+        slow = next(r for r in bp_rows if r["tenant"] == "slow")
+        # The backpressure contract.  Queue bounded at the high-water
+        # mark with real throttled waits: the feed was flow-controlled,
+        # never buffered without bound and never dropped.
+        assert slow["throttled_waits"] > 0, (
+            f"the slow tenant never hit its high-water mark: {slow}"
+        )
+        # Tick enqueues wait at the mark; control steps (drain/flush)
+        # skip the throttle, so the hard bound is the mark plus one.
+        assert slow["peak_queue"] <= SLOW_MAX_QUEUE + 1, (
+            f"slow tenant queue {slow['peak_queue']} exceeded its "
+            f"high-water mark {SLOW_MAX_QUEUE}"
+        )
     # Isolation: the slow tenant sleeps in its worker slot; the fast
     # tenant's per-step throughput must stay within 20% of solo.
-    assert fast["step_rate"] >= 0.8 * solo["step_rate"], (
-        f"a slow neighbor degraded the fast tenant: "
-        f"{fast['step_rate']:.1f}/s vs solo {solo['step_rate']:.1f}/s"
-    )
+    check_isolation(solo_rows, backpressure_rows)
     return rows
 
 
@@ -276,7 +317,7 @@ def main(argv=None):
         print(f"json results written to {args.json}")
     if args.smoke:
         print("smoke ok: slow tenant throttled at its high-water mark, "
-              "fast tenant within 20% of solo step rate")
+              "fast tenant within 20% of solo median step rate")
     return 0
 
 

@@ -90,8 +90,9 @@ def segment_records(simplified_list, t_lo, t_hi, lam, eps, mode="dll",
     λ-point windows (:class:`~repro.core.partition.TimePartitioner`), and
     each segment's record serves every window its time interval meets (a
     boundary-straddling segment lands in both partitions — the ``l_3^2``
-    rule of Figure 9(b)).  Segments are read straight off consecutive kept
-    points (a lone point pairs with itself as a zero-duration segment).
+    rule of Figure 9(b)).  Segments are read straight off the trajectory's
+    coordinates at consecutive kept sample indices (a lone sample pairs
+    with itself as a zero-duration segment).
 
     Args:
         simplified_list: one
@@ -115,11 +116,12 @@ def segment_records(simplified_list, t_lo, t_hi, lam, eps, mode="dll",
     half_eps = 0.5 * eps
     for owner, simplified in enumerate(simplified_list):
         delta = simplified.delta
-        points = simplified.points
+        times, xs, ys = simplified.trajectory.coordinates()
+        kept = simplified.kept
         z_lo = None
-        for (x1, y1, t1), (x2, y2, t2), tol in zip(
-            points, points[1:] or points, simplified.tolerances
-        ):
+        for i, j, tol in zip(kept, kept[1:] or kept, simplified.tolerances):
+            t1 = times[i]
+            t2 = times[j]
             seg_lo = t1 if t1 > t_lo else t_lo
             seg_hi = t2 if t2 < t_hi else t_hi
             if seg_lo > seg_hi:
@@ -130,6 +132,10 @@ def segment_records(simplified_list, t_lo, t_hi, lam, eps, mode="dll",
                 z_lo = z_first
             if not use_actual_tolerance:
                 tol = delta
+            x1 = xs[i]
+            y1 = ys[i]
+            x2 = xs[j]
+            y2 = ys[j]
             t1 = float(t1)
             t2 = float(t2)
             min_x, max_x = (x1, x2) if x1 <= x2 else (x2, x1)

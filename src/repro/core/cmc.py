@@ -23,6 +23,8 @@ driver), so Algorithm 1's chaining semantics exist exactly once.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from repro.checks import check_eps
 from repro.core.candidates import check_query_counts
 from repro.streaming.engine import StreamingConvoyMiner
@@ -84,7 +86,10 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
     # Sort trajectories once by start time so each step only examines
     # objects whose interval can cover the current time point.
     trajectories = sorted(database, key=lambda tr: tr.start_time)
-    active = []  # trajectories whose tau covers the current t (maintained)
+    # One entry per trajectory whose tau covers the current t:
+    # [object_id, times, xs, ys, cursor], the cursor at the first sample
+    # at or after t.
+    active = []
     next_idx = 0
 
     miner = StreamingConvoyMiner(
@@ -97,15 +102,29 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
     with miner:
         for t in range(t_lo, t_hi + 1):
             while next_idx < len(trajectories) and trajectories[next_idx].start_time <= t:
-                active.append(trajectories[next_idx])
+                tr = trajectories[next_idx]
+                times, xs, ys = tr.coordinates()
+                active.append([tr.object_id, times, xs, ys, bisect_left(times, t)])
                 next_idx += 1
             if active:
-                active = [tr for tr in active if tr.end_time >= t]
+                active = [entry for entry in active if entry[1][-1] >= t]
             snapshot = {}
             interpolated = 0
-            for tr in active:
-                snapshot[tr.object_id] = tr.location_at(t)
-                if not tr.has_sample_at(t):
+            for entry in active:
+                object_id, times, xs, ys, j = entry
+                while times[j] < t:
+                    j += 1
+                entry[4] = j
+                # interpolate_position's float expressions, in its order.
+                if times[j] == t:
+                    snapshot[object_id] = (xs[j], ys[j])
+                else:
+                    lo = j - 1
+                    ratio = (t - times[lo]) / (times[j] - times[lo])
+                    snapshot[object_id] = (
+                        xs[lo] + (xs[j] - xs[lo]) * ratio,
+                        ys[lo] + (ys[j] - ys[lo]) * ratio,
+                    )
                     interpolated += 1
             if counters is not None and len(snapshot) >= m:
                 counters["interpolated_points"] += interpolated

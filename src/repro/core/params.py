@@ -15,35 +15,19 @@ from repro.checks import check_eps
 from repro.simplification.dp import spatial_chord
 
 
-def _largest_gap_choice(tolerances, cap):
-    """Pick δs: the lower bound of the largest gap among tolerances < cap.
-
-    Section 7.4, second step: sort the stored tolerances, restrict to those
-    below the cap (the paper observed that picks above ``e`` collapse the
-    filter's power), find the two adjacent values with the largest
-    difference, and select the smaller of the two.
-    """
-    eligible = sorted(t for t in tolerances if t < cap)
-    if not eligible:
-        return None
-    if len(eligible) == 1:
-        return eligible[0]
-    best_gap = -1.0
-    best_value = eligible[0]
-    for lower, upper in zip(eligible, eligible[1:]):
-        gap = upper - lower
-        if gap > best_gap:
-            best_gap = gap
-            best_value = lower
-    return best_value
-
-
 def compute_delta(database, eps, sample_fraction=0.1, min_samples=5, seed=0,
                   cap_fraction=0.5):
     """Derive the simplification tolerance δ from the data (Section 7.4).
 
     Replays zero-tolerance DP on a random sample of trajectories, applies
-    the largest-gap selection per trajectory, and averages the picks.
+    the largest-gap selection per trajectory (sort the replay's
+    tolerances below the cap, find the two adjacent values with the
+    largest difference, select the smaller), and averages the picks.  The
+    replay is the trajectory's fully expanded DP split tree, which keeps
+    its sorted tolerances with the pick for every prefix
+    (:meth:`~repro.simplification.tree.SplitTree.largest_gap_below`), so
+    a later query on the same database pays one bisect per sampled
+    trajectory.
 
     One deliberate tightening of the published guideline: the paper
     restricts the candidate tolerances to values below ``e``; here they
@@ -83,10 +67,7 @@ def compute_delta(database, eps, sample_fraction=0.1, min_samples=5, seed=0,
     cap = eps * cap_fraction
     picks = []
     for trajectory in sample:
-        # Section 7.4's zero-tolerance DP replay is the fully expanded DP
-        # split tree, which later DP cuts of the trajectory share.
-        tolerances = trajectory.split_tree(spatial_chord).split_deviations()
-        choice = _largest_gap_choice(tolerances, cap)
+        choice = trajectory.split_tree(spatial_chord).largest_gap_below(cap)
         if choice is not None:
             picks.append(choice)
     if not picks:

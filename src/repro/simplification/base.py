@@ -18,68 +18,122 @@ algorithm").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.trajectory.point import TrajectoryPoint
 from repro.trajectory.segment import TimestampedSegment
 
 
-@dataclass(frozen=True)
 class SimplifiedTrajectory:
-    """The simplified polyline ``o'`` of one object.
+    """The simplified polyline ``o'`` of one object: a cut of its samples.
 
-    Attributes:
-        object_id: identifier of the moving object.
-        points: tuple of kept :class:`TrajectoryPoint` (a subset of the
-            original samples, in time order).
-        tolerances: tuple of actual tolerances δ(l'), one per consecutive
-            pair of kept points (see :attr:`segments`).
+    A simplification keeps a subset of the trajectory's own samples, so it
+    is held as the trajectory plus the kept sample indices; the filter's
+    segment records read the coordinates straight from
+    :meth:`~repro.trajectory.Trajectory.coordinates` at those indices.
+    :attr:`points` and :attr:`segments` are built when first read.
+
+    Args:
+        trajectory: the original :class:`~repro.trajectory.Trajectory`.
+        kept: sorted indices of the kept samples (first and last
+            included).
+        tolerances: actual tolerance δ(l') of each chord between
+            consecutive kept samples; ``[0.0]`` for a one-sample
+            trajectory.
         delta: the global tolerance δ the simplifier ran with.
-        original_size: ``|o|``, the number of points before simplification.
+
+    Two simplified trajectories are equal when they report the same
+    ``object_id``, ``points``, ``tolerances``, ``delta`` and
+    ``original_size``.
     """
 
-    object_id: object
-    points: tuple
-    tolerances: tuple
-    delta: float
-    original_size: int
+    __slots__ = ("trajectory", "kept", "tolerances", "delta", "_points",
+                 "_segments")
 
-    def __post_init__(self):
-        if not self.points:
-            raise ValueError(f"simplified trajectory {self.object_id!r} is empty")
-        if len(self.tolerances) != max(len(self.points) - 1, 1):
+    def __init__(self, trajectory, kept, tolerances, delta):
+        if not kept:
             raise ValueError(
-                f"{len(self.points)} points vs {len(self.tolerances)} tolerances"
+                f"simplified trajectory {trajectory.object_id!r} is empty"
             )
+        if len(tolerances) != max(len(kept) - 1, 1):
+            raise ValueError(
+                f"{len(kept)} points vs {len(tolerances)} tolerances"
+            )
+        self.trajectory = trajectory
+        self.kept = kept
+        self.tolerances = tuple(tolerances)
+        self.delta = delta
+        self._points = None
+        self._segments = None
 
     def __len__(self):
         """Number of kept points ``|o'|``."""
-        return len(self.points)
+        return len(self.kept)
+
+    def __repr__(self):
+        return (
+            f"SimplifiedTrajectory({self.object_id!r}, {len(self)} of "
+            f"{self.original_size} points, delta={self.delta!r})"
+        )
+
+    def _fields(self):
+        return (self.object_id, self.points, self.tolerances, self.delta,
+                self.original_size)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    @property
+    def object_id(self):
+        """Identifier of the moving object."""
+        return self.trajectory.object_id
+
+    @property
+    def original_size(self):
+        """``|o|``, the number of points before simplification."""
+        return len(self.trajectory)
+
+    @property
+    def points(self):
+        """Tuple of the kept :class:`TrajectoryPoint`, in time order."""
+        points = self._points
+        if points is None:
+            times, xs, ys = self.trajectory.coordinates()
+            points = self._points = tuple(
+                TrajectoryPoint(xs[i], ys[i], times[i]) for i in self.kept
+            )
+        return points
 
     @property
     def segments(self):
         """Tuple of :class:`TimestampedSegment`, parallel to ``tolerances``.
 
-        One segment per consecutive pair of kept points, built on each
-        access.  A single-point trajectory yields one degenerate
-        (zero-length, zero-duration) segment so that the object still
-        participates in the filter's clustering.
+        One segment per consecutive pair of kept points.  A single-point
+        trajectory yields one degenerate (zero-length, zero-duration)
+        segment so that the object still participates in the filter's
+        clustering.
         """
-        points = self.points
-        return tuple(
-            TimestampedSegment((a.x, a.y), (b.x, b.y), a.t, b.t)
-            for a, b in zip(points, points[1:] or points)
-        )
+        segments = self._segments
+        if segments is None:
+            points = self.points
+            segments = self._segments = tuple(
+                TimestampedSegment((a.x, a.y), (b.x, b.y), a.t, b.t)
+                for a, b in zip(points, points[1:] or points)
+            )
+        return segments
 
     @property
     def t_start(self):
         """Start of ``o'.tau`` (same as the original trajectory's)."""
-        return self.points[0].t
+        return self.trajectory.start_time
 
     @property
     def t_end(self):
         """End of ``o'.tau`` (same as the original trajectory's)."""
-        return self.points[-1].t
+        return self.trajectory.end_time
 
     @property
     def tau(self):
@@ -94,9 +148,7 @@ class SimplifiedTrajectory:
     @property
     def reduction_ratio(self):
         """Fraction of vertices removed, in [0, 1)."""
-        if self.original_size == 0:
-            return 0.0
-        return 1.0 - len(self.points) / self.original_size
+        return 1.0 - len(self.kept) / self.original_size
 
     def overlaps_interval(self, t_lo, t_hi):
         """Return True if ``o'.tau`` intersects ``[t_lo, t_hi]``."""
@@ -117,23 +169,6 @@ class SimplifiedTrajectory:
             if segment.t_end >= t_lo:
                 found.append((segment, tolerance))
         return found
-
-
-def simplified_from_indices(trajectory, kept, tolerances, delta):
-    """Build the :class:`SimplifiedTrajectory` keeping samples ``kept``.
-
-    Args:
-        trajectory: the original trajectory.
-        kept: sorted sample indices to keep (first and last included).
-        tolerances: actual tolerance of each chord between consecutive
-            kept samples; ``[0.0]`` for a one-sample trajectory.
-        delta: the global tolerance the simplifier ran with.
-    """
-    times, xs, ys = trajectory.coordinates()
-    points = tuple(TrajectoryPoint(xs[i], ys[i], times[i]) for i in kept)
-    return SimplifiedTrajectory(
-        trajectory.object_id, points, tuple(tolerances), delta, len(times)
-    )
 
 
 class Simplifier:
@@ -169,7 +204,7 @@ class Simplifier:
         times, xs, ys = trajectory.coordinates()
         n = len(times)
         if n == 1:
-            return simplified_from_indices(trajectory, [0], [0.0], delta)
+            return SimplifiedTrajectory(trajectory, [0], [0.0], delta)
         kept = [0, n - 1]
         chord_tolerance = {}
         stack = [(0, n - 1)]
@@ -194,7 +229,7 @@ class Simplifier:
                 stack.append((split, hi))
         kept.sort()
         tolerances = [chord_tolerance[chord] for chord in zip(kept, kept[1:])]
-        return simplified_from_indices(trajectory, kept, tolerances, delta)
+        return SimplifiedTrajectory(trajectory, kept, tolerances, delta)
 
 
 def middle_most_split(deviations, lo, hi, delta):

@@ -24,13 +24,20 @@ costs one DP/DP* run and a later cut at a larger δ is a pure walk.  A child
 key is published only after its deviation has been written, so a
 concurrent cut never reads a child whose deviation is missing; two cuts
 racing on the same child compute and write the same values.
+
+δ selection.  Section 7.4 picks δ from the split deviations of the fully
+expanded tree, restricted to those below a cap that varies per query.
+The tree sorts its split deviations once, together with the pick for
+every prefix of the sorted list, so each later pick is a bisect to the
+cap and one lookup (:meth:`SplitTree.largest_gap_below`).
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 
-from repro.simplification.base import simplified_from_indices
+from repro.simplification.base import SimplifiedTrajectory
 
 
 class SplitTree:
@@ -48,7 +55,8 @@ class SplitTree:
             Kept as :attr:`chord`, which names the tree's measure.
     """
 
-    __slots__ = ("chord", "_times", "_xs", "_ys", "_root", "_left", "_right", "_dev")
+    __slots__ = ("chord", "_times", "_xs", "_ys", "_root", "_left", "_right",
+                 "_dev", "_gaps")
 
     def __init__(self, trajectory, chord):
         self.chord = chord
@@ -60,6 +68,7 @@ class SplitTree:
         self._right = key * size
         self._dev = array("d", [0.0]) * size
         self._root = self._node(0, n - 1) if size else 0
+        self._gaps = None
 
     def __len__(self):
         """Number of samples of the trajectory."""
@@ -70,16 +79,6 @@ class SplitTree:
         split, max_dev = self.chord(self._times, self._xs, self._ys, lo, hi)
         self._dev[split] = max_dev
         return split
-
-    def _child(self, children, parent, lo, hi):
-        """Key of ``parent``'s child chord ``lo..hi``, computed if needed."""
-        if hi - lo < 2:
-            return 0
-        key = children[parent]
-        if not key:
-            key = self._node(lo, hi)
-            children[parent] = key
-        return key
 
     def cut(self, delta):
         """Return ``(kept, tolerances)`` of the cut at ``delta``.
@@ -92,21 +91,36 @@ class SplitTree:
         """
         if delta < 0:
             raise ValueError(f"delta must be non-negative, got {delta}")
-        n = len(self)
+        times, xs, ys = self._times, self._xs, self._ys
+        n = len(times)
         if n < 3:
             return list(range(n)), [0.0]
-        dev, left, right, child = self._dev, self._left, self._right, self._child
+        chord, dev, left, right = self.chord, self._dev, self._left, self._right
         kept = [0]
         tolerances = []
+        # A chord without interior samples has key 0, whose slot keeps
+        # deviation 0.0: no chord splits at index 0.
         stack = [(0, n - 1, self._root)]
         pop, push = stack.pop, stack.append
         while stack:
             lo, hi, key = pop()
-            max_dev = dev[key] if key else 0.0
+            max_dev = dev[key]
             if max_dev > delta:
-                # Right half first: the stack hands chords back in time order.
-                push((key, hi, child(right, key, key, hi)))
-                push((lo, key, child(left, key, lo, key)))
+                # Right half first: the stack hands chords back in time
+                # order.  A missing child is computed here, its deviation
+                # written before its key is published.
+                child = right[key]
+                if not child and hi - key > 1:
+                    child, child_dev = chord(times, xs, ys, key, hi)
+                    dev[child] = child_dev
+                    right[key] = child
+                push((key, hi, child))
+                child = left[key]
+                if not child and key - lo > 1:
+                    child, child_dev = chord(times, xs, ys, lo, key)
+                    dev[child] = child_dev
+                    left[key] = child
+                push((lo, key, child))
             else:
                 kept.append(hi)
                 tolerances.append(max_dev)
@@ -120,17 +134,49 @@ class SplitTree:
         actual tolerance values".  Values come in DP's division order
         (depth first, right half first).
         """
+        # A cut at 0 computes both children of every node with a positive
+        # deviation: every node this walk descends into.
+        self.cut(0.0)
         deviations = []
-        dev, left, right, child = self._dev, self._left, self._right, self._child
-        stack = [(0, len(self) - 1, self._root)]
+        dev, left, right = self._dev, self._left, self._right
+        stack = [self._root]
         pop, push = stack.pop, stack.append
         while stack:
-            lo, hi, key = pop()
+            key = pop()
             if key and dev[key] > 0.0:
                 deviations.append(dev[key])
-                push((lo, key, child(left, key, lo, key)))
-                push((key, hi, child(right, key, key, hi)))
+                push(left[key])
+                push(right[key])
         return deviations
+
+    def largest_gap_below(self, cap):
+        """Section 7.4's δ pick among the split deviations below ``cap``.
+
+        Sort the deviations below ``cap``, find the two adjacent values
+        with the largest difference (the first such pair on a tie), and
+        return the smaller one; a lone value is its own pick, and no value
+        below ``cap`` gives ``None``.  The first call expands the whole
+        tree and sorts its :meth:`split_deviations` once, with the pick
+        for every prefix of the sorted list; every call is then a bisect
+        to ``cap`` and one lookup.
+        """
+        gaps = self._gaps
+        if gaps is None:
+            ordered = array("d", sorted(self.split_deviations()))
+            # picks[j]: the pick among the j + 1 smallest deviations.
+            picks = ordered[:1]
+            best_gap = -1.0
+            for lower, upper in zip(ordered, ordered[1:]):
+                gap = upper - lower
+                if gap > best_gap:
+                    best_gap = gap
+                    picks.append(lower)
+                else:
+                    picks.append(picks[-1])
+            gaps = self._gaps = (ordered, picks)
+        ordered, picks = gaps
+        below = bisect_left(ordered, cap)
+        return picks[below - 1] if below else None
 
 
 class TreeSimplifier:
@@ -156,4 +202,4 @@ class TreeSimplifier:
         that a DP/DP* run with the same measure and ``delta`` returns.
         """
         kept, tolerances = trajectory.split_tree(self.chord).cut(delta)
-        return simplified_from_indices(trajectory, kept, tolerances, delta)
+        return SimplifiedTrajectory(trajectory, kept, tolerances, delta)

@@ -24,7 +24,6 @@ from repro.core.cuts import VARIANTS
 from repro.core.partition import TimePartitioner, build_partition_polylines
 from repro.geometry.distance import _segments_intersect
 from repro.simplification import SIMPLIFIERS, SimplifiedTrajectory
-from repro.trajectory.point import TrajectoryPoint
 from repro.trajectory.trajectory import Trajectory
 from tests.oracle import tie_eps
 
@@ -33,12 +32,13 @@ KERNELS = {"dll": _dll_within, "cpa": _cpa_within}
 
 
 def simplified(object_id, samples, tolerances=None, delta=0.0):
-    """A simplified trajectory kept at ``samples`` (``(x, y, t)`` triples)."""
-    points = tuple(TrajectoryPoint(x, y, t) for x, y, t in samples)
+    """A simplified trajectory keeping all of ``samples`` (``(x, y, t)``
+    triples in time order)."""
     if tolerances is None:
-        tolerances = (0.0,) * max(len(points) - 1, 1)
+        tolerances = (0.0,) * max(len(samples) - 1, 1)
     return SimplifiedTrajectory(
-        object_id, points, tuple(tolerances), delta, len(points)
+        Trajectory(object_id, samples), list(range(len(samples))),
+        tolerances, delta,
     )
 
 

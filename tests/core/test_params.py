@@ -112,9 +112,10 @@ class TestComputeLambda:
     def test_rejects_mismatched_ids(self):
         db = random_db(6)
         other = random_db(7)
-        simplified = [douglas_peucker(tr, 2.0) for tr in other]
-        for s in simplified:
-            object.__setattr__(s, "object_id", f"ghost-{s.object_id}")
+        simplified = [
+            douglas_peucker(Trajectory(f"ghost-{tr.object_id}", list(tr)), 2.0)
+            for tr in other
+        ]
         with pytest.raises(ValueError):
             compute_lambda(db, simplified)
 

@@ -4,18 +4,22 @@ DP and DP* cut a split tree built once per trajectory
 (:mod:`repro.simplification.tree`).  The references here run the generic
 :class:`Simplifier` engine with a max-deviation split rule, and replay
 zero-tolerance DP for δ selection, exactly as the two did before the tree
-existed.
+existed.  δ picks, which the tree caches per prefix of its sorted split
+deviations, are held to :func:`largest_gap_choice` over the raw
+deviations.
 """
 
+import math
 import random
 import sys
 import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cuts import cuts
-from repro.core.params import _largest_gap_choice, compute_delta
+from repro.core.params import compute_delta
 from repro.geometry.distance import point_segment_distance
 from repro.simplification import douglas_peucker, douglas_peucker_star
 from repro.simplification.base import Simplifier
@@ -34,6 +38,24 @@ def max_deviation_split(deviations, lo, hi, delta):
             best_dev = dev
             best_index = index
     return best_index
+
+
+def largest_gap_choice(tolerances, cap):
+    """Section 7.4's pick, computed from scratch: among the tolerances
+    below ``cap``, sorted, the lower end of the first largest gap."""
+    eligible = sorted(t for t in tolerances if t < cap)
+    if not eligible:
+        return None
+    if len(eligible) == 1:
+        return eligible[0]
+    best_gap = -1.0
+    best_value = eligible[0]
+    for lower, upper in zip(eligible, eligible[1:]):
+        gap = upper - lower
+        if gap > best_gap:
+            best_gap = gap
+            best_value = lower
+    return best_value
 
 
 def division_tolerances(trajectory):
@@ -295,7 +317,7 @@ class TestDeltaSelection:
         cap = eps * cap_fraction
         picks = []
         for trajectory in rng.sample(trajectories, size):
-            choice = _largest_gap_choice(division_tolerances(trajectory), cap)
+            choice = largest_gap_choice(division_tolerances(trajectory), cap)
             if choice is not None:
                 picks.append(choice)
         return sum(picks) / len(picks) if picks else cap / 2.0
@@ -317,6 +339,118 @@ class TestDeltaSelection:
                 got = compute_delta(database, eps, seed=seed)
                 want = self.reference_delta(database, eps, seed=seed)
                 assert got.hex() == want.hex()
+
+
+def hex_or_none(value):
+    return None if value is None else value.hex()
+
+
+def cap_edges(deviations):
+    """Caps at, one ulp below and one ulp above every deviation, below
+    the smallest and above the largest."""
+    caps = [0.0]
+    for d in deviations:
+        caps += [d, math.nextafter(d, -math.inf), math.nextafter(d, math.inf)]
+    if deviations:
+        caps += [min(deviations) / 2, max(deviations) * 2]
+    return caps
+
+
+def zigzag(object_id="z", teeth=6):
+    """Equal teeth on a line: DP splits at deviations that repeat."""
+    return Trajectory(
+        object_id, [(float(t), float(t % 2), t) for t in range(2 * teeth + 1)]
+    )
+
+
+class TestDeltaPicks:
+    """The tree's cached pick equals the from-scratch pick at every cap."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=samples)
+    def test_pick_at_every_cap_edge(self, rows):
+        trajectory = trajectory_of(rows)
+        tree = trajectory.split_tree(spatial_chord)
+        deviations = tree.split_deviations()
+        for cap in cap_edges(deviations):
+            assert hex_or_none(tree.largest_gap_below(cap)) == hex_or_none(
+                largest_gap_choice(deviations, cap)
+            ), cap
+
+    def test_duplicate_deviations_pick_the_first_largest_gap(self):
+        tree = zigzag().split_tree(spatial_chord)
+        deviations = tree.split_deviations()
+        assert len(set(deviations)) < len(deviations)
+        for cap in cap_edges(deviations):
+            assert hex_or_none(tree.largest_gap_below(cap)) == hex_or_none(
+                largest_gap_choice(deviations, cap)
+            )
+
+    def test_short_and_straight_trajectories_have_no_pick(self):
+        for points in ([(3.0, 4.0, 7)], [(0.0, 0.0, 0), (5.0, 5.0, 3)],
+                       [(float(t), 0.0, t) for t in range(5)]):
+            tree = Trajectory("o", points).split_tree(spatial_chord)
+            assert tree.split_deviations() == []
+            assert tree.largest_gap_below(10.0) is None
+
+    @staticmethod
+    def reference_delta(database, eps, cap_fraction):
+        """compute_delta's sample and average over from-scratch picks of
+        the raw split deviations."""
+        trajectories = list(database)
+        rng = random.Random(0)
+        size = min(max(5, int(len(trajectories) * 0.1)), len(trajectories))
+        cap = eps * cap_fraction
+        picks = []
+        for trajectory in rng.sample(trajectories, size):
+            deviations = trajectory.split_tree(spatial_chord).split_deviations()
+            choice = largest_gap_choice(deviations, cap)
+            if choice is not None:
+                picks.append(choice)
+        return sum(picks) / len(picks) if picks else cap / 2.0
+
+    def database(self):
+        rng = random.Random(17)
+        trajectories = [zigzag("z0"), zigzag("z1", teeth=3)]
+        for i in range(10):
+            x = y = 0.0
+            points = []
+            for t in range(rng.randint(1, 50)):
+                x += rng.uniform(-3, 3)
+                y += rng.choice((0.0, rng.uniform(-3, 3)))
+                points.append((x, y, t))
+            trajectories.append(Trajectory(f"o{i}", points))
+        return TrajectoryDatabase(trajectories)
+
+    @pytest.mark.parametrize("cap_fraction", [0.5, 1.0])
+    def test_compute_delta_at_every_cap_edge(self, cap_fraction):
+        """Caps at, just below and just above every sampled deviation:
+        ``eps = cap / cap_fraction`` makes ``eps * cap_fraction`` the cap
+        exactly.  The first call builds the cached picks, the rest reuse
+        them."""
+        database = self.database()
+        deviations = sorted({
+            d
+            for trajectory in database
+            for d in trajectory.split_tree(spatial_chord).split_deviations()
+        })
+        assert deviations
+        for cap in cap_edges(deviations)[1:]:
+            eps = cap / cap_fraction
+            got = compute_delta(database, eps, cap_fraction=cap_fraction)
+            want = self.reference_delta(database, eps, cap_fraction)
+            assert got.hex() == want.hex(), cap
+
+    def test_straight_lines_fall_back(self):
+        database = TrajectoryDatabase(
+            Trajectory(f"o{i}", [(float(t), float(i), t) for t in range(5)])
+            for i in range(6)
+        )
+        for eps in (1.0, 3.0):
+            assert compute_delta(database, eps) == eps * 0.5 / 2.0
+            assert compute_delta(database, eps) == self.reference_delta(
+                database, eps, 0.5
+            )
 
 
 def fields(result):

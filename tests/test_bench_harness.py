@@ -4,14 +4,21 @@ import json
 import math
 import time
 
+import pytest
+
 from benchmarks.bench_convoy_store import (
     ROW_KEYS as STORE_ROW_KEYS,
     run_query,
     run_write,
 )
 from benchmarks.bench_service_ingestion import (
+    BASE_CONFIG as SERVICE_CONFIG,
     ROW_KEYS as SERVICE_ROW_KEYS,
+    SMOKE_SCALE as SERVICE_SMOKE_SCALE,
+    check_isolation,
+    isolation_runs,
     run_suite as run_service_suite,
+    run_tenants,
 )
 from benchmarks.bench_match_kernel import (
     KERNELS as MATCH_KERNEL_ORDER,
@@ -325,8 +332,9 @@ class TestServiceIngestionBenchSchema:
     consumers chart per-tenant rates and latency percentiles keyed on
     these row fields.  ``run_suite`` itself asserts the backpressure
     contract (bounded slow-tenant queue, throttled waits observed, fast
-    tenant within 20% of the solo step rate), so this guard re-runs it
-    at smoke scale and pins the row shape around it."""
+    tenant's median step rate within 20% of solo's over alternating
+    runs), so this guard re-runs it at smoke scale and pins the row shape
+    around it."""
 
     def test_rows_round_trip_with_backpressure_asserted(self, tmp_path):
         rows = run_service_suite(smoke=True)
@@ -352,6 +360,20 @@ class TestServiceIngestionBenchSchema:
         assert len(loaded["rows"]) == len(rows)
         for row in loaded["rows"]:
             assert set(row) == SERVICE_ROW_KEYS
+
+    def test_isolation_check_catches_a_slowed_fast_tenant(self):
+        """Negative control for the isolation bar: a fast tenant that
+        sleeps a quarter of a solo step on every tick fails it."""
+        [solo] = run_tenants(
+            "solo", {"solo": dict(SERVICE_CONFIG)}, SERVICE_SMOKE_SCALE,
+            max_workers=2,
+        )
+        slowed = dict(SERVICE_CONFIG, tick_delay=0.25 * solo["p50_ms"] / 1e3)
+        solo_rows, backpressure_rows = isolation_runs(
+            SERVICE_SMOKE_SCALE, slowed
+        )
+        with pytest.raises(AssertionError, match="degraded the fast tenant"):
+            check_isolation(solo_rows, backpressure_rows)
 
 
 class TestFig12BenchSchema:
