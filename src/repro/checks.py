@@ -38,3 +38,19 @@ def check_eps(eps):
         or not 0 < eps <= sys.float_info.max
     ):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
+
+
+def check_delta(delta):
+    """Raise :class:`ValueError` unless ``delta`` is a finite real >= 0.
+
+    No deviation can stay within a negative δ, and a NaN δ compares
+    false against every deviation, so DP and DP* would keep only the end
+    samples and DP+ every sample; ``True``, ±inf and non-numbers are
+    refused as :func:`check_eps` refuses them.
+    """
+    if (
+        isinstance(delta, bool)
+        or not isinstance(delta, (int, float))
+        or not 0 <= delta <= sys.float_info.max
+    ):
+        raise ValueError(f"delta must be non-negative and finite, got {delta!r}")

@@ -35,6 +35,7 @@ import signal
 import sys
 import time
 
+from repro.checks import check_delta
 from repro.clustering.incremental import IncrementalSnapshotClusterer
 from repro.core.cmc import cmc
 from repro.core.cuts import VARIANTS, cuts
@@ -680,6 +681,11 @@ def _cmd_stats(args, out):
 
 
 def _cmd_simplify(args, out):
+    try:
+        check_delta(args.delta)
+    except ValueError as exc:
+        print(f"bad --delta value: {exc}", file=out)
+        return 2
     db = _load_csv(args, out)
     if db is None:
         return 1

@@ -2,7 +2,7 @@
 
 The convoy definition is built on DBSCAN-style *density connection*
 (Ester et al. 1996, reference [12] of the paper), so the library implements
-DBSCAN from scratch in three layers:
+DBSCAN from scratch:
 
 * :mod:`repro.clustering.grid_index` — a uniform grid over points that
   answers exact ``e``-neighbourhood queries in expected O(neighbours);
@@ -14,9 +14,9 @@ DBSCAN from scratch in three layers:
 * :mod:`repro.clustering.generic_dbscan` — DBSCAN over opaque items with a
   pluggable neighbourhood oracle, used by the CuTS filter to cluster
   *polylines of simplified segments* (the TRAJ-DBSCAN of Algorithm 2);
-* :mod:`repro.clustering.range_search` — the multi-step range search of
-  Section 5.2 over simplified polylines, applying the Lemma 2 box bound
-  before the per-segment Lemma 1 / Lemma 3 bounds.
+* :mod:`repro.clustering.spatial_join` — the CuTS filter's segment-level
+  join, which settles the Lemma 1 / Lemma 3 test of Section 5.2 once per
+  pair of simplified segments and yields each window's linked objects.
 """
 
 from repro.clustering.dbscan import dbscan
@@ -26,16 +26,11 @@ from repro.clustering.incremental import (
     AdaptiveChurnThreshold,
     IncrementalSnapshotClusterer,
 )
-from repro.clustering.polyline import PartitionPolyline
-from repro.clustering.range_search import PolylineRangeSearcher, polyline_omega
 
 __all__ = [
     "AdaptiveChurnThreshold",
     "GridIndex",
     "IncrementalSnapshotClusterer",
-    "PartitionPolyline",
-    "PolylineRangeSearcher",
     "dbscan",
     "density_cluster",
-    "polyline_omega",
 ]

@@ -48,31 +48,3 @@ def dbscan(points, eps, min_pts):
     neighbors = index.all_neighbors(eps)
     clusters = density_cluster(len(ids), neighbors.__getitem__, min_pts)
     return [{ids[i] for i in members} for members in clusters]
-
-
-def dbscan_brute_force(points, eps, min_pts):
-    """Reference DBSCAN using O(N^2) neighbourhood scans.
-
-    Exists purely as a test oracle for :func:`dbscan` — it shares the
-    clustering skeleton but computes neighbourhoods by checking every pair,
-    so any disagreement isolates a bug in the grid index.
-    """
-    check_eps(eps)
-    if not points:
-        return []
-    ids = list(points.keys())
-    locations = [points[object_id] for object_id in ids]
-    eps2 = eps * eps
-
-    def neighbors_fn(item):
-        x, y = locations[item]
-        result = []
-        for other, (ox, oy) in enumerate(locations):
-            dx = ox - x
-            dy = oy - y
-            if dx * dx + dy * dy <= eps2:
-                result.append(other)
-        return result
-
-    clusters = density_cluster(len(ids), neighbors_fn, min_pts)
-    return [{ids[i] for i in members} for members in clusters]

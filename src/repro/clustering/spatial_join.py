@@ -55,12 +55,12 @@ scale of what its kernel computes (the coordinates, plus the anchors and
 ``|v|·max|t|`` for ``D*``), and a pair's bound is widened by ``2**-40``
 times the bound plus both scales.
 
-The inlined segment kernels mirror :mod:`repro.geometry.distance` and
-:mod:`repro.geometry.cpa`; the geometry modules stay the readable
-reference implementations, and :mod:`repro.clustering.range_search`
-(``polyline_omega`` over
-:func:`~repro.core.partition.build_partition_polylines`) is the
-window-by-window reference the tests hold the join to.
+The inlined kernels evaluate ``DLL`` from squared
+:func:`~repro.geometry.distance.point_segment_distance` terms and ``D*``
+from each record's velocity and t=0 position.  Their readable
+references, the per-window polylines of Algorithm 2 and ω over them live
+beside the tests, in ``tests/filter_reference.py``; the tests hold the
+join to them window by window.
 """
 
 from __future__ import annotations

@@ -14,17 +14,11 @@ Public surface:
   normalization, and the false-positive/negative rates of Appendix B.1.
 """
 
-from repro.core.bounds import (
-    lemma1_prunes,
-    lemma2_prunes,
-    lemma3_prunes,
-    omega,
-)
 from repro.core.cmc import cmc
 from repro.core.convoy import Convoy
 from repro.core.cuts import CutsResult, cuts, cuts_filter, cuts_refine
 from repro.core.params import compute_delta, compute_lambda
-from repro.core.partition import TimePartitioner, build_partition_polylines
+from repro.core.partition import TimePartitioner
 from repro.core.queries import (
     co_travel_totals,
     convoy_timeline,
@@ -47,7 +41,6 @@ __all__ = [
     "Convoy",
     "CutsResult",
     "TimePartitioner",
-    "build_partition_polylines",
     "cmc",
     "co_travel_totals",
     "compute_delta",
@@ -66,9 +59,5 @@ __all__ = [
     "false_negative_rate",
     "false_positive_rate",
     "is_valid_convoy",
-    "lemma1_prunes",
-    "lemma2_prunes",
-    "lemma3_prunes",
     "normalize_convoys",
-    "omega",
 ]

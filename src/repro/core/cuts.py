@@ -41,12 +41,11 @@ CuTS*  DP*          ``D*`` (Lemma 3)
 
 from __future__ import annotations
 
-import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from repro.checks import check_count, check_eps
+from repro.checks import check_count, check_delta, check_eps
 from repro.clustering.generic_dbscan import density_cluster
 from repro.clustering.spatial_join import segment_records, window_links
 from repro.core.candidates import CandidateTracker, check_query_counts
@@ -65,6 +64,11 @@ VARIANTS = {
     "cuts+": {"simplifier": "dp+", "distance_mode": "dll"},
     "cuts*": {"simplifier": "dp*", "distance_mode": "cpa"},
 }
+
+#: The D* kernel computes with ticks as floats, which hold every integer
+#: only within ±2**53, so CuTS* refuses a time domain reaching past it.
+#: CuTS and CuTS+ only compare their float ticks, and rounding keeps order.
+MAX_CPA_TICK = 2**53
 
 
 @dataclass
@@ -372,6 +376,10 @@ def cuts(
     Returns:
         A :class:`CutsResult`; ``result.convoys`` equals (after
         normalization) what :func:`repro.core.cmc.cmc` returns.
+
+    Raises:
+        ValueError: on a bad parameter, or for CuTS* when the database's
+            time domain reaches past ±2**53 (:data:`MAX_CPA_TICK`).
     """
     if variant not in VARIANTS:
         raise ValueError(
@@ -381,20 +389,24 @@ def cuts(
     check_eps(eps)
     if lam is not None:
         check_count("lambda", lam)
-    if delta is not None and (
-        isinstance(delta, bool)
-        or not isinstance(delta, (int, float))
-        or not 0 <= delta < math.inf
-    ):
-        raise ValueError(
-            f"delta must be non-negative and finite, got {delta!r}"
-        )
+    if delta is not None:
+        check_delta(delta)
     config = VARIANTS[variant]
     simplifier = SIMPLIFIERS[config["simplifier"]]
     distance_mode = config["distance_mode"]
     if len(database) == 0:
         return CutsResult([], [], {"simplification": 0.0, "filter": 0.0,
                                    "refinement": 0.0}, 0.0, delta or 0.0, lam or 1)
+    t_lo = database.min_time
+    t_hi = database.max_time
+    if distance_mode == "cpa" and not (
+        -MAX_CPA_TICK <= t_lo and t_hi <= MAX_CPA_TICK
+    ):
+        tick = t_lo if t_lo < -MAX_CPA_TICK else t_hi
+        raise ValueError(
+            f"{variant} computes with ticks as floats, exact only within "
+            f"[-2**53, 2**53]; tick {tick} is outside"
+        )
 
     if delta is None:
         delta = compute_delta(database, eps)
@@ -416,8 +428,8 @@ def cuts(
         k,
         eps,
         lam,
-        database.min_time,
-        database.max_time,
+        t_lo,
+        t_hi,
         distance_mode=distance_mode,
         use_actual_tolerance=use_actual_tolerance,
         use_lemma2=use_lemma2,

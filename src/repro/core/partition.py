@@ -5,12 +5,12 @@ points and clusters, inside each partition, one polyline per object made of
 the simplified segments whose time intervals intersect the partition.  A
 segment straddling a partition boundary is deliberately inserted into
 *both* partitions (the paper's ``l_3^2`` example) so that no cross-boundary
-proximity can be missed.
+proximity can be missed.  The filter's join
+(:func:`repro.clustering.spatial_join.segment_records`) files each segment
+under the run of partitions it meets instead of building the polylines.
 """
 
 from __future__ import annotations
-
-from repro.clustering.polyline import PartitionPolyline
 
 
 class TimePartitioner:
@@ -48,44 +48,3 @@ class TimePartitioner:
         index = (t - self.t_lo) // self.lam
         lo = self.t_lo + index * self.lam
         return (lo, min(lo + self.lam - 1, self.t_hi))
-
-
-def build_partition_polylines(simplified_list, t_lo, t_hi, use_actual_tolerance=True):
-    """Collect each object's partition polyline for the window ``[t_lo, t_hi]``.
-
-    This is the ``G`` construction of Algorithm 2 (lines 9-10): for every
-    simplified trajectory whose interval meets the partition, gather the
-    segments intersecting the partition into one
-    :class:`~repro.clustering.polyline.PartitionPolyline`.  The filter
-    itself builds one join record per segment instead
-    (:func:`repro.clustering.spatial_join.segment_records`); these
-    polylines are the reference its tests hold it to.
-
-    Args:
-        simplified_list: iterable of
-            :class:`repro.simplification.SimplifiedTrajectory`.
-        t_lo, t_hi: the partition's closed time interval.
-        use_actual_tolerance: when False, every segment carries the *global*
-            tolerance δ instead of its actual tolerance — the degraded
-            configuration Figure 14 measures.
-
-    Returns:
-        List of polylines for the objects alive in the partition (objects
-        with no segment in the window are absent).
-    """
-    polylines = []
-    for simplified in simplified_list:
-        if not simplified.overlaps_interval(t_lo, t_hi):
-            continue
-        pairs = simplified.segments_overlapping(t_lo, t_hi)
-        if not pairs:
-            continue
-        segments = tuple(segment for segment, _tol in pairs)
-        if use_actual_tolerance:
-            tolerances = tuple(tol for _segment, tol in pairs)
-        else:
-            tolerances = tuple(simplified.delta for _ in pairs)
-        polylines.append(
-            PartitionPolyline(simplified.object_id, segments, tolerances)
-        )
-    return polylines

@@ -1,21 +1,21 @@
 """Planar geometry substrate for convoy discovery.
 
-This package implements Definition 1 of the paper (the distance functions
-``D``, ``DPL``, ``DLL``, and ``Dmin``) plus the temporal extensions used by
-CuTS* (time-parameterized segment locations, the Closest Point of Approach
-time, and the tightened segment distance ``D*`` of Section 6.2).
+This package holds the point distances of Definition 1 — ``D`` and the
+point-to-segment ``DPL`` that DP and DP+ measure deviation with — plus
+axis-aligned bounding boxes (a stored convoy's extent and the ``query
+--box`` region) and tiny vector helpers.  The segment distances the CuTS
+filter needs (``DLL``, ``Dmin`` and the time-parameterized ``D*`` of
+Section 6.2) are inlined in :mod:`repro.clustering.spatial_join`.
 
-Everything here is deliberately dependency-free scalar math: the rest of the
-library calls these functions in tight inner loops (range searches inside
-DBSCAN), so they avoid any object allocation beyond plain tuples.
+Everything here is deliberately dependency-free scalar math: the rest of
+the library calls these functions in tight inner loops, so they avoid any
+object allocation beyond plain tuples.
 """
 
-from repro.geometry.bbox import BoundingBox, box_min_distance, box_of_points
-from repro.geometry.cpa import cpa_distance, cpa_time, segment_location_at
+from repro.geometry.bbox import BoundingBox, box_of_points
 from repro.geometry.distance import (
     point_distance,
     point_segment_distance,
-    segment_distance,
     squared_point_distance,
 )
 from repro.geometry.vec import (
@@ -30,17 +30,12 @@ from repro.geometry.vec import (
 __all__ = [
     "BoundingBox",
     "add",
-    "box_min_distance",
     "box_of_points",
-    "cpa_distance",
-    "cpa_time",
     "dot",
     "norm",
     "point_distance",
     "point_segment_distance",
     "scale",
-    "segment_distance",
-    "segment_location_at",
     "squared_norm",
     "squared_point_distance",
     "sub",

@@ -1,14 +1,13 @@
-"""Axis-aligned bounding boxes and the ``Dmin`` box distance of Definition 1.
+"""Axis-aligned bounding boxes.
 
-Bounding boxes are used exactly where the paper uses them: Lemma 2 groups a
-set ``S`` of simplified line segments under one box ``B(S)`` so that an
-entire partition bucket can be pruned with a single distance test before any
-per-segment work happens (the "multi-step range search" of Section 5.2).
+A :class:`BoundingBox` is the spatial extent of a trajectory or of a
+stored convoy (:mod:`repro.store`), and the region of a ``query --box``.
+The CuTS filter's segment boxes and their ``Dmin`` gap test (Lemma 2)
+are plain floats inlined in :mod:`repro.clustering.spatial_join`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -45,9 +44,10 @@ class BoundingBox:
     def expanded(self, margin):
         """Return a copy grown by ``margin`` on every side.
 
-        This implements the "new search space" of Figure 8: a range search
-        over simplified trajectories must enlarge the query region by
-        ``e + δ(l'q) + δ(l'i)``.
+        This is the "new search space" of Figure 8: a search over
+        simplified trajectories must enlarge the query region by
+        ``e + δ(l'q) + δ(l'i)``.  The filter's join widens its segment
+        boxes the same way, inline.
         """
         if margin < 0:
             raise ValueError(f"margin must be non-negative, got {margin}")
@@ -96,14 +96,3 @@ def box_of_points(points):
         elif p[1] > max_y:
             max_y = p[1]
     return BoundingBox(min_x, min_y, max_x, max_y)
-
-
-def box_min_distance(bu, bv):
-    """Return ``Dmin(Bu, Bv)``: the minimum distance between two boxes.
-
-    Zero when the boxes overlap; otherwise the Euclidean distance between
-    the nearest pair of box edges/corners.
-    """
-    dx = max(bu.min_x - bv.max_x, bv.min_x - bu.max_x, 0.0)
-    dy = max(bu.min_y - bv.max_y, bv.min_y - bu.max_y, 0.0)
-    return math.hypot(dx, dy)

@@ -1,14 +1,16 @@
-"""Distance functions of Definition 1.
+"""Point distance functions of Definition 1.
 
-The paper defines four distances; three live here and the box distance
-``Dmin`` lives in :mod:`repro.geometry.bbox`:
+The paper defines four distances; two live here:
 
 * ``D(pu, pv)``      — Euclidean distance between two points
                        (:func:`point_distance`);
 * ``DPL(p, l)``      — shortest distance between a point and any point on a
-                       line segment (:func:`point_segment_distance`);
-* ``DLL(lu, lv)``    — shortest distance between any two points on two line
-                       segments (:func:`segment_distance`).
+                       line segment (:func:`point_segment_distance`), the
+                       deviation DP and DP+ measure.
+
+The segment distance ``DLL`` and the box distance ``Dmin`` are only used
+by the CuTS filter, which inlines them
+(:mod:`repro.clustering.spatial_join`).
 
 Segments are pairs of ``(x, y)`` tuples.  All functions return plain floats.
 """
@@ -82,54 +84,3 @@ def point_line_distance(p, a, b):
         return math.hypot(p[0] - a[0], p[1] - a[1])
     cross = (b[0] - a[0]) * (a[1] - p[1]) - (a[0] - p[0]) * (b[1] - a[1])
     return abs(cross) / denom
-
-
-def _segments_intersect(a, b, c, d):
-    """Return True if closed segments ``ab`` and ``cd`` intersect."""
-
-    def orient(p, q, r):
-        value = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-        if value > 0.0:
-            return 1
-        if value < 0.0:
-            return -1
-        return 0
-
-    def on_segment(p, q, r):
-        return (
-            min(p[0], q[0]) <= r[0] <= max(p[0], q[0])
-            and min(p[1], q[1]) <= r[1] <= max(p[1], q[1])
-        )
-
-    o1 = orient(a, b, c)
-    o2 = orient(a, b, d)
-    o3 = orient(c, d, a)
-    o4 = orient(c, d, b)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and on_segment(a, b, c):
-        return True
-    if o2 == 0 and on_segment(a, b, d):
-        return True
-    if o3 == 0 and on_segment(c, d, a):
-        return True
-    if o4 == 0 and on_segment(c, d, b):
-        return True
-    return False
-
-
-def segment_distance(a, b, c, d):
-    """Return ``DLL(lu, lv)``: shortest distance between segments ``ab`` and ``cd``.
-
-    If the segments intersect the distance is zero; otherwise the minimum is
-    attained at an endpoint of one segment against the other segment, so we
-    take the minimum of the four point-to-segment distances.
-    """
-    if _segments_intersect(a, b, c, d):
-        return 0.0
-    return min(
-        point_segment_distance(a, c, d),
-        point_segment_distance(b, c, d),
-        point_segment_distance(c, a, b),
-        point_segment_distance(d, a, b),
-    )

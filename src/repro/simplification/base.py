@@ -18,8 +18,8 @@ algorithm").
 
 from __future__ import annotations
 
+from repro.checks import check_delta
 from repro.trajectory.point import TrajectoryPoint
-from repro.trajectory.segment import TimestampedSegment
 
 
 class SimplifiedTrajectory:
@@ -29,7 +29,7 @@ class SimplifiedTrajectory:
     is held as the trajectory plus the kept sample indices; the filter's
     segment records read the coordinates straight from
     :meth:`~repro.trajectory.Trajectory.coordinates` at those indices.
-    :attr:`points` and :attr:`segments` are built when first read.
+    :attr:`points` is built when first read.
 
     Args:
         trajectory: the original :class:`~repro.trajectory.Trajectory`.
@@ -45,8 +45,7 @@ class SimplifiedTrajectory:
     ``original_size``.
     """
 
-    __slots__ = ("trajectory", "kept", "tolerances", "delta", "_points",
-                 "_segments")
+    __slots__ = ("trajectory", "kept", "tolerances", "delta", "_points")
 
     def __init__(self, trajectory, kept, tolerances, delta):
         if not kept:
@@ -62,7 +61,6 @@ class SimplifiedTrajectory:
         self.tolerances = tuple(tolerances)
         self.delta = delta
         self._points = None
-        self._segments = None
 
     def __len__(self):
         """Number of kept points ``|o'|``."""
@@ -108,24 +106,6 @@ class SimplifiedTrajectory:
         return points
 
     @property
-    def segments(self):
-        """Tuple of :class:`TimestampedSegment`, parallel to ``tolerances``.
-
-        One segment per consecutive pair of kept points.  A single-point
-        trajectory yields one degenerate (zero-length, zero-duration)
-        segment so that the object still participates in the filter's
-        clustering.
-        """
-        segments = self._segments
-        if segments is None:
-            points = self.points
-            segments = self._segments = tuple(
-                TimestampedSegment((a.x, a.y), (b.x, b.y), a.t, b.t)
-                for a, b in zip(points, points[1:] or points)
-            )
-        return segments
-
-    @property
     def t_start(self):
         """Start of ``o'.tau`` (same as the original trajectory's)."""
         return self.trajectory.start_time
@@ -141,34 +121,9 @@ class SimplifiedTrajectory:
         return (self.t_start, self.t_end)
 
     @property
-    def actual_tolerance(self):
-        """δ(o'): the maximum actual tolerance over all segments."""
-        return max(self.tolerances)
-
-    @property
     def reduction_ratio(self):
         """Fraction of vertices removed, in [0, 1)."""
         return 1.0 - len(self.kept) / self.original_size
-
-    def overlaps_interval(self, t_lo, t_hi):
-        """Return True if ``o'.tau`` intersects ``[t_lo, t_hi]``."""
-        return self.t_start <= t_hi and t_lo <= self.t_end
-
-    def segments_overlapping(self, t_lo, t_hi):
-        """Return ``[(segment, tolerance), ...]`` intersecting ``[t_lo, t_hi]``.
-
-        This is the "insert l_i^j ∈ o'_i (intersecting time interval of
-        T_z)" step of Algorithm 2, including the paper's rule that a
-        segment straddling a partition boundary is inserted into *both*
-        partitions (Figure 9(b)'s ``l_3^2``).
-        """
-        found = []
-        for segment, tolerance in zip(self.segments, self.tolerances):
-            if segment.t_start > t_hi:
-                break
-            if segment.t_end >= t_lo:
-                found.append((segment, tolerance))
-        return found
 
 
 class Simplifier:
@@ -197,10 +152,10 @@ class Simplifier:
         """Simplify ``trajectory`` with global tolerance ``delta``.
 
         Returns a :class:`SimplifiedTrajectory` whose every actual
-        tolerance is at most ``delta``.
+        tolerance is at most ``delta``; a ``delta`` that is not a finite
+        real >= 0 raises :class:`ValueError`.
         """
-        if delta < 0:
-            raise ValueError(f"delta must be non-negative, got {delta}")
+        check_delta(delta)
         times, xs, ys = trajectory.coordinates()
         n = len(times)
         if n == 1:

@@ -37,6 +37,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 
+from repro.checks import check_delta
 from repro.simplification.base import SimplifiedTrajectory
 
 
@@ -87,10 +88,10 @@ class SplitTree:
         tolerance ``delta``, in time order; ``tolerances`` holds each kept
         chord's actual tolerance, parallel to consecutive pairs of
         ``kept``.  A one-sample trajectory yields ``[0]`` and ``[0.0]``.
-        A negative ``delta`` raises :class:`ValueError`.
+        A ``delta`` that is not a finite real >= 0 raises
+        :class:`ValueError` (:func:`~repro.checks.check_delta`).
         """
-        if delta < 0:
-            raise ValueError(f"delta must be non-negative, got {delta}")
+        check_delta(delta)
         times, xs, ys = self._times, self._xs, self._ys
         n = len(times)
         if n < 3:

@@ -13,19 +13,15 @@ This package provides:
 * :class:`TrajectoryPoint` — one timestamped sample ``(x, y, t)``;
 * :class:`Trajectory` — an object's polyline with ``o(t)`` lookup and
   interpolation;
-* :class:`TimestampedSegment` — one edge of a (simplified) polyline that
-  remembers its time interval;
 * :class:`TrajectoryDatabase` — the collection queried for convoys.
 """
 
 from repro.trajectory.database import TrajectoryDatabase
 from repro.trajectory.interpolation import interpolate_position, virtual_point
 from repro.trajectory.point import TrajectoryPoint
-from repro.trajectory.segment import TimestampedSegment
 from repro.trajectory.trajectory import Trajectory
 
 __all__ = [
-    "TimestampedSegment",
     "Trajectory",
     "TrajectoryDatabase",
     "TrajectoryPoint",

@@ -7,7 +7,7 @@ predicate ``dx*dx + dy*dy <= eps*eps`` rounds, and can accept a pair
 whose true separation exceeds ``eps`` by an ulp or so — such a pair can
 sit two ``eps``-wide buckets apart.  Each neighbour search and clustering
 path here is held to that very predicate (the one
-:func:`~repro.clustering.dbscan.dbscan_brute_force` evaluates), not to
+:func:`tests.oracle.dbscan_brute_force` evaluates), not to
 ``math.hypot``, which rounds differently.
 """
 
@@ -16,9 +16,10 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering.dbscan import dbscan, dbscan_brute_force
+from repro.clustering.dbscan import dbscan
 from repro.clustering.grid_index import GridIndex
 from repro.clustering.incremental import IncrementalSnapshotClusterer
+from tests.oracle import dbscan_brute_force
 
 #: The pair the predicate accepts although the points lie two
 #: ``eps``-wide buckets apart: ``10.0 - (-1e-300)`` rounds to exactly 10.

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering.dbscan import dbscan, dbscan_brute_force
+from repro.clustering.dbscan import dbscan
 from repro.clustering.generic_dbscan import density_cluster
 from repro.clustering.incremental import IncrementalSnapshotClusterer
+from tests.oracle import dbscan_brute_force
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False)
 

@@ -1,57 +1,52 @@
-"""Tests for the reference multi-step range search (Section 5.2)."""
+"""Tests for the reference ω of the multi-step range search (Section 5.2).
+
+The filter's join (:mod:`repro.clustering.spatial_join`) is held to
+:func:`tests.filter_reference.omega` window by window; these tests hold
+that reference to hand-worked values.
+"""
 
 import math
 import random
 
 import pytest
 
-from repro.clustering.polyline import PartitionPolyline
-from repro.clustering.range_search import (
-    PolylineRangeSearcher,
-    polyline_omega,
-    polylines_within,
-)
-from repro.trajectory.segment import TimestampedSegment
+from tests.filter_reference import omega
 
 
-def polyline(object_id, segs, tols=None):
-    segments = tuple(TimestampedSegment(a, b, t0, t1) for a, b, t0, t1 in segs)
+def polyline(segs, tols=None):
+    """Chord tuples from ``(start, end, t_start, t_end)`` segments."""
     if tols is None:
-        tols = tuple(0.0 for _ in segments)
-    return PartitionPolyline(object_id, segments, tuple(tols))
+        tols = [0.0] * len(segs)
+    return [(a, b, t0, t1, tol) for (a, b, t0, t1), tol in zip(segs, tols)]
 
 
 class TestOmega:
     def test_parallel_synchronous(self):
-        a = polyline("a", [((0, 0), (10, 0), 0, 10)])
-        b = polyline("b", [((0, 4), (10, 4), 0, 10)])
-        assert polyline_omega(a, b, "dll") == pytest.approx(4.0)
-        assert polyline_omega(a, b, "cpa") == pytest.approx(4.0)
+        a = polyline([((0, 0), (10, 0), 0, 10)])
+        b = polyline([((0, 4), (10, 4), 0, 10)])
+        assert omega(a, b, "dll") == pytest.approx(4.0)
+        assert omega(a, b, "cpa") == pytest.approx(4.0)
 
     def test_tolerances_subtract(self):
-        a = polyline("a", [((0, 0), (10, 0), 0, 10)], [1.5])
-        b = polyline("b", [((0, 4), (10, 4), 0, 10)], [0.5])
-        assert polyline_omega(a, b, "dll") == pytest.approx(2.0)
+        a = polyline([((0, 0), (10, 0), 0, 10)], [1.5])
+        b = polyline([((0, 4), (10, 4), 0, 10)], [0.5])
+        assert omega(a, b, "dll") == pytest.approx(2.0)
 
     def test_temporally_disjoint_is_inf(self):
-        a = polyline("a", [((0, 0), (10, 0), 0, 4)])
-        b = polyline("b", [((0, 1), (10, 1), 5, 9)])
-        assert polyline_omega(a, b, "dll") == math.inf
+        a = polyline([((0, 0), (10, 0), 0, 4)])
+        b = polyline([((0, 1), (10, 1), 5, 9)])
+        assert omega(a, b, "dll") == math.inf
 
     def test_min_over_segment_pairs(self):
         # Two segments each; the closest time-overlapping pair wins.
-        a = polyline(
-            "a", [((0, 0), (10, 0), 0, 5), ((10, 0), (20, 0), 5, 10)]
-        )
-        b = polyline(
-            "b", [((0, 50), (10, 50), 0, 5), ((10, 2), (20, 2), 5, 10)]
-        )
-        assert polyline_omega(a, b, "dll") == pytest.approx(2.0)
+        a = polyline([((0, 0), (10, 0), 0, 5), ((10, 0), (20, 0), 5, 10)])
+        b = polyline([((0, 50), (10, 50), 0, 5), ((10, 2), (20, 2), 5, 10)])
+        assert omega(a, b, "dll") == pytest.approx(2.0)
 
     def test_cpa_mode_never_below_dll_mode(self):
         rng = random.Random(9)
         for _ in range(100):
-            def rand_poly(oid):
+            def rand_poly():
                 x, y, t = rng.uniform(-20, 20), rng.uniform(-20, 20), 0
                 segs = []
                 for _ in range(rng.randint(1, 4)):
@@ -59,80 +54,12 @@ class TestOmega:
                     nt = t + rng.randint(1, 3)
                     segs.append(((x, y), (nx, ny), t, nt))
                     x, y, t = nx, ny, nt
-                return polyline(oid, segs)
+                return polyline(segs)
 
-            a, b = rand_poly("a"), rand_poly("b")
-            assert (
-                polyline_omega(a, b, "cpa")
-                >= polyline_omega(a, b, "dll") - 1e-9
-            )
+            a, b = rand_poly(), rand_poly()
+            assert omega(a, b, "cpa") >= omega(a, b, "dll") - 1e-9
 
     def test_unknown_mode_rejected(self):
-        a = polyline("a", [((0, 0), (1, 0), 0, 1)])
+        a = polyline([((0, 0), (1, 0), 0, 1)])
         with pytest.raises(ValueError):
-            polyline_omega(a, a, "chebyshev")
-
-
-class TestPolylinesWithin:
-    def test_consistent_with_omega(self):
-        rng = random.Random(10)
-        for _ in range(100):
-            def rand_poly(oid):
-                x, y, t = rng.uniform(-20, 20), rng.uniform(-20, 20), 0
-                segs, tols = [], []
-                for _ in range(rng.randint(1, 4)):
-                    nx, ny = x + rng.uniform(-8, 8), y + rng.uniform(-8, 8)
-                    nt = t + rng.randint(1, 3)
-                    segs.append(((x, y), (nx, ny), t, nt))
-                    tols.append(rng.uniform(0, 2))
-                    x, y, t = nx, ny, nt
-                return polyline(oid, segs, tols)
-
-            a, b = rand_poly("a"), rand_poly("b")
-            eps = rng.uniform(0.5, 15)
-            assert polylines_within(a, b, eps, "dll") == (
-                polyline_omega(a, b, "dll") <= eps
-            )
-
-
-class TestRangeSearcher:
-    def _grid_of_polylines(self, spacing, count):
-        return [
-            polyline(f"o{i}", [((i * spacing, 0), (i * spacing + 1, 0), 0, 5)])
-            for i in range(count)
-        ]
-
-    def test_neighbors_chain(self):
-        items = self._grid_of_polylines(2.0, 5)
-        searcher = PolylineRangeSearcher(items, eps=2.5)
-        # Polyline i spans [2i, 2i+1]; gap to the next is 1.0 <= 2.5, gap
-        # to i+2 is 3.0 > 2.5.
-        assert sorted(searcher.neighbors_of(2)) == [1, 2, 3]
-
-    def test_includes_self(self):
-        items = self._grid_of_polylines(100.0, 3)
-        searcher = PolylineRangeSearcher(items, eps=1.0)
-        assert searcher.neighbors_of(1) == [1]
-
-    def test_lemma2_pruning_counts(self):
-        items = self._grid_of_polylines(1000.0, 12)
-        searcher = PolylineRangeSearcher(items, eps=1.0, bucket_capacity=2)
-        searcher.neighbors_of(0)
-        assert searcher.stats["buckets_pruned"] > 0
-
-    def test_disabling_lemma2_same_answer(self):
-        rng = random.Random(11)
-        items = []
-        for i in range(15):
-            x = rng.uniform(0, 60)
-            items.append(
-                polyline(f"o{i}", [((x, 0), (x + 3, 2), 0, 5)], [rng.uniform(0, 1)])
-            )
-        fast = PolylineRangeSearcher(items, eps=5.0, use_lemma2=True)
-        slow = PolylineRangeSearcher(items, eps=5.0, use_lemma2=False)
-        for i in range(len(items)):
-            assert sorted(fast.neighbors_of(i)) == sorted(slow.neighbors_of(i))
-
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            PolylineRangeSearcher([], eps=0.0)
+            omega(a, a, "chebyshev")

@@ -1,10 +1,10 @@
 """Tests for the segment-level ε-adjacency join of the CuTS filter.
 
 The inlined kernels must agree with the readable reference ω
-(:func:`repro.clustering.range_search.polyline_omega`), and in every
-window the join must link exactly the object pairs the window-by-window
-reference links: ``polyline_omega <= e`` over the partition polylines of
-:func:`repro.core.partition.build_partition_polylines`.
+(:func:`tests.filter_reference.omega`), and in every window the join must
+link exactly the object pairs the window-by-window reference links:
+``omega <= e`` over the partition polylines of
+:func:`tests.filter_reference.partition_polylines`.
 """
 
 import itertools
@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-from repro.clustering.range_search import polyline_omega
 from repro.clustering.spatial_join import (
     _cpa_within,
     _dll_within,
@@ -21,10 +20,15 @@ from repro.clustering.spatial_join import (
     window_links,
 )
 from repro.core.cuts import VARIANTS
-from repro.core.partition import TimePartitioner, build_partition_polylines
-from repro.geometry.distance import _segments_intersect
+from repro.core.partition import TimePartitioner
 from repro.simplification import SIMPLIFIERS, SimplifiedTrajectory
 from repro.trajectory.trajectory import Trajectory
+from tests.filter_reference import (
+    _segments_intersect,
+    chords,
+    omega,
+    partition_polylines,
+)
 from tests.oracle import tie_eps
 
 MODES = ("dll", "cpa")
@@ -82,18 +86,19 @@ def joined(simplified_list, t_lo, t_hi, lam, eps, mode, use_lemma2=True,
 
 def reference(simplified_list, t_lo, t_hi, lam, eps, mode,
               use_actual_tolerance=True):
-    """The same per-window answer from polylines and ``polyline_omega``."""
+    """The same per-window answer from partition polylines and ``omega``."""
     windows = []
     for lo, hi in TimePartitioner(t_lo, t_hi, lam):
-        polylines = build_partition_polylines(
+        polylines = partition_polylines(
             simplified_list, lo, hi, use_actual_tolerance
         )
         links = {
-            frozenset((p.object_id, q.object_id))
-            for p, q in itertools.combinations(polylines, 2)
-            if polyline_omega(p, q, mode) <= eps
+            frozenset((p, q))
+            for (p, chords_p), (q, chords_q)
+            in itertools.combinations(polylines, 2)
+            if omega(chords_p, chords_q, mode) <= eps
         }
-        windows.append((links, [p.object_id for p in polylines]))
+        windows.append((links, [object_id for object_id, _ in polylines]))
     return windows
 
 
@@ -129,9 +134,10 @@ class TestKernelsMatchOmega:
             [[ra, rb]] = segment_records(pair, 0, 9, 10, eps, mode)[0]
             if max(ra[4], rb[4]) > min(ra[5], rb[5]):
                 continue
-            omega = polyline_omega(*build_partition_polylines(pair, 0, 9), mode)
+            [(_, chords_a), (_, chords_b)] = partition_polylines(pair, 0, 9)
+            want = omega(chords_a, chords_b, mode)
             got = kernel(ra, rb, eps + ra[6] + rb[6])
-            assert got == (omega <= eps), (mode, eps, omega)
+            assert got == (want <= eps), (mode, eps, want)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_join_on_random_polylines(self, mode):
@@ -140,8 +146,8 @@ class TestKernelsMatchOmega:
             a = random_simplified(rng, "a", rng.randint(0, 3), 14, 4, step=5.0)
             b = random_simplified(rng, "b", rng.randint(0, 3), 14, 4, step=5.0)
             eps = rng.uniform(0.5, 30)
-            [part_a, part_b] = build_partition_polylines([a, b], 0, 14)
-            expected = polyline_omega(part_a, part_b, mode) <= eps
+            [(_, chords_a), (_, chords_b)] = partition_polylines([a, b], 0, 14)
+            expected = omega(chords_a, chords_b, mode) <= eps
             assert linked(a, b, eps, mode) == expected
             assert linked(a, b, eps, mode, use_lemma2=False) == expected
 
@@ -271,8 +277,8 @@ class TestJoinMatchesReference:
             assert linked(a, b, eps, mode)
             assert linked(a, b, eps, mode, use_lemma2=False)
             assert not linked(a, b, eps - 1e-9, mode)
-            [part_a, part_b] = build_partition_polylines([a, b], 0, 4)
-            assert polyline_omega(part_a, part_b, mode) == eps
+            [(_, chords_a), (_, chords_b)] = partition_polylines([a, b], 0, 4)
+            assert omega(chords_a, chords_b, mode) == eps
 
     @pytest.mark.parametrize("mode", MODES)
     def test_sweep_keeps_a_pair_its_rounded_edges_would_part(self, mode):
@@ -349,15 +355,14 @@ class TestFilterStats:
                                       lone_share=0.2)
                     for i in range(8)]
         segments = [
-            (owner, segment)
+            (owner, chord)
             for owner, s in enumerate(database)
-            for segment in s.segments
+            for chord in chords(s)
         ]
         overlapping = sum(
             1
-            for (oa, sa), (ob, sb) in itertools.combinations(segments, 2)
-            if oa != ob and max(sa.t_start, sb.t_start)
-            <= min(sa.t_end, sb.t_end)
+            for (oa, ca), (ob, cb) in itertools.combinations(segments, 2)
+            if oa != ob and max(ca[2], cb[2]) <= min(ca[3], cb[3])
         )
         stats = {}
         joined(database, 0, 25, 2, 3.0, mode, use_lemma2=False, stats=stats)

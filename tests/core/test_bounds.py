@@ -1,18 +1,20 @@
-"""Property tests for Lemmas 1-3 — the filter's no-false-dismissal core.
+"""Property tests for Lemmas 1 and 3 — the filter's no-false-dismissal core.
 
 Each lemma is tested in its contrapositive operational form: whenever the
-lemma's premise holds for a pair of simplified segments, the *original*
-objects must be farther than ``e`` apart at every shared time point.
+lemma's premise ``dist(l'_q, l'_i) > e + δ(l'_q) + δ(l'_i)`` holds for a
+pair of simplified chords, the *original* objects must be farther than
+``e`` apart at every shared time point.  The chord distances are the
+readable references of :mod:`tests.filter_reference`, which the filter's
+join is held to.
 """
 
 import math
 import random
 
-from repro.clustering.polyline import PartitionPolyline
-from repro.core.bounds import lemma1_prunes, lemma2_prunes, lemma3_prunes, omega
 from repro.geometry.distance import point_distance
 from repro.simplification import douglas_peucker, douglas_peucker_star
 from repro.trajectory.trajectory import Trajectory
+from tests.filter_reference import chord_distance, chords, chords_covering, omega
 
 
 def random_trajectory(rng, n, step=4.0):
@@ -33,11 +35,15 @@ def shared_times(tr_a, tr_b):
     return range(lo, hi + 1)
 
 
-def segment_covering(simplified, t):
-    for segment, tolerance in zip(simplified.segments, simplified.tolerances):
-        if segment.covers_time(t):
-            return segment, tolerance
-    raise AssertionError(f"no segment covers t={t}")
+def chord_covering(simplified, t):
+    covering = chords_covering(simplified, t)
+    assert covering, f"no chord covers t={t}"
+    return covering[0]
+
+
+def prunes(chord_q, chord_i, eps, mode):
+    """The premise of Lemma 1 (``mode="dll"``) or Lemma 3 (``"cpa"``)."""
+    return chord_distance(chord_q, chord_i, mode) > eps + chord_q[4] + chord_i[4]
 
 
 class TestLemma1:
@@ -52,9 +58,8 @@ class TestLemma1:
             sa = douglas_peucker(tr_a, delta)
             sb = douglas_peucker(tr_b, delta)
             for t in shared_times(tr_a, tr_b):
-                seg_a, tol_a = segment_covering(sa, t)
-                seg_b, tol_b = segment_covering(sb, t)
-                if lemma1_prunes(seg_a, tol_a, seg_b, tol_b, eps):
+                if prunes(chord_covering(sa, t), chord_covering(sb, t), eps,
+                          "dll"):
                     checked += 1
                     assert point_distance(
                         tr_a.location_at(t), tr_b.location_at(t)
@@ -66,8 +71,8 @@ class TestLemma1:
         # premise must never hold.
         tr = random_trajectory(random.Random(5), 20)
         simplified = douglas_peucker(tr, 2.0)
-        for segment, tolerance in zip(simplified.segments, simplified.tolerances):
-            assert not lemma1_prunes(segment, tolerance, segment, tolerance, 1.0)
+        for chord in chords(simplified):
+            assert not prunes(chord, chord, 1.0, "dll")
 
 
 class TestLemma3:
@@ -82,9 +87,8 @@ class TestLemma3:
             sa = douglas_peucker_star(tr_a, delta)
             sb = douglas_peucker_star(tr_b, delta)
             for t in shared_times(tr_a, tr_b):
-                seg_a, tol_a = segment_covering(sa, t)
-                seg_b, tol_b = segment_covering(sb, t)
-                if lemma3_prunes(seg_a, tol_a, seg_b, tol_b, eps):
+                if prunes(chord_covering(sa, t), chord_covering(sb, t), eps,
+                          "cpa"):
                     checked += 1
                     assert point_distance(
                         tr_a.location_at(t), tr_b.location_at(t)
@@ -102,35 +106,10 @@ class TestLemma3:
             sb = douglas_peucker_star(tr_b, 2.0)
             eps = rng.uniform(0.5, 8)
             for t in shared_times(tr_a, tr_b):
-                seg_a, tol_a = segment_covering(sa, t)
-                seg_b, tol_b = segment_covering(sb, t)
-                if lemma1_prunes(seg_a, tol_a, seg_b, tol_b, eps):
-                    assert lemma3_prunes(seg_a, tol_a, seg_b, tol_b, eps)
-
-
-class TestLemma2:
-    def test_premise_implies_lemma1_for_every_member(self):
-        rng = random.Random(24)
-        fired = 0
-        for trial in range(100):
-            tr_q = random_trajectory(rng, rng.randint(2, 15))
-            group = [random_trajectory(rng, rng.randint(2, 15)) for _ in range(4)]
-            delta = rng.uniform(0.2, 4)
-            eps = rng.uniform(0.5, 6)
-            sq = douglas_peucker(tr_q, delta)
-            simplified_group = [douglas_peucker(tr, delta) for tr in group]
-            segs = [s.segments[0] for s in simplified_group]
-            tols = [s.tolerances[0] for s in simplified_group]
-            group_box = segs[0].bbox
-            for seg in segs[1:]:
-                group_box = group_box.union(seg.bbox)
-            group_tol = max(tols)
-            seg_q, tol_q = sq.segments[0], sq.tolerances[0]
-            if lemma2_prunes(seg_q.bbox, tol_q, group_box, group_tol, eps):
-                fired += 1
-                for seg, tol in zip(segs, tols):
-                    assert lemma1_prunes(seg_q, tol_q, seg, tol, eps)
-        assert fired > 10
+                chord_a = chord_covering(sa, t)
+                chord_b = chord_covering(sb, t)
+                if prunes(chord_a, chord_b, eps, "dll"):
+                    assert prunes(chord_a, chord_b, eps, "cpa")
 
 
 class TestOmega:
@@ -150,9 +129,7 @@ class TestOmega:
             ):
                 sa = simplify(tr_a, 2.0)
                 sb = simplify(tr_b, 2.0)
-                poly_a = PartitionPolyline("a", sa.segments, sa.tolerances)
-                poly_b = PartitionPolyline("b", sb.segments, sb.tolerances)
-                w = omega(poly_a, poly_b, mode)
+                w = omega(chords(sa), chords(sb), mode)
                 true_min = min(
                     point_distance(tr_a.location_at(t), tr_b.location_at(t))
                     for t in times
@@ -164,6 +141,4 @@ class TestOmega:
         b = Trajectory("b", [(0, 0, 10), (1, 0, 13)])
         sa = douglas_peucker(a, 0.5)
         sb = douglas_peucker(b, 0.5)
-        poly_a = PartitionPolyline("a", sa.segments, sa.tolerances)
-        poly_b = PartitionPolyline("b", sb.segments, sb.tolerances)
-        assert omega(poly_a, poly_b) == math.inf
+        assert omega(chords(sa), chords(sb)) == math.inf

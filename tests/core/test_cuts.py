@@ -91,6 +91,28 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match=match):
             cuts(db, 2, 2, 1.0, variant=variant, **kwargs)
 
+    @pytest.mark.parametrize("t0, t1, outside", [
+        (2**53 - 5, 2**53, None),
+        (-(2**53), -(2**53) + 5, None),
+        (2**53 - 5, 2**53 + 1, 2**53 + 1),
+        (-(2**53) - 1, -(2**53) + 5, -(2**53) - 1),
+    ], ids=["last-at-2**53", "first-at--2**53", "past-2**53",
+            "below--2**53"])
+    def test_cuts_star_refuses_ticks_past_2_53(self, t0, t1, outside):
+        """The D* kernel computes with ticks as floats, exact only within
+        ±2**53: CuTS* refuses a time domain reaching past it, naming the
+        tick, while CuTS and CuTS+, which only compare ticks, answer."""
+        db = db_of(straight("a", 0, 0, t0, t1), straight("b", 0, 1, t0, t1))
+        want = [Convoy({"a", "b"}, t0, t1)]
+        for variant in ("cuts", "cuts+"):
+            assert cuts(db, 2, 2, 1.5, variant=variant).convoys == want
+        if outside is None:
+            assert cuts(db, 2, 2, 1.5, variant="cuts*").convoys == want
+        else:
+            with pytest.raises(ValueError,
+                               match=rf"; tick {outside} is outside$"):
+                cuts(db, 2, 2, 1.5, variant="cuts*")
+
     @pytest.mark.parametrize("kwargs", [dict(lam=2.5), dict(delta=math.nan)],
                              ids=["lam", "delta"])
     def test_bad_lam_or_delta_checked_before_the_empty_shortcut(self,

@@ -1,10 +1,11 @@
-"""Tests for time partitioning and partition polyline construction."""
+"""Tests for time partitioning and the reference's partition polylines."""
 
 import pytest
 
-from repro.core.partition import TimePartitioner, build_partition_polylines
+from repro.core.partition import TimePartitioner
 from repro.simplification import douglas_peucker
 from repro.trajectory.trajectory import Trajectory
+from tests.filter_reference import partition_polylines
 
 
 class TestTimePartitioner:
@@ -50,7 +51,7 @@ class TestTimePartitioner:
             TimePartitioner(0, 9, 0)
 
 
-class TestBuildPartitionPolylines:
+class TestPartitionPolylines:
     def _zigzag(self, oid="o", n=20):
         pts = [(float(i), float((-1) ** i * 3), i) for i in range(n)]
         return Trajectory(oid, pts)
@@ -60,25 +61,25 @@ class TestBuildPartitionPolylines:
         neighbouring partitions."""
         tr = Trajectory("o", [(0, 0, 0), (10, 0, 10)])
         simplified = douglas_peucker(tr, 0.5)  # one segment [0, 10]
-        first = build_partition_polylines([simplified], 0, 4)
-        second = build_partition_polylines([simplified], 5, 10)
-        assert len(first) == 1 and len(second) == 1
+        first = partition_polylines([simplified], 0, 4)
+        second = partition_polylines([simplified], 5, 10)
+        assert first == second == [("o", [((0, 0), (10, 0), 0, 10, 0.0)])]
 
     def test_object_absent_from_uncovered_partition(self):
         tr = Trajectory("o", [(0, 0, 0), (5, 0, 5)])
         simplified = douglas_peucker(tr, 0.5)
-        assert build_partition_polylines([simplified], 6, 9) == []
+        assert partition_polylines([simplified], 6, 9) == []
 
     def test_global_tolerance_mode(self):
         simplified = douglas_peucker(self._zigzag(), 3.5)
-        actual = build_partition_polylines([simplified], 0, 19)
-        global_tol = build_partition_polylines(
+        [(_, actual)] = partition_polylines([simplified], 0, 19)
+        [(_, global_tol)] = partition_polylines(
             [simplified], 0, 19, use_actual_tolerance=False
         )
-        assert all(t <= 3.5 for t in actual[0].tolerances)
-        assert all(t == 3.5 for t in global_tol[0].tolerances)
+        assert all(chord[4] <= 3.5 for chord in actual)
+        assert all(chord[4] == 3.5 for chord in global_tol)
 
     def test_polyline_carries_matching_tolerances(self):
         simplified = douglas_peucker(self._zigzag(), 2.0)
-        [poly] = build_partition_polylines([simplified], 0, 19)
-        assert len(poly.segments) == len(poly.tolerances)
+        [(_, chords)] = partition_polylines([simplified], 0, 19)
+        assert [chord[4] for chord in chords] == list(simplified.tolerances)

@@ -1,11 +1,10 @@
-"""Tests for bounding boxes and the Dmin box distance."""
+"""Tests for bounding boxes."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry.bbox import BoundingBox, box_min_distance, box_of_points
-from repro.geometry.distance import point_distance
+from repro.geometry.bbox import BoundingBox, box_of_points
 
 coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 points = st.tuples(coord, coord)
@@ -74,39 +73,3 @@ class TestBoxOfPoints:
         box = box_of_points(pts)
         for p in pts:
             assert box.contains_point(p)
-
-
-class TestBoxMinDistance:
-    def test_overlapping_is_zero(self):
-        a = BoundingBox(0, 0, 10, 10)
-        b = BoundingBox(5, 5, 15, 15)
-        assert box_min_distance(a, b) == 0.0
-
-    def test_horizontally_separated(self):
-        a = BoundingBox(0, 0, 1, 1)
-        b = BoundingBox(4, 0, 5, 1)
-        assert box_min_distance(a, b) == 3.0
-
-    def test_diagonally_separated(self):
-        a = BoundingBox(0, 0, 1, 1)
-        b = BoundingBox(4, 5, 6, 6)
-        assert box_min_distance(a, b) == 5.0  # 3-4-5 triangle
-
-    @given(boxes(), boxes())
-    def test_symmetry(self, a, b):
-        assert box_min_distance(a, b) == box_min_distance(b, a)
-
-    @given(boxes(), boxes(), points, points)
-    def test_lower_bounds_contained_points(self, a, b, p, q):
-        # Dmin is the minimum over all point pairs — clamp the free points
-        # into their boxes and verify the bound (this is exactly the
-        # property Lemma 2 relies on).
-        p_in = (
-            min(max(p[0], a.min_x), a.max_x),
-            min(max(p[1], a.min_y), a.max_y),
-        )
-        q_in = (
-            min(max(q[0], b.min_x), b.max_x),
-            min(max(q[1], b.min_y), b.max_y),
-        )
-        assert box_min_distance(a, b) <= point_distance(p_in, q_in) + 1e-9

@@ -1,4 +1,8 @@
-"""Tests for Closest-Point-of-Approach machinery (CuTS*, Section 6.2)."""
+"""Tests for Closest-Point-of-Approach machinery (CuTS*, Section 6.2).
+
+The readable ``D*`` lives with the filter's reference
+(:mod:`tests.filter_reference`); the filter's join inlines it.
+"""
 
 import math
 
@@ -6,8 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry.cpa import cpa_distance, cpa_time, segment_location_at
-from repro.geometry.distance import point_distance, segment_distance
+from repro.geometry.distance import point_distance
+from tests.filter_reference import (
+    cpa_distance,
+    cpa_time,
+    segment_distance,
+    segment_location_at,
+)
 
 coord = st.floats(min_value=-500, max_value=500, allow_nan=False)
 points = st.tuples(coord, coord)

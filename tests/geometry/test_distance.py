@@ -1,4 +1,8 @@
-"""Tests for the Definition 1 distance functions."""
+"""Tests for the Definition 1 distance functions.
+
+``DLL`` lives with the filter's reference (:mod:`tests.filter_reference`):
+the filter's join inlines it, and no other code measures it.
+"""
 
 import math
 
@@ -11,9 +15,9 @@ from repro.geometry.distance import (
     point_line_distance,
     point_segment_distance,
     point_segment_projection,
-    segment_distance,
     squared_point_distance,
 )
+from tests.filter_reference import segment_distance
 
 coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 points = st.tuples(coord, coord)

@@ -19,10 +19,11 @@ from repro.core.queries import (
     top_convoys,
 )
 from repro.core.verification import is_valid_convoy, normalize_convoys
-from repro.geometry.distance import point_distance
+from repro.geometry.distance import point_distance, point_segment_distance
 from repro.simplification import SIMPLIFIERS
 from repro.trajectory.database import TrajectoryDatabase
 from repro.trajectory.trajectory import Trajectory
+from tests.filter_reference import chords_covering, segment_location_at
 
 
 def build_database(seed, n=8, T=25, keep=0.85):
@@ -62,20 +63,18 @@ def test_simplified_trajectory_stays_within_delta_at_every_time(
         simplified = simplifier(trajectory, delta)
         for t in range(trajectory.start_time, trajectory.end_time + 1):
             location = trajectory.location_at(t)
-            covering = [
-                (seg, tol)
-                for seg, tol in zip(simplified.segments, simplified.tolerances)
-                if seg.covers_time(t)
-            ]
+            covering = chords_covering(simplified, t)
             assert covering
             best = min(
                 (
-                    point_distance(location, seg.location_at(t))
+                    point_distance(
+                        location, segment_location_at(start, end, t1, t2, t)
+                    )
                     if method == "dp*"
-                    else seg.distance_to_point(location)
+                    else point_segment_distance(location, start, end)
                 )
                 - tol
-                for seg, tol in covering
+                for start, end, t1, t2, tol in covering
             )
             assert best <= 1e-6
 

@@ -8,7 +8,7 @@ miners share (no candidate chains, no grid index, no simplification):
 
 1. cluster each tick's snapshot ``database.snapshot(t)`` (virtual points
    included, as CMC's ``O_t``) with the O(n^2) reference
-   :func:`~repro.clustering.dbscan.dbscan_brute_force`;
+   :func:`dbscan_brute_force`;
 2. enumerate every object subset ``O`` with ``|O| >= m`` and every
    interval ``I`` of consecutive ticks with ``|I| >= k``, and keep the
    pair when ``O`` lies inside one cluster at every ``t`` in ``I``;
@@ -27,12 +27,41 @@ inputs above :data:`MAX_OBJECTS` objects or :data:`MAX_TICKS` ticks.
 import math
 from itertools import combinations
 
-from repro.clustering.dbscan import dbscan_brute_force
+from repro.checks import check_eps
+from repro.clustering.generic_dbscan import density_cluster
 from repro.core.convoy import Convoy
 
 #: Largest input the enumeration accepts.
 MAX_OBJECTS = 8
 MAX_TICKS = 12
+
+
+def dbscan_brute_force(points, eps, min_pts):
+    """Reference DBSCAN using O(N^2) neighbourhood scans.
+
+    The test oracle for :func:`~repro.clustering.dbscan.dbscan` — it
+    shares the clustering skeleton but computes neighbourhoods by checking
+    every pair, so any disagreement isolates a bug in the grid index.
+    """
+    check_eps(eps)
+    if not points:
+        return []
+    ids = list(points.keys())
+    locations = [points[object_id] for object_id in ids]
+    eps2 = eps * eps
+
+    def neighbors_fn(item):
+        x, y = locations[item]
+        result = []
+        for other, (ox, oy) in enumerate(locations):
+            dx = ox - x
+            dy = oy - y
+            if dx * dx + dy * dy <= eps2:
+                result.append(other)
+        return result
+
+    clusters = density_cluster(len(ids), neighbors_fn, min_pts)
+    return [{ids[i] for i in members} for members in clusters]
 
 
 def oracle_convoys(database, m, k, eps):

@@ -1,10 +1,11 @@
 """A simplified trajectory is an index cut of its own trajectory.
 
 :class:`SimplifiedTrajectory` holds the trajectory and the kept sample
-indices, and builds ``points`` and ``segments`` only when they are read.
-The reference here is the materialized form the simplifiers returned
-before: a tuple of :class:`TrajectoryPoint` per kept sample, and
-segments built from consecutive points.
+indices and builds ``points`` only when they are read; the filter's join
+reads its segments straight off the kept indices.  The reference here is
+the materialized form the simplifiers returned before: a tuple of
+:class:`TrajectoryPoint` per kept sample, and chords built from
+consecutive points (:func:`tests.filter_reference.chords`).
 """
 
 import random
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.clustering.spatial_join import segment_records
 from repro.core.cuts import VARIANTS, cuts
 from repro.simplification import (
     SIMPLIFIERS,
@@ -20,8 +22,8 @@ from repro.simplification import (
 )
 from repro.simplification.tree import SplitTree
 from repro.trajectory.database import TrajectoryDatabase
-from repro.trajectory.segment import TimestampedSegment
 from repro.trajectory.trajectory import Trajectory
+from tests.filter_reference import chords
 
 
 @dataclass(frozen=True)
@@ -36,14 +38,6 @@ class Materialized:
 
     def __len__(self):
         return len(self.points)
-
-    @property
-    def segments(self):
-        points = self.points
-        return tuple(
-            TimestampedSegment((a.x, a.y), (b.x, b.y), a.t, b.t)
-            for a, b in zip(points, points[1:] or points)
-        )
 
 
 def materialized(trajectory, kept, tolerances, delta):
@@ -61,12 +55,21 @@ def point_bits(points):
     return [(p.x.hex(), p.y.hex(), p.t) for p in points]
 
 
-def segment_bits(segments):
+def chord_bits(chords):
     return [
-        (s.start[0].hex(), s.start[1].hex(), s.end[0].hex(), s.end[1].hex(),
-         s.t_start, s.t_end)
-        for s in segments
+        (start[0].hex(), start[1].hex(), end[0].hex(), end[1].hex(),
+         float(t_start).hex(), float(t_end).hex(), tolerance.hex())
+        for start, end, t_start, t_end, tolerance in chords
     ]
+
+
+def record_chords(simplified):
+    """The chords the filter's join reads off the kept indices."""
+    t_lo, t_hi = simplified.tau
+    [records], _present = segment_records(
+        [simplified], t_lo, t_hi, t_hi - t_lo + 1, 1.0
+    )
+    return [((r[0], r[1]), (r[2], r[3]), r[4], r[5], r[6]) for r in records]
 
 
 def walk(rng, n, step=3.0, t0=0):
@@ -88,7 +91,7 @@ def assert_same_as_materialized(got, trajectory):
     assert [t.hex() for t in got.tolerances] == [
         t.hex() for t in want.tolerances
     ]
-    assert segment_bits(got.segments) == segment_bits(want.segments)
+    assert chord_bits(record_chords(got)) == chord_bits(chords(want))
     assert got.tau == (want.points[0].t, want.points[-1].t)
     return want
 
@@ -146,7 +149,6 @@ class TestEquality:
         trajectory = Trajectory("o", walk(random.Random(3), 30))
         simplified = SIMPLIFIERS["dp"](trajectory, 1.0)
         assert simplified.points is simplified.points
-        assert simplified.segments is simplified.segments
 
     def test_empty_and_mismatched_cuts_are_refused(self):
         trajectory = Trajectory("o", [(0.0, 0.0, 0), (1.0, 0.0, 1)])

@@ -14,6 +14,7 @@ from repro.simplification import (
     douglas_peucker_star,
 )
 from repro.trajectory.trajectory import Trajectory
+from tests.filter_reference import chords, chords_covering, segment_location_at
 
 ALL = [douglas_peucker, douglas_peucker_plus, douglas_peucker_star]
 IDS = ["dp", "dp+", "dp*"]
@@ -31,16 +32,15 @@ def random_trajectory(rng, n, step=4.0):
     return Trajectory("o", points)
 
 
-def deviation_of(simplifier, simplified, original_point, segment):
+def deviation_of(simplifier, original_point, chord):
     """The deviation measure the simplifier promises to bound."""
+    start, end, t_start, t_end, _tolerance = chord
     if simplifier is douglas_peucker_star:
-        proj = segment.location_at(original_point.t)
+        proj = segment_location_at(start, end, t_start, t_end, original_point.t)
         return math.hypot(
             original_point.x - proj[0], original_point.y - proj[1]
         )
-    return point_segment_distance(
-        original_point.xy, segment.start, segment.end
-    )
+    return point_segment_distance(original_point.xy, start, end)
 
 
 @pytest.mark.parametrize("simplifier", ALL, ids=IDS)
@@ -76,16 +76,11 @@ class TestSoundness:
             delta = rng.uniform(0.5, 8)
             simplified = simplifier(tr, delta)
             for point in tr:
-                covering = [
-                    (seg, tol)
-                    for seg, tol in zip(simplified.segments, simplified.tolerances)
-                    if seg.covers_time(point.t)
-                ]
-                assert covering, f"no segment covers t={point.t}"
+                covering = chords_covering(simplified, point.t)
+                assert covering, f"no chord covers t={point.t}"
                 assert any(
-                    deviation_of(simplifier, simplified, point, seg)
-                    <= tol + 1e-9
-                    for seg, tol in covering
+                    deviation_of(simplifier, point, chord) <= chord[4] + 1e-9
+                    for chord in covering
                 )
 
     def test_zero_delta_keeps_shape(self, simplifier):
@@ -94,20 +89,16 @@ class TestSoundness:
         tr = random_trajectory(rng, 25)
         simplified = simplifier(tr, 0.0)
         for point in tr:
-            covering = [
-                seg for seg in simplified.segments if seg.covers_time(point.t)
-            ]
             assert any(
-                deviation_of(simplifier, simplified, point, seg) <= 1e-9
-                for seg in covering
+                deviation_of(simplifier, point, chord) <= 1e-9
+                for chord in chords_covering(simplified, point.t)
             )
 
     def test_single_point_trajectory(self, simplifier):
         tr = Trajectory("o", [(3.0, 4.0, 7)])
         simplified = simplifier(tr, 1.0)
         assert len(simplified) == 1
-        assert len(simplified.segments) == 1
-        assert simplified.segments[0].duration == 0
+        assert chords(simplified) == [((3.0, 4.0), (3.0, 4.0), 7, 7, 0.0)]
         assert simplified.tolerances == (0.0,)
 
     def test_two_point_trajectory(self, simplifier):
@@ -119,14 +110,14 @@ class TestSoundness:
     def test_collinear_collapses_to_one_segment(self, simplifier):
         tr = Trajectory("o", [(float(i), 0.0, i) for i in range(10)])
         simplified = simplifier(tr, 0.5)
-        assert len(simplified.segments) == 1
+        assert len(chords(simplified)) == 1
         assert simplified.reduction_ratio == pytest.approx(0.8)
 
     def test_segments_are_time_contiguous(self, simplifier):
         tr = random_trajectory(random.Random(5), 40)
-        simplified = simplifier(tr, 4.0)
-        for prev, cur in zip(simplified.segments, simplified.segments[1:]):
-            assert prev.t_end == cur.t_start
+        kept = chords(simplifier(tr, 4.0))
+        for prev, cur in zip(kept, kept[1:]):
+            assert prev[3] == cur[2]
 
     def test_negative_delta_rejected(self, simplifier):
         tr = Trajectory("o", [(0, 0, 0), (1, 1, 1)])

@@ -27,6 +27,7 @@ from repro.simplification.dp import spatial_chord, spatial_deviation
 from repro.simplification.dp_star import time_ratio_chord, time_ratio_deviation
 from repro.trajectory.database import TrajectoryDatabase
 from repro.trajectory.trajectory import Trajectory
+from tests.filter_reference import chords
 
 
 def max_deviation_split(deviations, lo, hi, delta):
@@ -106,9 +107,9 @@ def bits(simplified):
         [(p.x.hex(), p.y.hex(), p.t) for p in simplified.points],
         [tol.hex() for tol in simplified.tolerances],
         [
-            (s.start[0].hex(), s.start[1].hex(), s.end[0].hex(),
-             s.end[1].hex(), s.t_start, s.t_end)
-            for s in simplified.segments
+            (start[0].hex(), start[1].hex(), end[0].hex(), end[1].hex(),
+             t_start, t_end)
+            for start, end, t_start, t_end, _tol in chords(simplified)
         ],
         simplified.delta,
         simplified.original_size,

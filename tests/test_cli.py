@@ -517,6 +517,25 @@ class TestSimplify:
         assert code == 0
         assert out_path.exists()
 
+    @pytest.mark.parametrize("method", ["dp", "dp+", "dp*"])
+    @pytest.mark.parametrize("delta", ["-1", "nan", "inf", "-inf"])
+    def test_bad_delta_exits_2_in_one_line(self, convoy_csv, tmp_path,
+                                           method, delta):
+        """Regression: ``--delta=-1`` died with a traceback (exit 1), and
+        ``--delta nan`` wrote output: DP and DP* kept only the end
+        samples, DP+ every sample."""
+        out_path = tmp_path / "reduced.csv"
+        code, text = run_cli(
+            ["simplify", str(convoy_csv), str(out_path), "--method", method,
+             f"--delta={delta}"]
+        )
+        assert code == 2
+        assert re.fullmatch(
+            "bad --delta value: delta must be non-negative and finite, "
+            f"got {float(delta)!r}\n", text,
+        ), text
+        assert not out_path.exists()
+
 
 class TestGenerate:
     def test_generate_taxi(self, tmp_path):

@@ -8,6 +8,11 @@ and the time domain starts at zero, below zero, or far out (up to
 algorithm must write the same answer, ``stream`` must write what
 ``discover --algorithm cmc`` writes, and ``stats`` and ``simplify`` must
 read the same samples.
+
+The same cases shifted to the edge of ``±2**53`` and past it check where
+CuTS* stops: its D* kernel computes with ticks as floats, which are exact
+only up to ``2**53``, so past that it must refuse the query while the
+other algorithms keep answering alike.
 """
 
 import csv
@@ -65,11 +70,26 @@ def write_csv(path, rows):
         writer.writerows(rows)
 
 
-def run(argv):
+def run(argv, expect=0):
     out = io.StringIO()
     code = main([str(arg) for arg in argv], out=out)
-    assert code == 0, out.getvalue()
+    assert code == expect, out.getvalue()
     return out.getvalue()
+
+
+def answers_of(path, m, k, eps, algorithms=ALGORITHMS):
+    """Each algorithm's ``discover`` answer CSV, and ``stream``'s."""
+    query = ["-m", m, "-k", k, "-e", eps]
+    answers = {}
+    for algorithm in algorithms:
+        answer = path.parent / f"{algorithm}.csv"
+        run(["discover", path, *query, "--algorithm", algorithm,
+             "--output", answer])
+        answers[algorithm] = answer.read_text()
+    streamed = path.parent / "stream.csv"
+    run(["stream", path, *query, "--quiet", "--output", streamed])
+    answers["stream"] = streamed.read_text()
+    return answers
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -77,18 +97,9 @@ def test_every_subcommand_reads_the_same_data(tmp_path, seed):
     rows, m, k, eps = fuzz_case(seed)
     path = tmp_path / "in.csv"
     write_csv(path, rows)
-    query = ["-m", m, "-k", k, "-e", eps]
 
-    answers = {}
-    for algorithm in ALGORITHMS:
-        answer = tmp_path / f"{algorithm}.csv"
-        run(["discover", path, *query, "--algorithm", algorithm,
-             "--output", answer])
-        answers[algorithm] = answer.read_text()
+    answers = answers_of(path, m, k, eps)
     assert len(set(answers.values())) == 1, answers
-    streamed = tmp_path / "stream.csv"
-    run(["stream", path, *query, "--quiet", "--output", streamed])
-    assert streamed.read_text() == answers["cmc"]
 
     ids = {row[0] for row in rows}
     text = run(["stats", path])
@@ -111,6 +122,48 @@ def test_every_subcommand_reads_the_same_data(tmp_path, seed):
                 assert samples[(trajectory.object_id, point.t)] == (
                     point.x, point.y
                 )
+
+
+def shifted(rows, first):
+    """``rows`` with every tick moved by one offset, the earliest to ``first``."""
+    offset = first - min(row[1] for row in rows)
+    return [(object_id, t + offset, x, y) for object_id, t, x, y in rows]
+
+
+@pytest.mark.parametrize("edge", ["last-at-2**53", "first-at--2**53"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_algorithm_agrees_up_to_2_53(tmp_path, seed, edge):
+    rows, m, k, eps = fuzz_case(seed)
+    ticks = [row[1] for row in rows]
+    if edge == "last-at-2**53":
+        first = 2**53 - (max(ticks) - min(ticks))
+    else:
+        first = -(2**53)
+    path = tmp_path / "in.csv"
+    write_csv(path, shifted(rows, first))
+    answers = answers_of(path, m, k, eps)
+    assert len(set(answers.values())) == 1, answers
+
+
+@pytest.mark.parametrize("first", [2**53 + 1, 10**18, -(10**18)],
+                         ids=["2**53+1", "1e18", "-1e18"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cuts_star_refuses_ticks_past_2_53(tmp_path, seed, first):
+    """Regression: shifted to ticks near 10**18, CuTS* answered 23 of 60
+    fuzz cases differently from CMC; CuTS and CuTS+ agreed in all."""
+    rows, m, k, eps = fuzz_case(seed)
+    rows = shifted(rows, first)
+    path = tmp_path / "in.csv"
+    write_csv(path, rows)
+    answers = answers_of(path, m, k, eps, ("cmc", "cuts", "cuts+"))
+    assert len(set(answers.values())) == 1, answers
+    text = run(["discover", path, "-m", m, "-k", k, "-e", eps,
+                "--algorithm", "cuts*"], expect=2)
+    tick = first if first < 0 else max(row[1] for row in rows)
+    assert text == (
+        "bad query parameters: cuts* computes with ticks as floats, exact "
+        f"only within [-2**53, 2**53]; tick {tick} is outside\n"
+    )
 
 
 def test_fuzz_reaches_what_it_claims():
