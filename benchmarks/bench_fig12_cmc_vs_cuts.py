@@ -6,12 +6,16 @@ generally fastest.  The reproduction reports the same grid (the README's
 "Benches → paper figures" section records the measured ratios next to the
 paper's).
 
-Every call is timed on a freshly loaded copy of the dataset
+Every cold call is timed on a freshly loaded copy of the dataset
 (:func:`~benchmarks.common.fresh_database`), so each variant pays for the
 split trees its simplifier builds: the *cold* columns.  CuTS* is timed a
 second time, *warm*: a query at ``WARM_EPS_FACTOR`` × eps on the database
 its cold run left behind, which is what every query after the first costs
-on one loaded database.  Each CuTS run also reports its per-phase split.
+on one loaded database.  A full run times each cell :data:`FULL_REPEATS`
+times, each cold call on a copy of its own, and reports the median
+(``seconds``) next to every time (``seconds_each``); one call per cell
+scattered by about ±30% from run to run.  Each CuTS row also reports the
+per-phase split of its median call.
 
 All methods must return identical answers — the equality with CMC is
 asserted here on every run, at both eps values.
@@ -54,6 +58,9 @@ SMOKE_SCALES = {name: scale / 5 for name, scale in BENCH_SCALES.items()}
 #: The paper reports 3.9-33.1x; this bar only asks CuTS* not to lose.
 CUTS_STAR_BAR = 1.0
 
+#: Timed calls per cell in a full run; ``--smoke`` times each cell once.
+FULL_REPEATS = 3
+
 
 def run_algorithm(database, spec, algorithm, eps):
     """Answer one query; return ``(convoys, CutsResult or None)``."""
@@ -74,18 +81,27 @@ def phase_split(result, seconds):
     return split
 
 
-def measure(spec):
+def median_run(runs):
+    """The ``(seconds, outcome)`` run of median time (the upper median of
+    an even count)."""
+    return sorted(runs, key=lambda run: run[0])[len(runs) // 2]
+
+
+def measure(spec, repeats=1):
     """Time every algorithm cold, and CuTS* warm, on ``spec``.
 
-    Returns one row per timed call, in this order: CMC at eps and at the
-    warm eps, then CuTS, CuTS+ and CuTS* cold, then CuTS* warm.  Asserts
+    Each cell is timed ``repeats`` times, every cold call on a fresh
+    copy of the database (CuTS* warm on the copy its cold call left).
+    Returns one row per cell, in this order: CMC at eps and at the warm
+    eps, then CuTS, CuTS+ and CuTS* cold, then CuTS* warm.  Asserts
     every answer equal to CMC's at the same eps.
     """
     rows = []
     exact = {}
     cmc_seconds = {}
 
-    def record(algorithm, state, eps, seconds, convoys, result):
+    def record(algorithm, state, eps, runs):
+        seconds, (convoys, result) = median_run(runs)
         rows.append({
             "dataset": spec.name,
             "generator": f"repro.datasets.{spec.name}_dataset",
@@ -97,6 +113,7 @@ def measure(spec):
             "algorithm": algorithm,
             "state": state,
             "seconds": seconds,
+            "seconds_each": [elapsed for elapsed, _ in runs],
             "speedup_vs_cmc": safe_rate(cmc_seconds[eps], seconds),
             "convoys": len(convoys),
             "phases": None if result is None else phase_split(result, seconds),
@@ -104,25 +121,34 @@ def measure(spec):
 
     warm_eps = spec.eps * WARM_EPS_FACTOR
     for eps in (spec.eps, warm_eps):
-        (convoys, _), seconds = time_call(
-            run_algorithm, fresh_database(spec), spec, "cmc", eps
-        )
-        exact[eps] = normalize_convoys(convoys)
-        cmc_seconds[eps] = seconds
-        record("cmc", "cold", eps, seconds, exact[eps], None)
+        runs = []
+        for _ in range(repeats):
+            outcome, seconds = time_call(
+                run_algorithm, fresh_database(spec), spec, "cmc", eps
+            )
+            runs.append((seconds, outcome))
+        exact[eps] = normalize_convoys(runs[0][1][0])
+        for _, (convoys, _) in runs:
+            assert convoy_sets_equal(exact[eps], convoys), (spec.name, "cmc")
+        cmc_seconds[eps] = median_run(runs)[0]
+        record("cmc", "cold", eps, runs)
     for variant in VARIANTS:
-        database = fresh_database(spec)
         passes = [("cold", spec.eps)]
         if variant == "cuts*":
             passes.append(("warm", warm_eps))
+        runs = {state: [] for state, _ in passes}
+        for _ in range(repeats):
+            database = fresh_database(spec)
+            for state, eps in passes:
+                outcome, seconds = time_call(
+                    run_algorithm, database, spec, variant, eps
+                )
+                assert convoy_sets_equal(exact[eps], outcome[0]), (
+                    spec.name, variant, state,
+                )
+                runs[state].append((seconds, outcome))
         for state, eps in passes:
-            (convoys, result), seconds = time_call(
-                run_algorithm, database, spec, variant, eps
-            )
-            assert convoy_sets_equal(exact[eps], convoys), (
-                spec.name, variant, state,
-            )
-            record(variant, state, eps, seconds, convoys, result)
+            record(variant, state, eps, runs[state])
     return rows
 
 
@@ -201,16 +227,17 @@ def main(argv=None):
                         help="write the rows as bench JSON")
     args = parser.parse_args(argv)
     scales = SMOKE_SCALES if args.smoke else BENCH_SCALES
+    repeats = 1 if args.smoke else FULL_REPEATS
     rows = []
     for name in DATASET_NAMES:
-        rows.extend(measure(dataset(name, scales[name])))
+        rows.extend(measure(dataset(name, scales[name]), repeats))
     for table in report(rows):
         print_report(table)
     if args.json:
         write_bench_json(
             args.json,
             "fig12",
-            {"smoke": args.smoke, "scales": scales,
+            {"smoke": args.smoke, "scales": scales, "repeats": repeats,
              "warm_eps_factor": WARM_EPS_FACTOR},
             rows,
         )

@@ -9,11 +9,11 @@ GPS logs (see ``examples/``).
 from __future__ import annotations
 
 import csv
-import math
+from itertools import chain, repeat
+from math import isfinite
 from pathlib import Path
 
 from repro.trajectory.database import TrajectoryDatabase
-from repro.trajectory.point import TrajectoryPoint
 from repro.trajectory.trajectory import Trajectory
 
 
@@ -31,12 +31,18 @@ def save_trajectories_csv(database, path, header=True):
         if header:
             writer.writerow(["object_id", "t", "x", "y"])
         for trajectory in sorted(database, key=lambda tr: str(tr.object_id)):
-            for point in trajectory:
-                writer.writerow([trajectory.object_id, point.t, point.x, point.y])
+            writer.writerows(
+                zip(repeat(trajectory.object_id), *trajectory.coordinates())
+            )
 
 
 def load_trajectories_csv(path, has_header="auto"):
     """Load a database from ``object_id,t,x,y`` rows.
+
+    The file is read once, straight into per-object ``times``, ``xs`` and
+    ``ys`` columns; each :class:`~repro.trajectory.Trajectory` is built
+    from its columns (sorted only when its rows arrive out of time
+    order), and objects keep the order they first appear in.
 
     Args:
         path: source file path.
@@ -51,61 +57,96 @@ def load_trajectories_csv(path, has_header="auto"):
             non-finite numbers, duplicate samples) and on bytes that do
             not decode, each naming the file line — bad input data should
             fail loudly at load time, not corrupt query answers later.
+            The first bad row in the file decides the error; within a
+            row, ``x``, ``y`` and ``t`` are parsed in that order.
     """
     path = Path(path)
-    samples = {}
-    seen = {}  # (object_id, t) -> line that first provided the sample
+    columns = {}  # object_id -> ([t], [x], [y]), in file order
+    header = False
     try:
         with path.open(newline="") as handle:
-            reader = csv.reader(handle)
-            rows = iter(reader)
+            rows = csv.reader(handle)
             first = next(rows, None)
             if first is None:
                 return TrajectoryDatabase()
-            consume_first = True
             if has_header == "auto":
                 try:
                     int(first[1])
                 except (ValueError, IndexError):
-                    consume_first = False
-            elif has_header:
-                consume_first = False
-            if consume_first:
-                _ingest_row(samples, seen, first, line=1)
-            for line, row in enumerate(rows, start=2):
-                if row:
-                    _ingest_row(samples, seen, row, line)
+                    header = True
+            else:
+                header = bool(has_header)
+            if not header:
+                rows = chain((first,), rows)
+            for line, row in enumerate(rows, start=2 if header else 1):
+                if len(row) != 4:
+                    if not row and line > 1:
+                        continue
+                    _fail(path, columns, header,
+                          f"line {line}: expected 4 columns, got {len(row)}")
+                object_id, t, x, y = row
+                try:
+                    x = float(x)
+                    y = float(y)
+                    t = int(t)
+                except ValueError as exc:
+                    _fail(path, columns, header, f"line {line}: {exc}")
+                if not (isfinite(x) and isfinite(y)):
+                    _fail(path, columns, header,
+                          f"line {line}: non-finite coordinates ({x}, {y})")
+                column = columns.get(object_id)
+                if column is None:
+                    column = columns[object_id] = ([], [], [])
+                column[0].append(t)
+                column[1].append(x)
+                column[2].append(y)
     except UnicodeDecodeError as exc:
-        raise ValueError(_undecodable_line(path, exc)) from None
-    trajectories = [
-        Trajectory(object_id, points) for object_id, points in samples.items()
-    ]
-    return TrajectoryDatabase(trajectories)
-
-
-def _ingest_row(samples, seen, row, line):
-    if len(row) != 4:
-        raise ValueError(f"line {line}: expected 4 columns, got {len(row)}")
-    object_id, t_raw, x_raw, y_raw = row
+        _fail(path, columns, header, _undecodable_line(path, exc))
     try:
-        point = TrajectoryPoint(float(x_raw), float(y_raw), int(t_raw))
-    except ValueError as exc:
-        raise ValueError(f"line {line}: {exc}") from None
-    if not (math.isfinite(point.x) and math.isfinite(point.y)):
-        raise ValueError(
-            f"line {line}: non-finite coordinates ({point.x}, {point.y})"
-        )
-    # Duplicate (object, t) samples must fail here, with both file lines —
-    # left to Trajectory.__init__ the error would surface only after the
-    # whole file was read, with no way to say which rows collided.
-    key = (object_id, point.t)
-    previous = seen.setdefault(key, line)
-    if previous != line:
-        raise ValueError(
-            f"line {line}: duplicate sample for object {object_id!r} at "
-            f"t={point.t} (first given on line {previous})"
-        )
-    samples.setdefault(object_id, []).append(point)
+        return TrajectoryDatabase([
+            Trajectory.from_columns(object_id, *column)
+            for object_id, column in columns.items()
+        ])
+    except ValueError:
+        # Every row passed its checks, so the one rule a column can still
+        # break is a duplicate (object, t) sample, found by sort order.
+        message = _first_duplicate(path, header)
+        if message is None:
+            raise
+        raise ValueError(message) from None
+
+
+def _fail(path, columns, header, message):
+    """Raise ``message`` for a bad row, unless a duplicate sample among the
+    rows read before it is the file's first bad row."""
+    if any(len(set(times)) < len(times) for times, _, _ in columns.values()):
+        message = _first_duplicate(path, header) or message
+    raise ValueError(message) from None
+
+
+def _first_duplicate(path, header):
+    """``"line N: duplicate sample ..."`` for the first row of ``path`` that
+    repeats an earlier ``(object, t)``, naming both lines, or None.
+
+    Only a file with a duplicate pays for this second read; it stops at
+    that row, before any row the first read had not yet checked.
+    """
+    seen = {}
+    with path.open(newline="") as handle:
+        rows = enumerate(csv.reader(handle), start=1)
+        if header:
+            next(rows)
+        for line, row in rows:
+            if not row:
+                continue
+            object_id, t = row[0], int(row[1])
+            first = seen.setdefault((object_id, t), line)
+            if first != line:
+                return (
+                    f"line {line}: duplicate sample for object {object_id!r} "
+                    f"at t={t} (first given on line {first})"
+                )
+    return None
 
 
 def _undecodable_line(path, error):

@@ -27,11 +27,3 @@ class TrajectoryPoint(NamedTuple):
     def distance_to(self, other):
         """Euclidean distance ``D`` between the spatial components."""
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def validate(self):
-        """Raise :class:`ValueError` on NaN/inf coordinates or non-int time."""
-        if not isinstance(self.t, int):
-            raise ValueError(f"time point must be an integer, got {self.t!r}")
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinates ({self.x}, {self.y})")
-        return self

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
+from math import isfinite
+from operator import lt
 
 from repro.trajectory.interpolation import interpolate_position
 from repro.trajectory.point import TrajectoryPoint
@@ -23,29 +26,83 @@ class Trajectory:
     Args:
         object_id: hashable identifier of the moving object.
         points: iterable of :class:`TrajectoryPoint` (or ``(x, y, t)``
-            triples); any order, but duplicate time points are rejected.
+            triples) in any order.  Each tick ``t`` is an int, not a
+            bool; each coordinate is a finite int or float, not a bool
+            or a string, and is stored as a float; duplicate time points
+            are rejected.  :meth:`from_columns` applies the same rules.
     """
 
     __slots__ = ("object_id", "_times", "_xs", "_ys", "_trees")
 
     def __init__(self, object_id, points):
-        self.object_id = object_id
-        cleaned = []
-        for p in points:
-            if not isinstance(p, TrajectoryPoint):
-                p = TrajectoryPoint(float(p[0]), float(p[1]), p[2])
-            cleaned.append(p.validate())
-        cleaned.sort(key=lambda p: p.t)
-        if not cleaned:
+        points = list(points)
+        self._adopt(
+            object_id,
+            [p[2] for p in points],
+            [p[0] for p in points],
+            [p[1] for p in points],
+        )
+
+    @classmethod
+    def from_columns(cls, object_id, times, xs, ys):
+        """Build a trajectory from parallel ``times``, ``xs``, ``ys`` lists.
+
+        The rules and messages are the constructor's.  The lists are
+        handed over: when they already hold floats sorted by time they
+        become the trajectory's storage (see :meth:`coordinates`), so
+        the caller must not touch them again.  The CSV loader builds
+        every trajectory this way, with no per-sample object.
+        """
+        trajectory = cls.__new__(cls)
+        trajectory._adopt(object_id, times, xs, ys)
+        return trajectory
+
+    def _adopt(self, object_id, times, xs, ys):
+        """Check the columns against the sample rules, sort them by time
+        and keep them.
+
+        Every check is a pass at C speed over a whole column; only a
+        column that fails one is walked in Python, to name its first bad
+        sample in input order.
+        """
+        if not len(times) == len(xs) == len(ys):
+            raise ValueError(
+                f"trajectory {object_id!r} has columns of unequal length"
+            )
+        if not times:
             raise ValueError(f"trajectory {object_id!r} has no points")
-        for prev, cur in zip(cleaned, cleaned[1:]):
-            if prev.t == cur.t:
-                raise ValueError(
-                    f"trajectory {object_id!r} has duplicate samples at t={cur.t}"
+        x_types = set(map(type, xs))
+        y_types = set(map(type, ys))
+        if not (
+            set(map(type, times)) <= {int}
+            and x_types | y_types <= {int, float}
+            and all(map(isfinite, xs))
+            and all(map(isfinite, ys))
+        ):
+            fault = _first_bad_sample(object_id, times, xs, ys)
+            if fault is not None:
+                raise ValueError(fault)
+        if x_types != {float}:
+            xs = list(map(float, xs))
+        if y_types != {float}:
+            ys = list(map(float, ys))
+        if not all(map(lt, times, islice(times, 1, None))):
+            order = sorted(range(len(times)), key=times.__getitem__)
+            times = list(map(times.__getitem__, order))
+            xs = list(map(xs.__getitem__, order))
+            ys = list(map(ys.__getitem__, order))
+            if not all(map(lt, times, islice(times, 1, None))):
+                duplicate = next(
+                    cur for prev, cur in zip(times, times[1:]) if prev == cur
                 )
-        self._times = [p.t for p in cleaned]
-        self._xs = [p.x for p in cleaned]
-        self._ys = [p.y for p in cleaned]
+                raise ValueError(
+                    f"trajectory {object_id!r} has duplicate samples at "
+                    f"t={duplicate}"
+                )
+        self.object_id = object_id
+        self._times = times
+        self._xs = xs
+        self._ys = ys
         self._trees = ()
 
     # ------------------------------------------------------------------
@@ -161,3 +218,26 @@ class Trajectory:
         return BoundingBox(
             min(self._xs), min(self._ys), max(self._xs), max(self._ys)
         )
+
+
+def _first_bad_sample(object_id, times, xs, ys):
+    """The error for the first sample, in input order, that breaks a rule
+    of :class:`Trajectory`, or None when every sample keeps them (an int
+    or float subclass such as an ``IntEnum`` tick is accepted)."""
+    for x, y, t in zip(xs, ys, times):
+        for value in (x, y):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                return (
+                    f"trajectory {object_id!r}: coordinate {value!r} is not "
+                    "an int or a float"
+                )
+        if isinstance(t, bool):
+            return (
+                f"trajectory {object_id!r}: time point {t!r} is a bool, not "
+                "an integer"
+            )
+        if not isinstance(t, int):
+            return f"time point must be an integer, got {t!r}"
+        if not (isfinite(x) and isfinite(y)):
+            return f"non-finite coordinates ({x}, {y})"
+    return None

@@ -11,7 +11,6 @@ join is held to.
 import math
 import random
 
-from repro.geometry.distance import point_distance
 from repro.simplification import douglas_peucker, douglas_peucker_star
 from repro.trajectory.trajectory import Trajectory
 from tests.filter_reference import chord_distance, chords, chords_covering, omega
@@ -61,7 +60,7 @@ class TestLemma1:
                 if prunes(chord_covering(sa, t), chord_covering(sb, t), eps,
                           "dll"):
                     checked += 1
-                    assert point_distance(
+                    assert math.dist(
                         tr_a.location_at(t), tr_b.location_at(t)
                     ) > eps
         assert checked > 50  # the premise must actually fire sometimes
@@ -90,7 +89,7 @@ class TestLemma3:
                 if prunes(chord_covering(sa, t), chord_covering(sb, t), eps,
                           "cpa"):
                     checked += 1
-                    assert point_distance(
+                    assert math.dist(
                         tr_a.location_at(t), tr_b.location_at(t)
                     ) > eps
         assert checked > 50
@@ -131,7 +130,7 @@ class TestOmega:
                 sb = simplify(tr_b, 2.0)
                 w = omega(chords(sa), chords(sb), mode)
                 true_min = min(
-                    point_distance(tr_a.location_at(t), tr_b.location_at(t))
+                    math.dist(tr_a.location_at(t), tr_b.location_at(t))
                     for t in times
                 )
                 assert w <= true_min + 1e-9

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry.distance import point_distance
 from tests.filter_reference import (
     cpa_distance,
     cpa_time,
@@ -93,7 +92,7 @@ class TestCpaDistance:
         d_star = cpa_distance(a, b, 0, 10, c, d, 0, 10)
         loc1 = segment_location_at(a, b, 0, 10, t)
         loc2 = segment_location_at(c, d, 0, 10, t)
-        assert d_star <= point_distance(loc1, loc2) + 1e-6
+        assert d_star <= math.dist(loc1, loc2) + 1e-6
 
     @given(points, points, points, points)
     def test_symmetry(self, a, b, c, d):

@@ -33,10 +33,10 @@ class TestMalformedTrajectories:
         with pytest.raises(ValueError):
             Trajectory("o", [(0, 0, 0.5)])
 
-    def test_boolean_time_is_an_int(self):
-        # bools are ints in Python; allowed but coerced sanely.
-        tr = Trajectory("o", [(0, 0, False), (1, 1, True)])
-        assert tr.tau == (0, 1)
+    def test_boolean_time_rejected(self):
+        # bools are ints in Python, but a True tick is a bug, not time 1.
+        with pytest.raises(ValueError, match=r"'o'.*False"):
+            Trajectory("o", [(0, 0, False), (1, 1, True)])
 
 
 class TestDegenerateDatabases:

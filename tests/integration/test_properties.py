@@ -6,6 +6,7 @@ contract (validity, maximal runs, no overlapping duplicates of the same
 set), and the coherence of the derived query helpers.
 """
 
+import math
 import random
 
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +20,7 @@ from repro.core.queries import (
     top_convoys,
 )
 from repro.core.verification import is_valid_convoy, normalize_convoys
-from repro.geometry.distance import point_distance, point_segment_distance
+from repro.geometry.distance import point_segment_distance
 from repro.simplification import SIMPLIFIERS
 from repro.trajectory.database import TrajectoryDatabase
 from repro.trajectory.trajectory import Trajectory
@@ -67,7 +68,7 @@ def test_simplified_trajectory_stays_within_delta_at_every_time(
             assert covering
             best = min(
                 (
-                    point_distance(
+                    math.dist(
                         location, segment_location_at(start, end, t1, t2, t)
                     )
                     if method == "dp*"

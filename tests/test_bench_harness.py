@@ -27,6 +27,10 @@ from benchmarks.bench_match_kernel import (
     make_small_workload,
     run_regime,
 )
+from benchmarks.bench_csv_load import (
+    ROW_KEYS as CSV_LOAD_ROW_KEYS,
+    measure as measure_csv_load,
+)
 from benchmarks.bench_fig12_cmc_vs_cuts import (
     CUTS_STAR_BAR,
     WARM_EPS_FACTOR,
@@ -385,8 +389,8 @@ class TestFig12BenchSchema:
 
     ROW_KEYS = {
         "dataset", "generator", "scale", "seed", "m", "k", "eps",
-        "algorithm", "state", "seconds", "speedup_vs_cmc", "convoys",
-        "phases",
+        "algorithm", "state", "seconds", "seconds_each", "speedup_vs_cmc",
+        "convoys", "phases",
     }
     PHASES = {"simplification", "filter", "refinement", "other"}
 
@@ -418,6 +422,17 @@ class TestFig12BenchSchema:
         assert loaded["bench"] == "fig12"
         assert [set(row) for row in loaded["rows"]] == [self.ROW_KEYS] * 6
 
+    def test_repeated_cells_report_the_median_call(self):
+        spec = datasets.car_dataset(scale=0.005)
+        rows = measure(spec, repeats=3)
+        cmc_at = {row["eps"]: row["seconds"] for row in rows[:2]}
+        for row in rows:
+            assert len(row["seconds_each"]) == 3
+            assert row["seconds"] == sorted(row["seconds_each"])[1]
+            assert row["speedup_vs_cmc"] == pytest.approx(
+                cmc_at[row["eps"]] / row["seconds"]
+            )
+
     def test_bar_names_each_dataset_where_cold_cuts_star_trails_cmc(self):
         def row(dataset, algorithm, state, speedup):
             return {"dataset": dataset, "algorithm": algorithm,
@@ -444,3 +459,27 @@ class TestFig12BenchSchema:
             assert copy.split_tree(time_ratio_chord) is not (
                 original.split_tree(time_ratio_chord)
             )
+
+
+class TestCsvLoadBenchSchema:
+    """Schema guard for ``BENCH_csv_load.json``: one row per run, carrying
+    the CSV's generator and params, every fresh-process load time, the
+    median rate and the children's peak RSS.  ``measure`` itself asserts
+    each load equal to the generated database, bit for bit."""
+
+    def test_row_round_trips_through_the_writer(self, tmp_path):
+        scale = dict(objects=3, ticks=40, seed=5)
+        row = measure_csv_load(scale, loads=2)
+        assert set(row) == CSV_LOAD_ROW_KEYS
+        assert row["generator"] == "benchmarks.bench_csv_load.walk_database"
+        assert row["params"] == scale
+        assert row["rows"] == 120
+        assert len(row["load_s"]) == 2
+        assert all(seconds > 0 for seconds in row["load_s"])
+        assert row["rows_per_s"] is None or math.isfinite(row["rows_per_s"])
+        assert row["peak_rss_mb"] > 0
+        path = tmp_path / "BENCH_csv_load.json"
+        write_bench_json(path, "csv_load", {"smoke": True}, [row])
+        loaded = json.loads(path.read_text())
+        assert loaded["bench"] == "csv_load"
+        assert set(loaded["rows"][0]) == CSV_LOAD_ROW_KEYS

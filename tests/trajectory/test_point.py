@@ -1,9 +1,5 @@
 """Tests for TrajectoryPoint."""
 
-import math
-
-import pytest
-
 from repro.trajectory.point import TrajectoryPoint
 
 
@@ -19,25 +15,6 @@ def test_distance_to():
     a = TrajectoryPoint(0, 0, 0)
     b = TrajectoryPoint(3, 4, 9)
     assert a.distance_to(b) == 5.0  # time plays no role in D
-
-
-def test_validate_accepts_finite():
-    assert TrajectoryPoint(1.0, 2.0, 3).validate() == (1.0, 2.0, 3)
-
-
-def test_validate_rejects_nan():
-    with pytest.raises(ValueError):
-        TrajectoryPoint(math.nan, 0.0, 0).validate()
-
-
-def test_validate_rejects_inf():
-    with pytest.raises(ValueError):
-        TrajectoryPoint(0.0, math.inf, 0).validate()
-
-
-def test_validate_rejects_float_time():
-    with pytest.raises(ValueError):
-        TrajectoryPoint(0.0, 0.0, 1.5).validate()
 
 
 def test_is_a_tuple():

@@ -1,5 +1,7 @@
 """Tests for the Trajectory polyline."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -33,10 +35,80 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Trajectory("o", [(float("nan"), 0, 0)])
 
+    def test_rejects_inf(self):
+        with pytest.raises(ValueError, match=r"^non-finite coordinates"):
+            Trajectory("o", [(0.0, float("inf"), 0)])
+
+    def test_rejects_float_time(self):
+        with pytest.raises(ValueError, match="must be an integer, got 1.5"):
+            Trajectory("o", [(0.0, 0.0, 1.5)])
+
     def test_single_point_trajectory(self):
         tr = make_trajectory([(5, 5, 3)])
         assert tr.tau == (3, 3)
         assert tr.duration == 0
+
+
+class TestSampleTypes:
+    """A tick is an int and never a bool; a coordinate is an int or a
+    float, never a bool or a string, and is stored as a float."""
+
+    @pytest.mark.parametrize("sample, value", [
+        ((0.0, 0.0, True), "True"),
+        ((0.0, 0.0, False), "False"),
+        ((True, 0.0, 0), "True"),
+        ((0.0, False, 0), "False"),
+        (("1.5", 0.0, 0), "'1.5'"),
+        ((0.0, "abc", 0), "'abc'"),
+        ((None, 0.0, 0), "None"),
+        (TrajectoryPoint("1.5", 0.0, 0), "'1.5'"),
+        (TrajectoryPoint(0.0, 0.0, True), "True"),
+    ], ids=["tick-true", "tick-false", "x-bool", "y-bool", "x-str", "y-str",
+            "x-none", "point-x-str", "point-tick-bool"])
+    def test_refused_naming_object_and_value(self, sample, value):
+        with pytest.raises(ValueError, match=rf"'a'.*{re.escape(value)}"):
+            Trajectory("a", [(1.0, 0.0, 2), sample])
+
+    def test_int_coordinates_are_stored_as_floats(self):
+        tr = make_trajectory([(1, -2, 0), (3, 4.5, 1)])
+        _times, xs, ys = tr.coordinates()
+        assert [type(v) for v in xs + ys] == [float] * 4
+        assert (xs, ys) == ([1.0, 3.0], [-2.0, 4.5])
+
+    def test_first_bad_sample_decides(self):
+        with pytest.raises(ValueError, match=r"^non-finite coordinates"):
+            Trajectory("a", [(float("nan"), 0.0, 0), (0.0, 0.0, 2.5)])
+        with pytest.raises(ValueError, match=r"^time point must be an integer"):
+            Trajectory("a", [(0.0, 0.0, 2.5), (float("nan"), 0.0, 0)])
+
+
+class TestFromColumns:
+    def test_same_storage_as_the_constructor(self):
+        samples = [(2.5, -1.0, 7), (0.0, 3.0, -2), (1.0, 1.0, 4)]
+        built = Trajectory.from_columns(
+            "o", [t for _, _, t in samples], [x for x, _, _ in samples],
+            [y for _, y, _ in samples],
+        )
+        assert built.coordinates() == Trajectory("o", samples).coordinates()
+        assert built.coordinates() == ([-2, 4, 7], [0.0, 1.0, 2.5],
+                                       [3.0, 1.0, -1.0])
+
+    def test_sorted_float_columns_become_the_storage(self):
+        times, xs, ys = [0, 1, 5], [0.0, 1.0, 2.0], [3.0, 4.0, 5.0]
+        built = Trajectory.from_columns("o", times, xs, ys)
+        stored = built.coordinates()
+        assert all(a is b for a, b in zip(stored, (times, xs, ys)))
+
+    @pytest.mark.parametrize("times, xs, ys, match", [
+        ([0, True], [0.0, 1.0], [0.0, 1.0], r"'o'.*True"),
+        ([0, 1], [0.0, "1"], [0.0, 1.0], r"'o'.*'1'"),
+        ([0, 0], [0.0, 1.0], [0.0, 1.0], r"duplicate samples at t=0"),
+        ([0, 1], [0.0], [0.0, 1.0], r"'o' has columns of unequal length"),
+        ([], [], [], r"'o' has no points"),
+    ], ids=["bool-tick", "str-coordinate", "duplicate", "unequal", "empty"])
+    def test_refuses_what_the_constructor_refuses(self, times, xs, ys, match):
+        with pytest.raises(ValueError, match=match):
+            Trajectory.from_columns("o", times, xs, ys)
 
 
 class TestTemporalExtent:
