@@ -13,8 +13,11 @@ at every tick — asserted here on every run, and exhaustively in
 ``tests/streaming/test_delta_equivalence.py`` — so the speedups carry no
 semantic caveats.  The table shows where incremental clustering pays
 end to end and where the churn threshold sends it back to full passes.
+The sweep straddles that threshold, so the rows either side of it show
+what the clusterer's delta pass and its own full pass cost.
 
-Run ``python benchmarks/bench_incremental_tracking.py`` for the table,
+Run ``python benchmarks/bench_incremental_tracking.py`` for the table
+(each pipeline timed ``REPEATS`` times per level, the median reported),
 ``--smoke`` for a seconds-long CI-sized run (equivalence assertions and
 a check that incremental passes ran), and ``--json PATH`` to also write
 the machine-readable result record that CI uploads as a
@@ -22,19 +25,25 @@ perf-trajectory artifact.
 """
 
 import argparse
+import statistics
 import time
 
 import pytest
 
 from benchmarks.common import print_report, write_bench_json
 from repro.bench import format_table
-from repro.clustering.incremental import IncrementalSnapshotClusterer
 from repro.streaming import StreamingConvoyMiner, churn_stream
 
 M, K, EPS = 3, 10, 10.0
+SEED = 42
+#: Runs of each pipeline per churn level in a full run; the table
+#: reports each pipeline's median run.
+REPEATS = 3
 
-#: churn levels swept by the CLI report.
-CHURN_LEVELS = (0.01, 0.05, 0.10, 0.50)
+#: churn levels swept by the CLI report; with 1% turnover the per-tick
+#: churn is about two points higher, so 15% and 20% straddle the
+#: clusterer's fallback threshold (``CHURN_THRESHOLD``).
+CHURN_LEVELS = (0.01, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50)
 
 #: Scales carry their own world side length (as a multiple of eps): the
 #: point density must keep many independent mid-size clusters alive —
@@ -50,7 +59,7 @@ SMOKE_SCALE = dict(
 
 
 def make_snapshots(churn, *, n_objects, n_snapshots, turnover, area,
-                   seed=42):
+                   seed=SEED):
     """Materialize one churn stream so every pipeline sees identical input."""
     return [
         snapshot
@@ -62,11 +71,7 @@ def make_snapshots(churn, *, n_objects, n_snapshots, turnover, area,
 
 
 def make_miner(pipeline):
-    if pipeline == "full":
-        return StreamingConvoyMiner(M, K, EPS)
-    return StreamingConvoyMiner(
-        M, K, EPS, clusterer=IncrementalSnapshotClusterer(EPS, M)
-    )
+    return StreamingConvoyMiner(M, K, EPS, clusterer=pipeline)
 
 
 def run_pipeline(pipeline, snapshots):
@@ -80,25 +85,34 @@ def run_pipeline(pipeline, snapshots):
     return emitted, miner, time.perf_counter() - started
 
 
-def compare(churn, scale):
-    """Run both pipelines on one churn level; assert tick-for-tick convoy
-    equality; return the result row."""
+def compare(churn, scale, repeats=1):
+    """Run both pipelines ``repeats`` times on one churn level, in turn;
+    assert tick-for-tick convoy equality on every run; return the result
+    row, rates from each pipeline's median run."""
     snapshots = make_snapshots(churn, **scale)
-    results = {p: run_pipeline(p, snapshots) for p in ("full", "incremental")}
-    base_emitted = results["full"][0]
-    assert results["incremental"][0] == base_emitted, (
-        f"incremental pipeline diverged from the full pipeline at "
-        f"churn={churn}"
-    )
+    seconds = {"full": [], "incremental": []}
+    for _ in range(repeats):
+        results = {p: run_pipeline(p, snapshots) for p in seconds}
+        base_emitted = results["full"][0]
+        assert results["incremental"][0] == base_emitted, (
+            f"incremental pipeline diverged from the full pipeline at "
+            f"churn={churn}"
+        )
+        for p, (_emitted, _miner, elapsed) in results.items():
+            seconds[p].append(elapsed)
+    full_s = statistics.median(seconds["full"])
+    inc_s = statistics.median(seconds["incremental"])
     n = len(snapshots)
     passes = results["incremental"][1].clusterer.counters
     return {
         "churn": churn,
         "snapshots": n,
         "convoys": sum(len(batch) for batch in base_emitted),
-        "full_rate": n / results["full"][2],
-        "incremental_rate": n / results["incremental"][2],
-        "speedup_vs_full": results["full"][2] / results["incremental"][2],
+        "full_rate": n / full_s,
+        "incremental_rate": n / inc_s,
+        "speedup_vs_full": full_s / inc_s,
+        "full_seconds_each": seconds["full"],
+        "incremental_seconds_each": seconds["incremental"],
         "incremental_passes": passes["incremental_passes"],
         "full_passes": passes["full_passes"],
     }
@@ -148,7 +162,7 @@ def main(argv=None):
     rows = []
     table_rows = []
     for churn in levels:
-        row = compare(churn, scale)
+        row = compare(churn, scale, 1 if args.smoke else REPEATS)
         rows.append(row)
         table_rows.append([
             f"{row['churn']:.0%}",
@@ -177,7 +191,10 @@ def main(argv=None):
     if args.json:
         write_bench_json(
             args.json, "incremental_tracking",
-            dict(m=M, k=K, eps=EPS, smoke=args.smoke, **scale),
+            dict(m=M, k=K, eps=EPS, smoke=args.smoke,
+                 repeats=1 if args.smoke else REPEATS,
+                 generator="repro.streaming.churn_stream", seed=SEED,
+                 **scale),
             rows,
         )
         print(f"json results written to {args.json}")

@@ -36,7 +36,6 @@ import sys
 import time
 
 from repro.checks import check_delta
-from repro.clustering.incremental import IncrementalSnapshotClusterer
 from repro.core.cmc import cmc
 from repro.core.cuts import VARIANTS, cuts
 from repro.core.verification import normalize_convoys
@@ -141,12 +140,6 @@ def build_parser():
         help="maintain the previous snapshot's clustering across ticks, "
         "re-clustering only the objects that moved (identical convoys; "
         "faster when most objects stand still between snapshots)",
-    )
-    stream.add_argument(
-        "--churn-threshold", default=None, metavar="FRACTION|adaptive",
-        help="with --incremental: fall back to a full clustering pass when "
-        "more than this fraction of the snapshot changed (default 0.35), "
-        "or 'adaptive' to estimate the crossover from measured pass costs",
     )
     stream.add_argument(
         "--pace", type=float, default=0.0, metavar="SECONDS",
@@ -347,9 +340,6 @@ def _cmd_stream(args, out):
     else:
         source = replay_csv(args.csv)
         label = args.csv
-    if args.churn_threshold is not None and not args.incremental:
-        print("--churn-threshold only applies with --incremental", file=out)
-        return 2
     reorder = None
     if args.allowed_lateness is not None or args.max_pending is not None:
         reorder = dict(
@@ -366,29 +356,11 @@ def _cmd_stream(args, out):
               f">= {args.jitter} (or --max-pending)", file=out)
         return 2
     try:
-        clusterer = None
-        if args.incremental:
-            if args.churn_threshold is None:
-                clusterer = IncrementalSnapshotClusterer(args.eps, args.m)
-            else:
-                threshold = args.churn_threshold
-                if threshold != "adaptive":
-                    try:
-                        threshold = float(threshold)
-                    except ValueError:
-                        print(
-                            f"bad --churn-threshold value: expected a "
-                            f"fraction or 'adaptive', got {threshold!r}",
-                            file=out,
-                        )
-                        return 2
-                clusterer = IncrementalSnapshotClusterer(
-                    args.eps, args.m, churn_threshold=threshold,
-                )
         miner = StreamingConvoyMiner(
             args.m, args.k, args.eps,
             paper_semantics=args.paper_semantics, window=args.window,
-            clusterer=clusterer, reorder=reorder, store=args.store,
+            clusterer="incremental" if args.incremental else None,
+            reorder=reorder, store=args.store,
         )
     except ValueError as exc:
         print(f"bad query parameters: {exc}", file=out)

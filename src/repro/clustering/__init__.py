@@ -22,13 +22,9 @@ DBSCAN from scratch:
 from repro.clustering.dbscan import dbscan
 from repro.clustering.generic_dbscan import density_cluster
 from repro.clustering.grid_index import GridIndex
-from repro.clustering.incremental import (
-    AdaptiveChurnThreshold,
-    IncrementalSnapshotClusterer,
-)
+from repro.clustering.incremental import IncrementalSnapshotClusterer
 
 __all__ = [
-    "AdaptiveChurnThreshold",
     "GridIndex",
     "IncrementalSnapshotClusterer",
     "dbscan",

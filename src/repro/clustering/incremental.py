@@ -56,12 +56,10 @@ connections over the smallest self-contained superset ``R`` of ``D``:
   component) are re-assigned when the key order flipped.
 
 When the raw churn (inserted + removed + moved objects) exceeds
-``churn_threshold`` of the snapshot, delta maintenance would touch most of
-the data anyway, so the clusterer falls back to a full rebuild — the same
-code path with every object dirty.  Correctness never depends on the
-threshold; it only trades constant factors.  The threshold itself can be a
-fixed fraction or an :class:`AdaptiveChurnThreshold` that observes the
-measured cost of delta and full passes online and tracks the crossover.
+:data:`CHURN_THRESHOLD` of the snapshot, delta maintenance would touch
+most of the data anyway, so the clusterer falls back to a full rebuild —
+the same code path with every object dirty.  Correctness never depends on
+the threshold; it only trades constant factors.
 
 The clusterer hands on cluster lists only: the candidate tracker joins
 every live candidate with every cluster each tick
@@ -71,109 +69,16 @@ downstream needs to know which clusters a tick left untouched.
 
 from __future__ import annotations
 
-import time
-
 from repro.checks import check_count, check_eps
 from repro.clustering.grid_index import GridIndex
 
-
-class AdaptiveChurnThreshold:
-    """Online estimate of the delta-vs-full crossover churn fraction.
-
-    The fixed ``churn_threshold`` default encodes a one-off measurement of
-    where delta maintenance stops paying.  That crossover moves with the
-    hardware and the workload's cluster geometry, so this policy measures
-    instead of assuming.
-
-    Cost model: a full pass costs ``phi`` seconds per snapshot point; a
-    delta pass costs ``a + b * c`` seconds per snapshot point at churn
-    fraction ``c`` — the fixed term ``a`` covers the per-tick snapshot
-    diff and bookkeeping that every delta pass pays regardless of churn,
-    the slope ``b`` the churn-proportional dirty-region work.  The delta
-    pass wins while ``a + b * c < phi``, so the threshold sits at the
-    crossover ``(phi - a) / b``.  ``phi`` is an EWMA over observed full
-    passes; ``a`` and ``b`` come from an exponentially weighted linear fit
-    of the observed delta-pass costs against their churn fractions.  (A
-    naive per-churned-point average instead of the affine fit would fold
-    the fixed term into the slope and bias the threshold toward zero at
-    low churn — a one-way ratchet into full passes on exactly the
-    workloads the delta path serves best.)
-
-    The slope is unidentifiable until delta passes at distinct churn
-    levels have been seen, and a non-positive fitted slope means the
-    measurements are still noise; in both cases the threshold simply
-    keeps its current value.  Correctness never depends on the estimate
-    (both pass kinds return identical clusterings); a bad estimate only
-    costs constant factors, so the EWMA can be aggressive.
-
-    Args:
-        initial: threshold used until the fit is identifiable.
-        alpha: EWMA weight of the newest observation, in (0, 1].
-        floor, ceiling: clamp for the estimated threshold, keeping a
-            misread clock from pinning the policy at "never" or "always".
-    """
-
-    def __init__(self, initial=0.35, alpha=0.25, floor=0.02, ceiling=0.95):
-        if not 0.0 <= initial <= 1.0:
-            raise ValueError(f"initial must be in [0, 1], got {initial}")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if not 0.0 <= floor <= ceiling <= 1.0:
-            raise ValueError(
-                f"need 0 <= floor <= ceiling <= 1, got [{floor}, {ceiling}]"
-            )
-        self._alpha = alpha
-        self._floor = floor
-        self._ceiling = ceiling
-        self.threshold = min(max(initial, floor), ceiling)
-        self._full_unit = None  # EWMA seconds per point over full passes
-        # EWMA moments of (churn fraction c, seconds-per-point u) over
-        # delta passes; E[cu] - E[c]E[u] = b * Var[c] for affine data, so
-        # the fit is exact whenever the observations follow the model.
-        self._mc = None
-        self._mu = None
-        self._mcc = None
-        self._mcu = None
-
-    def observe_full(self, n_points, seconds):
-        """Record a completed full pass over ``n_points`` objects."""
-        if n_points > 0 and seconds > 0.0:
-            self._full_unit = self._ewma(self._full_unit, seconds / n_points)
-            self._refresh()
-
-    def observe_delta(self, churned_points, n_points, seconds):
-        """Record a completed delta pass: churn applied, size, cost.
-
-        ``churned_points`` may be zero (a pure key-order tick): such
-        passes cost only the fixed term and anchor the fit's intercept.
-        """
-        if churned_points < 0 or n_points <= 0 or seconds <= 0.0:
-            return
-        c = min(churned_points / n_points, 1.0)
-        u = seconds / n_points
-        self._mc = self._ewma(self._mc, c)
-        self._mu = self._ewma(self._mu, u)
-        self._mcc = self._ewma(self._mcc, c * c)
-        self._mcu = self._ewma(self._mcu, c * u)
-        self._refresh()
-
-    def _ewma(self, current, observation):
-        if current is None:
-            return observation
-        return current + self._alpha * (observation - current)
-
-    def _refresh(self):
-        if self._full_unit is None or self._mc is None:
-            return
-        churn_spread = self._mcc - self._mc * self._mc
-        if churn_spread <= 1e-12:
-            return  # one churn level so far: slope unidentifiable
-        slope = (self._mcu - self._mc * self._mu) / churn_spread
-        if slope <= 0.0:
-            return  # noise: more churn cannot genuinely cost less
-        intercept = self._mu - slope * self._mc
-        crossover = (self._full_unit - intercept) / slope
-        self.threshold = min(max(crossover, self._floor), self._ceiling)
+#: Fall back to a full rebuild when more than this fraction of the
+#: snapshot changed since the previous tick (insertions + removals +
+#: moves, over the new snapshot size).  Read on every tick.  The value
+#: is where a delta pass stops beating the clusterer's own full pass on
+#: ``benchmarks/bench_incremental_tracking.py``'s stream: 0.92x its cost
+#: at 19.8% churn, 1.05x at 20.8% (2-vCPU VM, Python 3.11).
+CHURN_THRESHOLD = 0.20
 
 #: Counter keys a clusterer maintains in its ``counters`` dict.
 COUNTER_KEYS = (
@@ -200,49 +105,20 @@ class IncrementalSnapshotClusterer:
         min_pts: the ``m`` of the convoy query (minimum neighbourhood size
             for a core object, the object itself included; an integer
             >= 1).
-        churn_threshold: fall back to a full rebuild when more than this
-            fraction of the snapshot changed since the previous tick
-            (insertions + removals + moves, over the new snapshot size).
-            A float fixes the threshold; the string ``"adaptive"`` (or an
-            :class:`AdaptiveChurnThreshold` instance) estimates the
-            crossover online from measured pass costs instead.
         counters: optional dict receiving bookkeeping totals (the
             ``COUNTER_KEYS``); a fresh dict is created when omitted and is
             always available as :attr:`counters`.
     """
 
-    def __init__(self, eps, min_pts, churn_threshold=0.35, counters=None):
+    def __init__(self, eps, min_pts, counters=None):
         check_eps(eps)
         check_count("min_pts", min_pts)
-        if churn_threshold == "adaptive":
-            self._adaptive = AdaptiveChurnThreshold()
-        elif isinstance(churn_threshold, AdaptiveChurnThreshold):
-            self._adaptive = churn_threshold
-        else:
-            if (
-                isinstance(churn_threshold, bool)
-                or not isinstance(churn_threshold, (int, float))
-                or not 0.0 <= churn_threshold <= 1.0
-            ):
-                raise ValueError(
-                    f"churn_threshold must be in [0, 1], 'adaptive', or an "
-                    f"AdaptiveChurnThreshold, got {churn_threshold!r}"
-                )
-            self._adaptive = None
-            self._fixed_threshold = churn_threshold
         self._eps = float(eps)
         self._min_pts = min_pts
         self.counters = counters if counters is not None else {}
         for key in COUNTER_KEYS:
             self.counters.setdefault(key, 0)
         self.reset()
-
-    @property
-    def churn_threshold(self):
-        """The currently effective fallback threshold (fixed or adaptive)."""
-        if self._adaptive is not None:
-            return self._adaptive.threshold
-        return self._fixed_threshold
 
     def reset(self):
         """Drop all cross-tick state; the next call runs a full pass."""
@@ -272,18 +148,6 @@ class IncrementalSnapshotClusterer:
             :func:`~repro.clustering.dbscan.dbscan` pass over this snapshot
             returns.
         """
-        started = time.perf_counter() if self._adaptive is not None else None
-        clusters, pass_kind, churn = self._cluster_impl(snapshot)
-        if started is not None:
-            elapsed = time.perf_counter() - started
-            if pass_kind == "full":
-                self._adaptive.observe_full(len(snapshot), elapsed)
-            else:
-                self._adaptive.observe_delta(churn, len(snapshot), elapsed)
-        return clusters
-
-    def _cluster_impl(self, snapshot):
-        """Run one tick; return ``(clusters, pass_kind, churn)``."""
         self.counters["ticks"] += 1
         self.counters["clustered_points"] += len(snapshot)
         if self._snapshot is None:
@@ -295,13 +159,13 @@ class IncrementalSnapshotClusterer:
             if o not in self._snapshot or self._snapshot[o] != xy
         ]
         churn = len(removed) + len(changed)
-        if churn > self.churn_threshold * max(len(snapshot), 1):
+        if churn > CHURN_THRESHOLD * max(len(snapshot), 1):
             return self._full_pass(snapshot)
         self.counters["incremental_passes"] += 1
         if churn == 0:
             # Positions are identical; only the key order (hence creation
             # keys and ambiguous-border ties) can differ from last tick.
-            return self._finish(snapshot, frozenset(), ()), "delta", churn
+            return self._finish(snapshot, frozenset(), ())
 
         # Validate up front so a bad coordinate cannot leave the index
         # half-mutated.
@@ -393,7 +257,7 @@ class IncrementalSnapshotClusterer:
                     if n in recluster or n in self._core:
                         continue
                     recluster.add(n)
-        return self._finish(snapshot, absorb, recluster), "delta", churn
+        return self._finish(snapshot, absorb, recluster)
 
     # -- internals ---------------------------------------------------------
 
@@ -409,8 +273,7 @@ class IncrementalSnapshotClusterer:
         self._members = {}
         self._comp_cores = {}
         self._border_cands = {}
-        clusters = self._finish(snapshot, frozenset(), set(snapshot))
-        return clusters, "full", len(snapshot)
+        return self._finish(snapshot, frozenset(), set(snapshot))
 
     def _detach_removed(self, o):
         """Forget a departed object; return its component label (or None)."""

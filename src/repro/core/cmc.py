@@ -31,7 +31,7 @@ from repro.streaming.engine import StreamingConvoyMiner
 
 
 def cmc(database, m, k, eps, time_range=None, counters=None,
-        paper_semantics=False, clusterer=None, store=None):
+        paper_semantics=False):
     """Run the CMC convoy-discovery algorithm.
 
     Args:
@@ -50,19 +50,6 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
             published seeding rule verbatim, which can miss convoys whose
             membership grows mid-stream; the default complete semantics
             fixes that (see :mod:`repro.core.candidates`).
-        clusterer: snapshot-clustering strategy, forwarded to
-            :class:`~repro.streaming.StreamingConvoyMiner` — ``None`` /
-            ``"full"`` (default) for a fresh DBSCAN per time point,
-            ``"incremental"`` for cross-tick delta maintenance (identical
-            answer, faster on slow-moving databases); a pre-built
-            ``IncrementalSnapshotClusterer`` instance (e.g. with an
-            adaptive churn threshold) is accepted too.
-        store: optional write-through persistence, forwarded to the
-            miner — a :class:`~repro.store.base.ConvoyStore` or a path
-            to a SQLite store; every convoy is persisted (with its
-            bounding box) as the batch sweep closes it, idempotent on
-            convoy identity, so re-running a batch over the same data
-            adds nothing.  The returned list is unchanged.
 
     Returns:
         List of :class:`repro.core.convoy.Convoy`, in discovery order.
@@ -94,40 +81,36 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
 
     miner = StreamingConvoyMiner(
         m, k, eps, paper_semantics=paper_semantics, counters=counters,
-        clusterer=clusterer, store=store,
     )
     results = []
-    # The context manager releases a path-opened store even when a
-    # snapshot raises mid-sweep.
-    with miner:
-        for t in range(t_lo, t_hi + 1):
-            while next_idx < len(trajectories) and trajectories[next_idx].start_time <= t:
-                tr = trajectories[next_idx]
-                times, xs, ys = tr.coordinates()
-                active.append([tr.object_id, times, xs, ys, bisect_left(times, t)])
-                next_idx += 1
-            if active:
-                active = [entry for entry in active if entry[1][-1] >= t]
-            snapshot = {}
-            interpolated = 0
-            for entry in active:
-                object_id, times, xs, ys, j = entry
-                while times[j] < t:
-                    j += 1
-                entry[4] = j
-                # interpolate_position's float expressions, in its order.
-                if times[j] == t:
-                    snapshot[object_id] = (xs[j], ys[j])
-                else:
-                    lo = j - 1
-                    ratio = (t - times[lo]) / (times[j] - times[lo])
-                    snapshot[object_id] = (
-                        xs[lo] + (xs[j] - xs[lo]) * ratio,
-                        ys[lo] + (ys[j] - ys[lo]) * ratio,
-                    )
-                    interpolated += 1
-            if counters is not None and len(snapshot) >= m:
-                counters["interpolated_points"] += interpolated
-            results.extend(miner.feed(t, snapshot))
-        results.extend(miner.flush())
+    for t in range(t_lo, t_hi + 1):
+        while next_idx < len(trajectories) and trajectories[next_idx].start_time <= t:
+            tr = trajectories[next_idx]
+            times, xs, ys = tr.coordinates()
+            active.append([tr.object_id, times, xs, ys, bisect_left(times, t)])
+            next_idx += 1
+        if active:
+            active = [entry for entry in active if entry[1][-1] >= t]
+        snapshot = {}
+        interpolated = 0
+        for entry in active:
+            object_id, times, xs, ys, j = entry
+            while times[j] < t:
+                j += 1
+            entry[4] = j
+            # interpolate_position's float expressions, in its order.
+            if times[j] == t:
+                snapshot[object_id] = (xs[j], ys[j])
+            else:
+                lo = j - 1
+                ratio = (t - times[lo]) / (times[j] - times[lo])
+                snapshot[object_id] = (
+                    xs[lo] + (xs[j] - xs[lo]) * ratio,
+                    ys[lo] + (ys[j] - ys[lo]) * ratio,
+                )
+                interpolated += 1
+        if counters is not None and len(snapshot) >= m:
+            counters["interpolated_points"] += interpolated
+        results.extend(miner.feed(t, snapshot))
+    results.extend(miner.flush())
     return results

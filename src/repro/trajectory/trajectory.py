@@ -73,12 +73,16 @@ class Trajectory:
             raise ValueError(f"trajectory {object_id!r} has no points")
         x_types = set(map(type, xs))
         y_types = set(map(type, ys))
-        if not (
-            set(map(type, times)) <= {int}
-            and x_types | y_types <= {int, float}
-            and all(map(isfinite, xs))
-            and all(map(isfinite, ys))
-        ):
+        try:
+            valid = (
+                set(map(type, times)) <= {int}
+                and x_types | y_types <= {int, float}
+                and all(map(isfinite, xs))
+                and all(map(isfinite, ys))
+            )
+        except OverflowError:  # an int past the float range
+            valid = False
+        if not valid:
             fault = _first_bad_sample(object_id, times, xs, ys)
             if fault is not None:
                 raise ValueError(fault)
@@ -238,6 +242,14 @@ def _first_bad_sample(object_id, times, xs, ys):
             )
         if not isinstance(t, int):
             return f"time point must be an integer, got {t!r}"
+        for axis, value in (("x", x), ("y", y)):
+            try:
+                float(value)
+            except OverflowError:
+                return (
+                    f"trajectory {object_id!r}: {axis} coordinate at t={t} "
+                    "is an int too large for a float"
+                )
         if not (isfinite(x) and isfinite(y)):
             return f"non-finite coordinates ({x}, {y})"
     return None

@@ -13,9 +13,11 @@ path here is held to that very predicate (the one
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.clustering.incremental as incremental
 from repro.clustering.dbscan import dbscan
 from repro.clustering.grid_index import GridIndex
 from repro.clustering.incremental import IncrementalSnapshotClusterer
@@ -77,11 +79,12 @@ class TestTheTwoBucketPair:
         check_every_clustering(PAIR, EPS, 2)
         assert dbscan(PAIR, EPS, 2) == [{"a", "b"}]
 
-    def test_incremental_delta_path_finds_it(self):
+    def test_incremental_delta_path_finds_it(self, monkeypatch):
         """A move onto the far side of the pair goes through the
         single-query patching, not the full pass."""
+        monkeypatch.setattr(incremental, "CHURN_THRESHOLD", 1.0)
         start = {"a": (-1e-300, 0.0), "b": (30.0, 0.0), "c": (60.0, 0.0)}
-        clusterer = IncrementalSnapshotClusterer(EPS, 2, churn_threshold=1.0)
+        clusterer = IncrementalSnapshotClusterer(EPS, 2)
         assert clusterer.cluster(start) == []
         moved = dict(start, b=(10.0, 0.0))
         assert clusterer.cluster(moved) == dbscan_brute_force(moved, EPS, 2)
@@ -134,10 +137,10 @@ class TestCellLineProperties:
         """Moves between cell-line positions go through the clusterer's
         single-query patching; every tick still equals brute force."""
         eps, snapshots = case
-        clusterer = IncrementalSnapshotClusterer(
-            eps, min_pts, churn_threshold=1.0
-        )
-        for snapshot in snapshots:
-            assert clusterer.cluster(snapshot) == (
-                dbscan_brute_force(snapshot, eps, min_pts)
-            )
+        clusterer = IncrementalSnapshotClusterer(eps, min_pts)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(incremental, "CHURN_THRESHOLD", 1.0)
+            for snapshot in snapshots:
+                assert clusterer.cluster(snapshot) == (
+                    dbscan_brute_force(snapshot, eps, min_pts)
+                )

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+import repro.clustering.incremental as incremental
 from repro.clustering.dbscan import dbscan
 from repro.clustering.incremental import IncrementalSnapshotClusterer
 from repro.core.cmc import cmc
@@ -32,9 +33,9 @@ from repro.streaming import (
 SEMANTICS = (False, True)
 
 
-def assert_stream_equivalent(snapshots, eps, m, **clusterer_kwargs):
+def assert_stream_equivalent(snapshots, eps, m):
     """Feed snapshots to one clusterer; compare each answer to dbscan()."""
-    clusterer = IncrementalSnapshotClusterer(eps, m, **clusterer_kwargs)
+    clusterer = IncrementalSnapshotClusterer(eps, m)
     for tick, snapshot in enumerate(snapshots):
         got = clusterer.cluster(snapshot)
         want = dbscan(snapshot, eps, m)
@@ -203,25 +204,22 @@ class TestTickForTickEquality:
 
 class TestFallbackThresholds:
     @pytest.mark.parametrize("threshold", [0.0, 0.2, 1.0])
-    def test_any_threshold_is_exact(self, threshold):
+    def test_any_threshold_is_exact(self, monkeypatch, threshold):
+        monkeypatch.setattr(incremental, "CHURN_THRESHOLD", threshold)
         snapshots = walk_stream(23, churn=0.35)
-        assert_stream_equivalent(
-            snapshots, 3.0, 3, churn_threshold=threshold
-        )
+        assert_stream_equivalent(snapshots, 3.0, 3)
 
-    def test_threshold_zero_always_runs_full_passes(self):
+    def test_threshold_zero_always_runs_full_passes(self, monkeypatch):
+        monkeypatch.setattr(incremental, "CHURN_THRESHOLD", 0.0)
         snapshots = walk_stream(29, ticks=10)
-        clusterer = assert_stream_equivalent(
-            snapshots, 3.0, 3, churn_threshold=0.0
-        )
+        clusterer = assert_stream_equivalent(snapshots, 3.0, 3)
         assert clusterer.counters["full_passes"] == 10
         assert clusterer.counters["incremental_passes"] == 0
 
-    def test_threshold_one_never_falls_back(self):
+    def test_threshold_one_never_falls_back(self, monkeypatch):
+        monkeypatch.setattr(incremental, "CHURN_THRESHOLD", 1.0)
         snapshots = walk_stream(31, ticks=10, churn=0.9)
-        clusterer = assert_stream_equivalent(
-            snapshots, 3.0, 3, churn_threshold=1.0
-        )
+        clusterer = assert_stream_equivalent(snapshots, 3.0, 3)
         assert clusterer.counters["full_passes"] == 1  # first tick only
 
     def test_reset_drops_state(self):
@@ -240,8 +238,6 @@ class TestFallbackThresholds:
                 IncrementalSnapshotClusterer(eps, 2)
         with pytest.raises(ValueError):
             IncrementalSnapshotClusterer(1.0, 0)
-        with pytest.raises(ValueError):
-            IncrementalSnapshotClusterer(1.0, 2, churn_threshold=1.5)
 
     def test_rejects_non_finite_coordinates_in_delta(self):
         clusterer = IncrementalSnapshotClusterer(1.0, 2)
@@ -305,7 +301,10 @@ class TestMinerEquivalence:
             episode_count=3, episode_size=(3, 4),
         )
         base = cmc(spec.database, 3, 5, 5.0)
-        assert cmc(spec.database, 3, 5, 5.0, clusterer="incremental") == base
+        assert mine_stream(
+            replay_database(spec.database), 3, 5, 5.0,
+            clusterer="incremental",
+        ) == base
 
 
 class TestClustererStrategyParameter:

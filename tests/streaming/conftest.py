@@ -9,8 +9,8 @@ copy-pasted per suite; they live here once, exposed as fixtures:
 
 * ``make_miner(pipeline, m, k, eps, **kwargs)`` — one miner for one
   pipeline name (``"incremental"`` / ``"full"``); extra kwargs
-  (``paper_semantics``, ``window``, ``reorder``, ``store``, clusterer
-  options) forward to the engine.
+  (``paper_semantics``, ``window``, ``reorder``, ``store``) forward to
+  the engine.
 * ``make_pipeline_miners(m, k, eps, **kwargs)`` — the dict of both, for
   lockstep comparisons.
 * ``assert_lockstep(ticks, miners, flush=True)`` — feed every miner the
@@ -26,7 +26,6 @@ import random
 
 import pytest
 
-from repro.clustering.incremental import IncrementalSnapshotClusterer
 from repro.streaming import StreamingConvoyMiner, churn_stream, jitter_ticks
 
 #: The clusterer pipelines every differential suite compares.
@@ -34,7 +33,7 @@ PIPELINE_NAMES = ("incremental", "full")
 
 
 def build_miner(pipeline, m, k, eps, *, paper_semantics=False, window=None,
-                reorder=None, store=None, **clusterer_kwargs):
+                reorder=None, store=None):
     """One :class:`StreamingConvoyMiner` for one named pipeline.
 
     ``store`` (a ConvoyStore or path) forwards to the engine's
@@ -42,12 +41,9 @@ def build_miner(pipeline, m, k, eps, *, paper_semantics=False, window=None,
     """
     if pipeline not in PIPELINE_NAMES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    clusterer = None
-    if pipeline == "incremental":
-        clusterer = IncrementalSnapshotClusterer(eps, m, **clusterer_kwargs)
     return StreamingConvoyMiner(
         m, k, eps, paper_semantics=paper_semantics, window=window,
-        clusterer=clusterer, reorder=reorder, store=store,
+        clusterer=pipeline, reorder=reorder, store=store,
     )
 
 

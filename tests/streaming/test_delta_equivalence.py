@@ -11,20 +11,45 @@ the convoys of the baseline pipeline (fresh DBSCAN per tick).
 Equality is asserted tick-for-tick (not just on the final answer), under
 both candidate-semantics modes, across churn/turnover sweeps, time gaps,
 below-``m`` ticks, bounded windows (prune interaction), flush-after-gap,
-key-order shuffles, and the adaptive churn threshold.  The miner
-factories and the lockstep driver are the shared fixtures of
-``tests/streaming/conftest.py`` (also used by the reorder and store
-suites).
+key-order shuffles, and churn that alternates across the clusterer's
+fallback threshold.  The miner factories and the lockstep driver are the
+shared fixtures of ``tests/streaming/conftest.py`` (also used by the
+reorder and store suites).
 """
+
+import random
 
 import pytest
 
-from repro.clustering.incremental import IncrementalSnapshotClusterer
+import repro.clustering.incremental as incremental
+from repro.clustering.dbscan import dbscan
+from repro.clustering.incremental import (
+    CHURN_THRESHOLD,
+    IncrementalSnapshotClusterer,
+)
 from repro.core.cmc import cmc
 from repro.datasets import synthetic_dataset
-from repro.streaming import churn_stream, replay_database
+from repro.streaming import churn_stream, mine_stream, replay_database
 
 SEMANTICS = (False, True)
+
+
+def alternating_churn_ticks(n=100, ticks=40, seed=61, eps=8.0):
+    """Ticks whose churn alternates between half and twice the fallback
+    threshold, so delta passes follow full passes and vice versa.  Hops
+    stay within ``eps`` and the world is dense, so candidates live
+    across ticks of both kinds."""
+    rng = random.Random(seed)
+    area = 12.0 * eps
+    pos = {f"o{i}": (rng.uniform(0, area), rng.uniform(0, area))
+           for i in range(n)}
+    for t in range(ticks):
+        share = CHURN_THRESHOLD * (2.0 if t % 2 else 0.5)
+        for o in rng.sample(sorted(pos), round(share * n)):
+            x, y = pos[o]
+            pos[o] = (min(max(x + rng.uniform(-eps, eps), 0.0), area),
+                      min(max(y + rng.uniform(-eps, eps), 0.0), area))
+        yield t, dict(pos)
 
 
 class TestTickForTickConvoyEquality:
@@ -105,17 +130,33 @@ class TestTickForTickConvoyEquality:
             ticks.append((t, dict(items)))
         assert_lockstep(ticks, make_pipeline_miners(2, 4, 4.0))
 
-    @pytest.mark.parametrize("churn", [0.05, 0.3])
-    def test_adaptive_threshold_stays_exact(self, make_pipeline_miners,
-                                            assert_lockstep, churn):
-        """The adaptive policy only re-times the fallback decision; the
-        emitted convoys must not move."""
-        ticks = list(churn_stream(60, 40, seed=41, eps=8.0, churn=churn,
-                                  turnover=0.02))
-        assert_lockstep(
-            ticks,
-            make_pipeline_miners(3, 5, 8.0, churn_threshold="adaptive"),
+    def test_alternating_churn_clusters_equal_dbscan(self):
+        """Delta passes resume from the state a full pass rebuilt, and
+        full passes drop what delta passes maintained."""
+        clusterer = IncrementalSnapshotClusterer(8.0, 3)
+        kinds = []
+        for t, snapshot in alternating_churn_ticks():
+            fulls = clusterer.counters["full_passes"]
+            assert clusterer.cluster(snapshot) == dbscan(snapshot, 8.0, 3), (
+                f"tick {t}"
+            )
+            kinds.append(clusterer.counters["full_passes"] > fulls)
+        # Tick 0 is the first full pass; then full and delta alternate.
+        assert kinds == [True] + [t % 2 == 1 for t in range(1, 40)]
+
+    @pytest.mark.parametrize("paper_semantics", SEMANTICS)
+    def test_alternating_churn_crosses_the_threshold(
+        self, make_pipeline_miners, assert_lockstep, paper_semantics
+    ):
+        miners = assert_lockstep(
+            list(alternating_churn_ticks()),
+            make_pipeline_miners(3, 5, 8.0, paper_semantics=paper_semantics),
         )
+        counters = miners["incremental"].clusterer.counters
+        # The first tick and the 20 odd ticks run full passes.
+        assert counters["full_passes"] == 21
+        assert counters["incremental_passes"] == 19
+        assert miners["full"].counters["convoys_emitted"] > 0
 
 
 class TestWindowAndFlushInteraction:
@@ -162,7 +203,8 @@ class TestWindowAndFlushInteraction:
 
 class TestOfflineCmcDeltaPath:
     @pytest.mark.parametrize("paper_semantics", SEMANTICS)
-    def test_cmc_clusterer_instance_matches_baseline(self, paper_semantics):
+    def test_cmc_clusterer_instance_matches_baseline(self, monkeypatch,
+                                                     paper_semantics):
         spec = synthetic_dataset(
             "delta-cmc", 7, n_objects=25, t_domain=35, eps=5.0, m=3, k=5,
             episode_count=4, episode_size=(3, 4),
@@ -170,10 +212,11 @@ class TestOfflineCmcDeltaPath:
         base = cmc(spec.database, 3, 5, 5.0, paper_semantics=paper_semantics)
         # Every object moves every tick here, so only a threshold of 1
         # keeps the clusterer off the full-pass fallback.
-        clusterer = IncrementalSnapshotClusterer(5.0, 3, churn_threshold=1.0)
-        got = cmc(
-            spec.database, 3, 5, 5.0, paper_semantics=paper_semantics,
-            clusterer=clusterer,
+        monkeypatch.setattr(incremental, "CHURN_THRESHOLD", 1.0)
+        clusterer = IncrementalSnapshotClusterer(5.0, 3)
+        got = mine_stream(
+            replay_database(spec.database), 3, 5, 5.0,
+            paper_semantics=paper_semantics, clusterer=clusterer,
         )
         assert got == base
         assert clusterer.counters["incremental_passes"] > 0

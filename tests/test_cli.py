@@ -193,44 +193,16 @@ class TestStream:
         assert "objects=a,b" in inc_text
         assert inc_out.read_text() == base_out.read_text()
 
-    def test_churn_threshold_flag(self, convoy_csv, tmp_path):
-        base_out = tmp_path / "base.csv"
-        tuned_out = tmp_path / "tuned.csv"
-        code, _ = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0",
-             "--output", str(base_out)]
-        )
-        assert code == 0
-        for value, out_path in (("0.9", tuned_out), ("adaptive", tuned_out)):
-            code, text = run_cli(
-                ["stream", str(convoy_csv), "-m", "2", "-k", "10",
-                 "-e", "2.0", "--incremental", "--churn-threshold", value,
-                 "--output", str(out_path)]
-            )
-            assert code == 0, text
-            assert out_path.read_text() == base_out.read_text()
-
-    def test_churn_threshold_requires_incremental(self, convoy_csv):
-        code, text = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "5", "-e", "2.0",
-             "--churn-threshold", "0.5"]
-        )
-        assert code == 2
-        assert "--incremental" in text
-
-    def test_churn_threshold_rejects_bad_values(self, convoy_csv):
-        code, text = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "5", "-e", "2.0",
-             "--incremental", "--churn-threshold", "banana"]
-        )
-        assert code == 2
-        assert "bad --churn-threshold" in text
-        code, text = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "5", "-e", "2.0",
-             "--incremental", "--churn-threshold", "1.5"]
-        )
-        assert code == 2
-        assert "bad query parameters" in text
+    @pytest.mark.parametrize("flags", [
+        ["--incremental", "--churn-threshold", "0.5"],
+        ["--incremental", "--churn-threshold", "adaptive"],
+    ], ids=["fraction", "adaptive"])
+    def test_no_churn_threshold_flag(self, convoy_csv, flags):
+        """The fallback threshold is a library constant, not an option."""
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["stream", str(convoy_csv), "-m", "2", "-k", "5",
+                     "-e", "2.0", *flags])
+        assert exit_info.value.code == 2
 
     def test_requires_exactly_one_input(self, convoy_csv):
         code, _ = run_cli(["stream", "-m", "2", "-k", "5", "-e", "1.0"])

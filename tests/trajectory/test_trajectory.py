@@ -82,6 +82,33 @@ class TestSampleTypes:
             Trajectory("a", [(0.0, 0.0, 2.5), (float("nan"), 0.0, 0)])
 
 
+class TestCoordinatesPastTheFloatRange:
+    """An int coordinate no float can hold is refused with a
+    ``ValueError`` naming the trajectory and the coordinate, not an
+    ``OverflowError`` from the finiteness check."""
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("build", ["constructor", "from_columns"])
+    def test_refused_naming_trajectory_and_coordinate(self, build, axis,
+                                                      sign):
+        huge = sign * 10**400
+        xs, ys = [1.0, 2.0], [3.0, 4.0]
+        (xs if axis == "x" else ys)[1] = huge
+        match = rf"^trajectory 'a': {axis} coordinate at t=7 is an int too large"
+        with pytest.raises(ValueError, match=match):
+            if build == "constructor":
+                Trajectory("a", list(zip(xs, ys, [6, 7])))
+            else:
+                Trajectory.from_columns("a", [6, 7], xs, ys)
+
+    def test_first_bad_sample_decides(self):
+        with pytest.raises(ValueError, match=r"^non-finite coordinates"):
+            Trajectory("a", [(float("nan"), 0.0, 0), (10**400, 0.0, 1)])
+        with pytest.raises(ValueError, match=r"y coordinate at t=1 is an int"):
+            Trajectory("a", [(0.0, 10**400, 1), (float("nan"), 0.0, 0)])
+
+
 class TestFromColumns:
     def test_same_storage_as_the_constructor(self):
         samples = [(2.5, -1.0, 7), (0.0, 3.0, -2), (1.0, 1.0, 4)]
