@@ -94,21 +94,33 @@ def compare(churn, scale):
     }
 
 
-@pytest.mark.parametrize("churn", [0.05, 0.25])
-def test_incremental_clustering_benchmark(benchmark, churn):
+@pytest.mark.parametrize("churn, mode", [
+    pytest.param(0.05, "delta", id="delta"),
+    pytest.param(0.25, "fallback", id="fallback"),
+])
+def test_incremental_clustering_benchmark(benchmark, churn, mode):
+    """Times one pass mix each: at 5% churn every tick after the first
+    runs a delta pass; at 25% (above ``CHURN_THRESHOLD``) every tick
+    falls back to a full pass.  Both must answer as a fresh dbscan()."""
     snapshots = make_snapshots(churn, **SMOKE_SCALE)
 
     def run():
         return run_incremental(snapshots)
 
-    _answers, counters, seconds = benchmark.pedantic(
+    answers, counters, seconds = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
-    benchmark.extra_info["snapshots_per_sec"] = round(
-        len(snapshots) / seconds, 1
-    )
+    assert answers == [dbscan(snapshot, EPS, M) for snapshot in snapshots]
+    n = len(snapshots)
+    want = (1, n - 1) if mode == "delta" else (n, 0)
+    assert (counters["full_passes"], counters["incremental_passes"]) == want
+    benchmark.extra_info["snapshots_per_sec"] = round(n / seconds, 1)
     benchmark.extra_info["reclustered_points"] = counters[
         "reclustered_points"
+    ]
+    benchmark.extra_info["full_passes"] = counters["full_passes"]
+    benchmark.extra_info["incremental_passes"] = counters[
+        "incremental_passes"
     ]
 
 

@@ -20,6 +20,7 @@ import math
 
 from repro.clustering.grid_index import GridIndex
 from repro.core.candidates import CandidateTracker
+from repro.streaming.source import replay_database
 
 
 def _disc_groups(snapshot, radius, min_objects):
@@ -55,7 +56,8 @@ def discover_flocks(database, m, k, radius, time_range=None):
         k: minimum lifetime in consecutive time points.
         radius: the disc radius (the user-specified size whose brittleness
             the paper criticizes).
-        time_range: optional ``(t_lo, t_hi)`` restriction.
+        time_range: optional ``(t_lo, t_hi)`` restriction, as
+            :func:`~repro.streaming.source.replay_database` takes it.
 
     Returns:
         List of :class:`~repro.core.convoy.Convoy`-shaped results (the
@@ -63,18 +65,11 @@ def discover_flocks(database, m, k, radius, time_range=None):
         convoy candidate tracker: a flock persists while at least ``m`` of
         its members remain in a common disc group.
     """
+    tracker = CandidateTracker(m, k)
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
-    if len(database) == 0:
-        return []
-    if time_range is None:
-        t_lo, t_hi = database.min_time, database.max_time
-    else:
-        t_lo, t_hi = time_range
-    tracker = CandidateTracker(m, k)
     results = []
-    for t in range(t_lo, t_hi + 1):
-        snapshot = database.snapshot(t)
+    for t, snapshot in replay_database(database, time_range):
         groups = _disc_groups(snapshot, radius, m)
         results.extend(
             record.as_convoy() for record in tracker.advance(groups, t, t)

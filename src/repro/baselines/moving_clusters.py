@@ -21,8 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.checks import check_count, check_eps
 from repro.clustering.dbscan import dbscan
 from repro.core.convoy import Convoy
+from repro.streaming.source import replay_database
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,8 @@ def mc2(database, eps, min_pts, theta, time_range=None):
         eps: snapshot DBSCAN distance threshold (the convoy ``e``).
         min_pts: snapshot DBSCAN density (the convoy ``m``).
         theta: Jaccard-overlap threshold θ in (0, 1].
-        time_range: optional ``(t_lo, t_hi)`` restriction.
+        time_range: optional ``(t_lo, t_hi)`` restriction, as
+            :func:`~repro.streaming.source.replay_database` takes it.
 
     Returns:
         List of :class:`MovingCluster`, in discovery order.  A snapshot
@@ -84,31 +87,19 @@ def mc2(database, eps, min_pts, theta, time_range=None):
         (and starts a fresh chain when it extends none), mirroring the
         greedy formulation the paper attributes to MC2.
     """
+    check_eps(eps)
+    check_count("min_pts", min_pts)
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"theta must be in (0, 1], got {theta}")
-    if len(database) == 0:
-        return []
-    if time_range is None:
-        t_lo, t_hi = database.min_time, database.max_time
-    else:
-        t_lo, t_hi = time_range
 
     results = []
     live = []  # list of (snapshots list, t_start) chains alive at t-1
-    previous_t = None
-    for t in range(t_lo, t_hi + 1):
-        snapshot = database.snapshot(t)
+    for t, snapshot in replay_database(database, time_range):
         clusters = (
             [frozenset(c) for c in dbscan(snapshot, eps, min_pts)]
             if len(snapshot) >= min_pts
             else []
         )
-        if previous_t is not None and t != previous_t + 1:
-            # Non-consecutive step: every chain ends.
-            results.extend(
-                MovingCluster(tuple(snaps), start) for snaps, start in live
-            )
-            live = []
         next_live = []
         extended_clusters = set()
         for snaps, start in live:
@@ -128,7 +119,6 @@ def mc2(database, eps, min_pts, theta, time_range=None):
             if index not in extended_clusters:
                 next_live.append(([cluster], t))
         live = next_live
-        previous_t = t
     results.extend(MovingCluster(tuple(snaps), start) for snaps, start in live)
     return results
 

@@ -1,6 +1,6 @@
-"""Benchmark harness: phase timing and paper-style reporting."""
+"""Benchmark harness: call timing and paper-style reporting."""
 
-from repro.bench.harness import PhaseTimer, time_call
+from repro.bench.harness import time_call
 from repro.bench.reporting import format_series, format_table
 
-__all__ = ["PhaseTimer", "format_series", "format_table", "time_call"]
+__all__ = ["format_series", "format_table", "time_call"]

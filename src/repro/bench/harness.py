@@ -3,39 +3,6 @@
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-
-
-class PhaseTimer:
-    """Accumulates named phase durations (Figure 13's stacked bars).
-
-    Usage::
-
-        timer = PhaseTimer()
-        with timer.phase("simplification"):
-            ...
-        with timer.phase("filter"):
-            ...
-        timer.durations  # {"simplification": ..., "filter": ...}
-    """
-
-    def __init__(self):
-        self.durations = {}
-
-    @contextmanager
-    def phase(self, name):
-        """Context manager timing one named phase (durations accumulate)."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            self.durations[name] = self.durations.get(name, 0.0) + elapsed
-
-    @property
-    def total(self):
-        """Sum of all recorded phase durations."""
-        return sum(self.durations.values())
 
 
 def time_call(fn, *args, **kwargs):

@@ -192,7 +192,7 @@ def build_parser():
         help="answer indexed queries over a persisted convoy store",
     )
     query.add_argument("db", help="SQLite convoy store written by "
-                       "'stream --store' (or the ConvoyStore API)")
+                       "'stream --store' (or a SQLiteConvoyStore)")
     query.add_argument(
         "--alive", default=None, metavar="T1:T2",
         help="convoys whose interval intersects the closed window "

@@ -171,10 +171,6 @@ class GridIndex:
                 del self._cells[old_cell]
             self._cells[new_cell][item_id] = None
 
-    def location_of(self, item_id):
-        """Return the stored ``(x, y)`` of an item."""
-        return self._points[item_id]
-
     def neighbors_within(self, xy, radius):
         """Return ids of all points with ``D(xy, point) <= radius``.
 

@@ -2,32 +2,30 @@
 
 CMC is the exact-but-expensive baseline: densify every trajectory with
 virtual points, run snapshot DBSCAN at *every* time point of the domain,
-and chain clusters through the shared-objects test ``|c ∩ v| >= m``.  The
-chaining is :class:`~repro.core.candidates.CandidateTracker`'s, which the
-CuTS filter and refinement drive too, so convoy semantics are defined in
-one place.
+and chain clusters through the shared-objects test ``|c ∩ v| >= m``.
 
-CMC follows the paper's candidate semantics: when a cluster extends an
-existing candidate, the candidate narrows to the intersection and the
-cluster does not additionally seed a fresh candidate (Algorithm 1 lines
-10-23).  Later work observed that this can skip convoys whose object set
-grows mid-way; we reproduce the paper's algorithm, and the CuTS-vs-CMC
-equivalence tests are stated against these semantics.
+CMC is the streaming engine over a replayed database: ``cmc(db, ...)``
+*is* ``mine_stream(replay_database(db), ...)``.
+:func:`~repro.streaming.source.replay_database` produces ``O_t`` (each
+trajectory walked once with a cursor), and
+:class:`~repro.streaming.StreamingConvoyMiner` clusters each snapshot
+and chains the clusters through
+:class:`~repro.core.candidates.CandidateTracker`, which the CuTS filter
+and refinement drive too.  So ``O_t`` and Algorithm 1's chaining
+semantics each exist once.
 
-The per-snapshot step — cluster, join against live candidates, emit dead
-chains — lives in :class:`repro.streaming.StreamingConvoyMiner`; this
-module is the batch driver that sweeps a materialized database through it
-(the streaming sources in :mod:`repro.streaming.source` are the other
-driver), so Algorithm 1's chaining semantics exist exactly once.
+By default candidates follow the complete semantics: a cluster that
+extends a candidate also seeds a fresh one, so a convoy whose object set
+grows mid-way is still reported.  ``paper_semantics=True`` follows the
+published Algorithm 1 verbatim (lines 10-23): the candidate narrows to
+the intersection and the cluster seeds nothing more, which can skip
+such convoys (see :mod:`repro.core.candidates`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
-from repro.checks import check_eps
-from repro.core.candidates import check_query_counts
-from repro.streaming.engine import StreamingConvoyMiner
+from repro.streaming.engine import mine_stream
+from repro.streaming.source import replay_database
 
 
 def cmc(database, m, k, eps, time_range=None, counters=None,
@@ -39,12 +37,12 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
         m: minimum number of objects per convoy.
         k: minimum lifetime in consecutive time points.
         eps: density distance threshold ``e``.
-        time_range: optional ``(t_lo, t_hi)`` restriction; defaults to the
-            database's full time domain.
-        counters: optional dict; when given, receives bookkeeping totals
-            (``clustering_calls``, ``interpolated_points``,
-            ``clustered_points``, plus the engine's ``snapshots`` /
-            ``peak_candidates`` / ``convoys_emitted``) used by the
+        time_range: optional ``(t_lo, t_hi)`` pair of ints restricting
+            the sweep; defaults to the database's full time domain.
+        counters: optional dict; when given, receives the engine's
+            bookkeeping totals (``snapshots``, ``clustering_calls``,
+            ``clustered_points``, ``peak_candidates``,
+            ``convoys_emitted``, plus the tracker's) used by the
             cost-analysis benches.
         paper_semantics: when True, candidates follow Algorithm 1's
             published seeding rule verbatim, which can miss convoys whose
@@ -56,61 +54,7 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
         Convoys whose group splits and later re-forms are reported once per
         maximal run, per Definition 3.
     """
-    check_query_counts(m, k)
-    check_eps(eps)
-    if len(database) == 0:
-        return []
-    if time_range is None:
-        t_lo, t_hi = database.min_time, database.max_time
-    else:
-        t_lo, t_hi = time_range
-        if t_hi < t_lo:
-            raise ValueError(f"time_range reversed: [{t_lo}, {t_hi}]")
-
-    if counters is not None:
-        counters.setdefault("interpolated_points", 0)
-
-    # Sort trajectories once by start time so each step only examines
-    # objects whose interval can cover the current time point.
-    trajectories = sorted(database, key=lambda tr: tr.start_time)
-    # One entry per trajectory whose tau covers the current t:
-    # [object_id, times, xs, ys, cursor], the cursor at the first sample
-    # at or after t.
-    active = []
-    next_idx = 0
-
-    miner = StreamingConvoyMiner(
-        m, k, eps, paper_semantics=paper_semantics, counters=counters,
+    return mine_stream(
+        replay_database(database, time_range), m, k, eps,
+        paper_semantics=paper_semantics, counters=counters,
     )
-    results = []
-    for t in range(t_lo, t_hi + 1):
-        while next_idx < len(trajectories) and trajectories[next_idx].start_time <= t:
-            tr = trajectories[next_idx]
-            times, xs, ys = tr.coordinates()
-            active.append([tr.object_id, times, xs, ys, bisect_left(times, t)])
-            next_idx += 1
-        if active:
-            active = [entry for entry in active if entry[1][-1] >= t]
-        snapshot = {}
-        interpolated = 0
-        for entry in active:
-            object_id, times, xs, ys, j = entry
-            while times[j] < t:
-                j += 1
-            entry[4] = j
-            # interpolate_position's float expressions, in its order.
-            if times[j] == t:
-                snapshot[object_id] = (xs[j], ys[j])
-            else:
-                lo = j - 1
-                ratio = (t - times[lo]) / (times[j] - times[lo])
-                snapshot[object_id] = (
-                    xs[lo] + (xs[j] - xs[lo]) * ratio,
-                    ys[lo] + (ys[j] - ys[lo]) * ratio,
-                )
-                interpolated += 1
-        if counters is not None and len(snapshot) >= m:
-            counters["interpolated_points"] += interpolated
-        results.extend(miner.feed(t, snapshot))
-    results.extend(miner.flush())
-    return results

@@ -66,10 +66,6 @@ class Convoy:
             and other.t_end <= self.t_end
         )
 
-    def overlaps_time(self, other):
-        """Return True if the two convoys' intervals share a time point."""
-        return self.t_start <= other.t_end and other.t_start <= self.t_end
-
     def __repr__(self):
         members = ", ".join(sorted(map(str, self.objects)))
         return f"Convoy([{members}], t=[{self.t_start}, {self.t_end}])"

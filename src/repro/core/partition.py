@@ -40,11 +40,3 @@ class TimePartitioner:
             hi = min(lo + self.lam - 1, self.t_hi)
             yield (lo, hi)
             lo = hi + 1
-
-    def partition_of(self, t):
-        """Return the ``(lo, hi)`` partition containing time point ``t``."""
-        if not (self.t_lo <= t <= self.t_hi):
-            raise ValueError(f"time {t} outside domain [{self.t_lo}, {self.t_hi}]")
-        index = (t - self.t_lo) // self.lam
-        lo = self.t_lo + index * self.lam
-        return (lo, min(lo + self.lam - 1, self.t_hi))

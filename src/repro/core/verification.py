@@ -3,10 +3,12 @@
 Three jobs:
 
 * **Validity** (:func:`is_valid_convoy`) — check a reported convoy against
-  Definition 3 directly on the database: at every time point of its
-  interval the member objects must lie in one density-connected cluster,
-  and the size/lifetime thresholds must hold.  This is the ground-truth
-  oracle the tests and the Appendix B.1 experiment use.
+  Definition 3 directly on the database's snapshots (the ``O_t`` that
+  :func:`~repro.streaming.source.replay_database` produces): at every
+  time point of its interval the member objects must lie in one
+  density-connected cluster, and the size/lifetime thresholds must
+  hold.  This is the ground-truth oracle the tests and the Appendix B.1
+  experiment use.
 * **Normalization** (:func:`normalize_convoys`) — the CuTS refinement can
   emit the same true convoy from several overlapping candidates, possibly
   as time- or member-fragments of one another; normalization removes exact
@@ -19,6 +21,7 @@ Three jobs:
 from __future__ import annotations
 
 from repro.clustering.dbscan import dbscan
+from repro.streaming.source import replay_database
 
 
 def is_valid_convoy(database, convoy, m, k, eps):
@@ -35,12 +38,11 @@ def is_valid_convoy(database, convoy, m, k, eps):
         and at every time point of the interval all members belong to one
         density-connected cluster of the *full* snapshot.
     """
-    if convoy.size < m:
+    # An empty database replays no tick, so the loop below would hold
+    # every convoy; it holds none.
+    if convoy.size < m or convoy.lifetime < k or len(database) == 0:
         return False
-    if convoy.lifetime < k:
-        return False
-    for t in range(convoy.t_start, convoy.t_end + 1):
-        snapshot = database.snapshot(t)
+    for _t, snapshot in replay_database(database, convoy.interval):
         if not convoy.objects <= snapshot.keys():
             return False
         clusters = dbscan(snapshot, eps, m)

@@ -120,11 +120,6 @@ class SimplifiedTrajectory:
         """The time interval ``o'.tau``."""
         return (self.t_start, self.t_end)
 
-    @property
-    def reduction_ratio(self):
-        """Fraction of vertices removed, in [0, 1)."""
-        return 1.0 - len(self.kept) / self.original_size
-
 
 class Simplifier:
     """Iterative divide-and-conquer engine of DP+ (and any split rule).

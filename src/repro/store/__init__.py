@@ -1,18 +1,17 @@
 """Persistent convoy storage with indexed time-window queries.
 
-Mined convoys stop being an in-memory list here: a pluggable
-:class:`~repro.store.base.ConvoyStore` (PostgreSQL-shaped interface,
-SQLite backend first) persists every closed convoy into an
-interval-indexed accelerator table and answers the questions a serving
-layer needs from indexes instead of scans —
+Mined convoys stop being an in-memory list here:
+:class:`~repro.store.sqlite.SQLiteConvoyStore` persists every closed
+convoy into an interval-indexed accelerator table and answers the
+questions a serving layer needs from indexes instead of scans —
 
-* :meth:`~repro.store.base.ConvoyStore.alive_in` — which convoys were
-  alive in ``[t1, t2]`` (bounded-extent interval narrowing);
-* :meth:`~repro.store.base.ConvoyStore.containing` — which convoys an
-  object belongs to (membership index);
-* :meth:`~repro.store.base.ConvoyStore.intersecting` — which convoys'
-  bounding boxes intersect a query box;
-* :meth:`~repro.store.base.ConvoyStore.top_k` — the k largest /
+* :meth:`~repro.store.sqlite.SQLiteConvoyStore.alive_in` — which convoys
+  were alive in ``[t1, t2]`` (bounded-extent interval narrowing);
+* :meth:`~repro.store.sqlite.SQLiteConvoyStore.containing` — which
+  convoys an object belongs to (membership index);
+* :meth:`~repro.store.sqlite.SQLiteConvoyStore.intersecting` — which
+  convoys' bounding boxes intersect a query box;
+* :meth:`~repro.store.sqlite.SQLiteConvoyStore.top_k` — the k largest /
   longest-lived convoys, enumerated lazily by a ranked-enumeration
   heap merge over per-segment rank indexes (no materialize-then-sort).
 
@@ -25,7 +24,6 @@ CLI subcommand serves the stored answers back.
 
 from repro.store.base import (
     TOP_K_KEYS,
-    ConvoyStore,
     convoy_identity,
     decode_object_id,
     encode_members,
@@ -44,7 +42,6 @@ __all__ = [
     "DEFAULT_SEGMENT_LENGTH",
     "SCHEMA_VERSION",
     "TOP_K_KEYS",
-    "ConvoyStore",
     "StoreSink",
     "SQLiteConvoyStore",
     "convoy_identity",

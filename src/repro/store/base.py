@@ -1,17 +1,12 @@
-"""The pluggable convoy-store interface and its canonical encodings.
+"""The convoy store's canonical encodings.
 
 Mined convoys used to exist only as an in-memory list: nothing survived
 the process, and "which convoys were alive in ``[t1, t2]``?" was a full
-scan.  A :class:`ConvoyStore` persists every closed
-:class:`~repro.core.convoy.Convoy` and answers the time-window,
+scan.  :class:`~repro.store.sqlite.SQLiteConvoyStore` persists every
+closed :class:`~repro.core.convoy.Convoy` and answers the time-window,
 membership, spatial, and top-k questions a serving layer needs — from
-indexes, not scans.
-
-The interface is deliberately **PostgreSQL-shaped**: every method maps
-onto plain relational operations (two tables, B-tree indexes, one
-metadata map, ``INSERT ... ON CONFLICT DO NOTHING``), so a PostgreSQL
-backend is a dialect port of :class:`~repro.store.sqlite.SQLiteConvoyStore`,
-not a redesign.  Nothing in the contract leans on SQLite-only features.
+indexes, not scans.  This module holds what crosses its storage
+boundary.
 
 Canonical encodings
 -------------------
@@ -92,9 +87,8 @@ def rank_key(convoy, by):
 
     Primary dimension descending (``size`` ties broken by duration and
     vice versa), then the canonical interval/identity ascending — the
-    exact order every backend's ``top_k`` must stream in, so ranked
-    enumeration is comparable across backends and against an in-memory
-    sort in the differential suite.
+    exact order the store's ``top_k`` streams in, so ranked enumeration
+    is comparable against an in-memory sort in the differential suite.
     """
     if by not in TOP_K_KEYS:
         raise ValueError(f"top_k ranks by one of {TOP_K_KEYS}, got {by!r}")
@@ -105,103 +99,11 @@ def rank_key(convoy, by):
     return primary + (convoy.t_start, convoy.t_end, convoy_identity(convoy))
 
 
-class ConvoyStore:
-    """Abstract persistent store of mined convoys.
-
-    Writing:
-
-    * :meth:`add` — persist one convoy (idempotent on its identity);
-    * :meth:`add_batch` — persist many in one transaction (the
-      write-through sink calls this once per tick, so a crash leaves a
-      clean tick-prefix of the stream);
-
-    Reading (all from indexes, never a scan):
-
-    * :meth:`alive_in` — convoys whose closed interval intersects
-      ``[t1, t2]``;
-    * :meth:`containing` — convoys a given object is a member of;
-    * :meth:`intersecting` — convoys whose bounding box intersects a
-      query :class:`~repro.geometry.bbox.BoundingBox`;
-    * :meth:`top_k` — lazily enumerate the k highest-ranked convoys by
-      size or duration (ranked-enumeration heap merge: results stream
-      without materializing the full sort);
-    * :meth:`all_convoys`, :meth:`count` — whole-store views for
-      verification and monitoring.
-
-    List-returning queries yield :class:`~repro.core.convoy.Convoy` in
-    the canonical ``(t_start, t_end, identity)`` order; ``top_k`` yields
-    in :func:`rank_key` order.
-    """
-
-    def add(self, convoy, bbox=None):
-        """Persist one convoy; return True if newly stored, False if its
-        identity was already present (the idempotent replay path)."""
-        raise NotImplementedError
-
-    def add_batch(self, convoys, bboxes=None):
-        """Persist many convoys in one transaction; return the number
-        newly stored.  ``bboxes``, when given, is a parallel iterable of
-        per-convoy :class:`~repro.geometry.bbox.BoundingBox` (or None)."""
-        raise NotImplementedError
-
-    def alive_in(self, t1, t2):
-        """Convoys whose interval intersects the closed ``[t1, t2]``."""
-        raise NotImplementedError
-
-    def containing(self, object_id):
-        """Convoys that ``object_id`` is a member of."""
-        raise NotImplementedError
-
-    def intersecting(self, bbox):
-        """Convoys whose stored bounding box intersects ``bbox``
-        (convoys stored without a box never match)."""
-        raise NotImplementedError
-
-    def top_k(self, by="size", k=None, alive=None):
-        """Lazily yield the top-``k`` convoys by ``by`` (``k=None``
-        enumerates all), optionally restricted to those alive in the
-        closed window ``alive=(t1, t2)``."""
-        raise NotImplementedError
-
-    def all_convoys(self):
-        """Every stored convoy, in canonical order."""
-        raise NotImplementedError
-
-    def count(self):
-        """Number of stored convoys (O(1)-ish; for monitoring)."""
-        raise NotImplementedError
-
-    def bbox_of(self, convoy):
-        """The stored bounding box of ``convoy`` (None when it was
-        stored without one, or is not stored at all)."""
-        raise NotImplementedError
-
-    def rollback(self):
-        """Abandon any open explicit transaction (idempotent; a no-op
-        when nothing is open or the store is closed).  The error-path
-        escape hatch: a failed mid-tick commit must never leave the
-        backend's transaction dangling.  Backends without explicit
-        transactions may keep the default no-op."""
-        return None
-
-    def close(self):
-        """Release the backend's resources (idempotent), rolling back
-        any transaction still open."""
-        raise NotImplementedError
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback):
-        self.close()
-        return False
-
-
 def row_to_convoy(t_start, t_end, members_json):
     """Rebuild a :class:`~repro.core.convoy.Convoy` from stored fields.
 
     ``members_json`` is the JSON-array text of :func:`encode_members` —
-    backends store it alongside the per-member index rows so read-back
+    the store keeps it alongside the per-member index rows so read-back
     needs no join.
     """
     return Convoy(json.loads(members_json), t_start, t_end)

@@ -2,7 +2,8 @@
 
 :class:`StoreSink` sits inside the pipeline's
 :class:`~repro.streaming.pipeline.EmitStage` and persists every closed
-convoy into a :class:`~repro.store.base.ConvoyStore` *as it is mined*:
+convoy into a :class:`~repro.store.sqlite.SQLiteConvoyStore` *as it is
+mined*:
 
 * writes are **batched one transaction per tick** — the pipeline calls
   :meth:`commit` once per in-order tick, so the database always holds a
@@ -37,7 +38,8 @@ class StoreSink:
     """Persist closed convoys into a store, one transaction per tick.
 
     Args:
-        store: the :class:`~repro.store.base.ConvoyStore` to write into.
+        store: the :class:`~repro.store.sqlite.SQLiteConvoyStore` to
+            write into.
         counters: optional dict receiving ``stored_convoys`` (rows newly
             written) and ``replayed_convoys`` (identity collisions — the
             idempotent-resume path) totals.

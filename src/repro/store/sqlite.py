@@ -1,4 +1,4 @@
-"""SQLite backend of the :class:`~repro.store.base.ConvoyStore` interface.
+"""The SQLite convoy store.
 
 Storage shape (the accelerator-table pattern: interval answers live in
 indexed columns next to the payload, so every query is an index range
@@ -48,8 +48,7 @@ Durability: the database runs in WAL mode with ``synchronous=NORMAL``
 reopen); a crash mid-commit rolls back to the previous tick boundary,
 and the identity upsert makes replaying the stream from the start
 converge on exactly the same rows.  One writer at a time is assumed
-(WAL readers are concurrent); multi-writer coordination is the
-PostgreSQL backend's job.
+(WAL readers are concurrent).
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from itertools import chain, repeat
 
 from repro.geometry.bbox import BoundingBox
 from repro.store.base import (
-    ConvoyStore,
     convoy_identity,
     encode_object_id,
     rank_key,
@@ -145,8 +143,33 @@ def _meta_bound(key, kind="INTEGER"):
     return bound
 
 
-class SQLiteConvoyStore(ConvoyStore):
-    """A :class:`~repro.store.base.ConvoyStore` over one SQLite file.
+class SQLiteConvoyStore:
+    """A persistent store of mined convoys in one SQLite file.
+
+    Writing:
+
+    * :meth:`add` — persist one convoy (idempotent on its identity);
+    * :meth:`add_batch` — persist many in one transaction (the
+      write-through sink calls this once per tick, so a crash leaves a
+      clean tick-prefix of the stream);
+
+    Reading (all from indexes, never a scan):
+
+    * :meth:`alive_in` — convoys whose closed interval intersects
+      ``[t1, t2]``;
+    * :meth:`containing` — convoys a given object is a member of;
+    * :meth:`intersecting` — convoys whose bounding box intersects a
+      query :class:`~repro.geometry.bbox.BoundingBox`;
+    * :meth:`top_k` — lazily enumerate the k highest-ranked convoys by
+      size or duration (ranked-enumeration heap merge: results stream
+      without materializing the full sort);
+    * :meth:`all_convoys`, :meth:`count` — whole-store views for
+      verification and monitoring.
+
+    List-returning queries yield :class:`~repro.core.convoy.Convoy` in
+    the canonical ``(t_start, t_end, identity)`` order; ``top_k`` yields
+    in :func:`~repro.store.base.rank_key` order.  The store is a context
+    manager that closes itself on exit.
 
     Args:
         path: database file path (created on first open), or
@@ -263,9 +286,14 @@ class SQLiteConvoyStore(ConvoyStore):
     # -- writing -----------------------------------------------------
 
     def add(self, convoy, bbox=None):
+        """Persist one convoy; return True if newly stored, False if its
+        identity was already present (the idempotent replay path)."""
         return self.add_batch([convoy], [bbox]) == 1
 
     def add_batch(self, convoys, bboxes=None):
+        """Persist many convoys in one transaction; return the number
+        newly stored.  ``bboxes``, when given, is a parallel iterable of
+        per-convoy :class:`~repro.geometry.bbox.BoundingBox` (or None)."""
         self._check_open()
         if bboxes is None:
             pairs = [(convoy, None) for convoy in convoys]
@@ -400,6 +428,7 @@ class SQLiteConvoyStore(ConvoyStore):
         return [row_to_convoy(*row) for row in rows]
 
     def containing(self, object_id):
+        """Convoys that ``object_id`` is a member of."""
         self._check_open()
         rows = self._con.execute(
             f"SELECT c.{_ROW_FIELDS.replace(', ', ', c.')}"
@@ -412,6 +441,8 @@ class SQLiteConvoyStore(ConvoyStore):
         return [row_to_convoy(*row) for row in rows]
 
     def intersecting(self, bbox):
+        """Convoys whose stored bounding box intersects ``bbox``
+        (convoys stored without a box never match)."""
         self._check_open()
         # Same bounded-extent trick along x: an intersecting box has
         # min_x <= query.max_x and min_x >= query.min_x - max_width,
@@ -519,6 +550,7 @@ class SQLiteConvoyStore(ConvoyStore):
         return (-lifetime, -size, t_start, t_end, identity)
 
     def all_convoys(self):
+        """Every stored convoy, in canonical order."""
         self._check_open()
         rows = self._con.execute(
             f"SELECT {_ROW_FIELDS} FROM convoys"
@@ -527,11 +559,14 @@ class SQLiteConvoyStore(ConvoyStore):
         return [row_to_convoy(*row) for row in rows]
 
     def count(self):
+        """Number of stored convoys (for monitoring)."""
         self._check_open()
         (n,) = self._con.execute("SELECT COUNT(*) FROM convoys").fetchone()
         return n
 
     def bbox_of(self, convoy):
+        """The stored bounding box of ``convoy`` (None when it was
+        stored without one, or is not stored at all)."""
         self._check_open()
         row = self._con.execute(
             "SELECT min_x, min_y, max_x, max_y FROM convoys"
@@ -558,12 +593,21 @@ class SQLiteConvoyStore(ConvoyStore):
             self._roll_back()
 
     def close(self):
+        """Release the connection (idempotent), rolling back any
+        transaction still open."""
         if not self._closed:
             # Never leave a WAL transaction dangling: anything still
             # open at close time is an abandoned error-path batch.
             self.rollback()
             self._closed = True
             self._con.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc_value, traceback):
+        self.close()
+        return False
 
     def _check_open(self):
         if self._closed:
@@ -598,9 +642,8 @@ class _Batch:
 def open_store(path, **kwargs):
     """Open (creating if needed) the SQLite convoy store at ``path``.
 
-    The seam a PostgreSQL backend plugs into later: callers that accept
-    a *path or store* (the miner, the CLI) funnel through here, so a
-    connection-URL dispatch lands in exactly one place.
+    Callers that accept a *path or store* (the miner, the CLI) open the
+    path through here.
     """
     return SQLiteConvoyStore(path, **kwargs)
 

@@ -5,9 +5,9 @@ level down, as an explicit staged pipeline — ingest → cluster → track →
 emit.  Snapshots are pushed in one at a time, each tick costs one
 snapshot-clustering pass plus one candidate-intersection step, and
 convoys are emitted the moment their chains fail to extend.  The offline
-:func:`repro.core.cmc.cmc` drives the same engine over a materialized
-database, so both paths share one implementation of the chaining
-semantics.
+:func:`repro.core.cmc.cmc` is :func:`~repro.streaming.engine.mine_stream`
+over :func:`~repro.streaming.source.replay_database`, so both paths share
+one implementation of ``O_t`` and of the chaining semantics.
 
 * :class:`~repro.streaming.engine.StreamingConvoyMiner` — the engine
   (a thin composition of the pipeline stages);
@@ -39,7 +39,6 @@ from repro.streaming.reorder import LATE_POLICIES, ReorderBuffer, reorder_ticks
 from repro.streaming.source import (
     churn_stream,
     hotspot_drift_scenario,
-    hotspot_drift_stream,
     jitter_ticks,
     replay_csv,
     replay_database,
@@ -57,7 +56,6 @@ __all__ = [
     "TrackStage",
     "churn_stream",
     "hotspot_drift_scenario",
-    "hotspot_drift_stream",
     "jitter_ticks",
     "mine_stream",
     "reorder_ticks",

@@ -31,12 +31,14 @@ stages own the data path.  Each stage is independently swappable:
   window;
 * **emit** converts closed chains to convoys and keeps the counters.
 
-The offline :func:`repro.core.cmc.cmc` delegates its per-snapshot step to
-this engine, so the chaining semantics (including the ``paper_semantics``
-switch and the gap rule — see :mod:`repro.core.candidates`) exist in one
-place with two drivers: the batch sweep over a materialized
-:class:`~repro.trajectory.TrajectoryDatabase`, and the push-based streaming
-path fed by the adapters in :mod:`repro.streaming.source`.
+The offline :func:`repro.core.cmc.cmc` *is* :func:`mine_stream` over
+:func:`~repro.streaming.source.replay_database`, so the chaining
+semantics (including the ``paper_semantics`` switch and the gap rule —
+see :mod:`repro.core.candidates`) exist in one place with one driver:
+every input, a materialized
+:class:`~repro.trajectory.TrajectoryDatabase` included, reaches the
+engine as ``(t, snapshot)`` ticks from an adapter in
+:mod:`repro.streaming.source`.
 
 Snapshots normally must arrive in strictly increasing time order; a
 ``reorder=`` buffer (:mod:`repro.streaming.reorder`) relaxes that to
@@ -66,9 +68,8 @@ from repro.streaming.pipeline import (
     TrackStage,
 )
 from repro.streaming.reorder import ReorderBuffer
-from repro.store.base import ConvoyStore
 from repro.store.sink import StoreSink
-from repro.store.sqlite import open_store
+from repro.store.sqlite import SQLiteConvoyStore, open_store
 
 #: Counter keys a miner maintains in its ``counters`` dict.
 COUNTER_KEYS = (
@@ -118,7 +119,7 @@ class StreamingConvoyMiner:
             chains.  The chosen buffer is introspectable as
             :attr:`reorder` (``None`` for the strict in-order contract).
         store: optional write-through persistence.  A
-            :class:`~repro.store.base.ConvoyStore` instance, or a path
+            :class:`~repro.store.sqlite.SQLiteConvoyStore`, or a path
             (``str``/``os.PathLike``) from which a SQLite store is
             opened (and closed again when the miner closes).  Every
             closed convoy is persisted the tick it closes — one
@@ -188,7 +189,7 @@ class StreamingConvoyMiner:
         if store is None:
             self.store = None
             sink = None
-        elif isinstance(store, ConvoyStore):
+        elif isinstance(store, SQLiteConvoyStore):
             self.store = store
             sink = StoreSink(store, counters=self.counters)
         else:
@@ -211,11 +212,6 @@ class StreamingConvoyMiner:
     def last_time(self):
         """Time of the most recently fed snapshot (None before the first)."""
         return self.pipeline.ingest.last_time
-
-    @property
-    def live_candidate_count(self):
-        """Number of currently open candidate chains."""
-        return self.pipeline.track.live_count
 
     @property
     def live_candidates(self):

@@ -34,9 +34,9 @@ Stage contract, per in-order tick:
   :class:`~repro.core.convoy.Convoy` and keep the engine counters —
   and, when built with a write-through ``sink``
   (:class:`~repro.store.sink.StoreSink`), persist every closed convoy
-  into a :class:`~repro.store.base.ConvoyStore` as one transaction per
-  tick (``observe`` feeds the sink the tick's positions first, so
-  stored convoys carry their bounding boxes).
+  into a :class:`~repro.store.sqlite.SQLiteConvoyStore` as one
+  transaction per tick (``observe`` feeds the sink the tick's positions
+  first, so stored convoys carry their bounding boxes).
 
 The engine owns parameter validation and the public API; the pipeline
 owns the data path.  Nothing here imports the engine, so stages are

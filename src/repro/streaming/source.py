@@ -2,13 +2,16 @@
 
 Every source is an iterator of ``(t, {object_id: (x, y)})`` ticks in
 strictly increasing time order — the only contract
-:class:`~repro.streaming.engine.StreamingConvoyMiner.feed` requires.  Three
-adapters cover the workloads:
+:class:`~repro.streaming.engine.StreamingConvoyMiner.feed` requires.  The
+adapters:
 
-* :func:`replay_database` — replay a materialized
-  :class:`~repro.trajectory.TrajectoryDatabase` tick by tick, with virtual
-  (interpolated) points exactly as CMC's ``O_t`` requires; this is the
-  bridge the offline-vs-streaming equivalence tests are stated over.
+* :func:`replay_database` — the one producer of CMC's ``O_t``: a
+  materialized :class:`~repro.trajectory.TrajectoryDatabase` tick by
+  tick, with virtual (interpolated) points, each trajectory walked once
+  with a cursor.  :func:`repro.core.cmc.cmc` *is*
+  ``mine_stream(replay_database(db), ...)``, and the baselines and
+  :func:`repro.core.verification.is_valid_convoy` read their snapshots
+  from it too.
 * :func:`replay_csv` — the same, straight from an ``object_id,t,x,y`` CSV.
 * :func:`synthetic_stream` — a seeded generator producing snapshots on the
   fly in O(objects) memory, with planted co-travelling groups; this is how
@@ -19,19 +22,18 @@ adapters cover the workloads:
   tick, the rest stand perfectly still.  This is the GPS-fleet regime the
   incremental clusterer targets, and the workload knob of
   ``benchmarks/bench_incremental_clustering.py``.
-* :func:`hotspot_drift_stream` (and its cluster-labelled twin
-  :func:`hotspot_drift_scenario`) — a seeded generator where most objects
+* :func:`hotspot_drift_scenario` — a seeded generator where most objects
   ride in rigid packs around hotspot centers that *drift* across the
-  world, bouncing off its walls.  Every pack is a persistent dense
-  cluster with a large, stable membership — the dense-candidate regime
-  of ``benchmarks/bench_match_kernel.py`` and the first slice of the
-  million-object scenario harness (ROADMAP item 5).
+  world, bouncing off its walls, yielded with the packs as labels.
+  Every pack is a persistent dense cluster with a large, stable
+  membership — the dense-candidate regime of
+  ``benchmarks/bench_match_kernel.py`` and perfbench's ``stream_packs``.
 
-Both generators additionally accept ``jitter=``: a seeded bounded shuffle
-(:func:`jitter_ticks`) that emits the same ticks realistically out of
-order — every tick lags the emitted maximum by strictly less than
-``jitter`` time units — which is exactly the disorder a
-:class:`~repro.streaming.reorder.ReorderBuffer` with
+:func:`synthetic_stream` and :func:`churn_stream` additionally accept
+``jitter=``: a seeded bounded shuffle (:func:`jitter_ticks`) that emits
+the same ticks realistically out of order — every tick lags the emitted
+maximum by strictly less than ``jitter`` time units — which is exactly
+the disorder a :class:`~repro.streaming.reorder.ReorderBuffer` with
 ``allowed_lateness >= jitter`` restores losslessly.
 """
 
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 
 from repro.io.csv_io import load_trajectories_csv
 
@@ -46,41 +49,84 @@ from repro.io.csv_io import load_trajectories_csv
 def replay_database(database, time_range=None):
     """Yield ``(t, snapshot)`` for every time point of a database's domain.
 
-    Snapshots contain every object whose trajectory interval covers ``t``,
-    interpolating a virtual point where no real sample exists (Section 4's
-    ``O_t``).  Time points where *no* object is alive yield an empty
-    snapshot rather than being skipped, so replaying into the engine is
-    step-for-step identical to the offline sweep.
+    This is the one producer of CMC's ``O_t`` (Section 4): each snapshot
+    holds every object whose trajectory interval covers ``t``, with a
+    linearly interpolated virtual point where the object has no sample.
+    :func:`repro.core.cmc.cmc`, the baselines and
+    :func:`repro.core.verification.is_valid_convoy` all read their
+    snapshots from here.  Time points where *no* object is alive yield
+    an empty snapshot rather than being skipped, so the engine sees the
+    gap; an empty database yields nothing.
+
+    Each trajectory is walked with a cursor, once, in start-time order:
+    no bisect per object and tick.  Positions are bit-identical to
+    :meth:`~repro.trajectory.Trajectory.location_at` (the same float
+    expressions in the same order), and snapshot keys follow the
+    database order stable-sorted by start time, the order the CuTS
+    refinement copies.
 
     Args:
         database: the :class:`~repro.trajectory.TrajectoryDatabase`.
-        time_range: optional ``(t_lo, t_hi)`` restriction; defaults to the
-            database's full time domain.
+        time_range: optional ``(t_lo, t_hi)`` pair of ints with
+            ``t_lo <= t_hi``; defaults to the database's full time
+            domain.  Anything else raises :class:`ValueError` naming
+            ``time_range`` when iteration starts, before the database
+            is read.
 
     Yields:
         ``(t, {object_id: (x, y)})`` tuples in increasing ``t`` order.
     """
+    if time_range is not None:
+        try:
+            t_lo, t_hi = time_range
+        except (TypeError, ValueError):
+            t_lo = t_hi = None
+        # Bools are ints, refused as check_tick_time refuses them.
+        if any(isinstance(t, bool) or not isinstance(t, int)
+               for t in (t_lo, t_hi)):
+            raise ValueError(
+                "time_range must be a (t_lo, t_hi) pair of ints, got "
+                f"{time_range!r}"
+            )
+        if t_hi < t_lo:
+            raise ValueError(f"time_range reversed: [{t_lo}, {t_hi}]")
     if len(database) == 0:
         return
     if time_range is None:
         t_lo, t_hi = database.min_time, database.max_time
-    else:
-        t_lo, t_hi = time_range
-        if t_hi < t_lo:
-            raise ValueError(f"time_range reversed: [{t_lo}, {t_hi}]")
-    # Same sorted-activation sweep as the offline driver: each tick only
-    # touches trajectories whose interval can cover it.
+    # Sorted activation: each tick only touches trajectories whose
+    # interval can cover it.  One entry per trajectory whose tau covers
+    # the current t: [object_id, times, xs, ys, cursor], the cursor at
+    # the first sample at or after t.
     trajectories = sorted(database, key=lambda tr: tr.start_time)
     active = []
     next_idx = 0
     for t in range(t_lo, t_hi + 1):
         while (next_idx < len(trajectories)
                and trajectories[next_idx].start_time <= t):
-            active.append(trajectories[next_idx])
+            tr = trajectories[next_idx]
+            times, xs, ys = tr.coordinates()
+            active.append([tr.object_id, times, xs, ys, bisect_left(times, t)])
             next_idx += 1
         if active:
-            active = [tr for tr in active if tr.end_time >= t]
-        yield t, {tr.object_id: tr.location_at(t) for tr in active}
+            active = [entry for entry in active if entry[1][-1] >= t]
+        snapshot = {}
+        for entry in active:
+            object_id, times, xs, ys, j = entry
+            while times[j] < t:
+                j += 1
+            entry[4] = j
+            # interpolate_position's float expressions, in its order.
+            if times[j] == t:
+                snapshot[object_id] = (xs[j], ys[j])
+            else:
+                lo = j - 1
+                ratio = (t - times[lo]) / (times[j] - times[lo])
+                snapshot[object_id] = (
+                    xs[lo] + (xs[j] - xs[lo]) * ratio,
+                    ys[lo] + (ys[j] - ys[lo]) * ratio,
+                )
+        yield t, snapshot
 
 
 def replay_csv(path, time_range=None):
@@ -284,9 +330,8 @@ def hotspot_drift_scenario(n_objects, n_snapshots, seed=0, *, eps=10.0,
     This is the first slice of the million-object scenario harness
     (ROADMAP item 5): state is advanced incrementally in O(n_objects)
     memory, and the stream is a pure function of its arguments.  The
-    labelled form exists so benches can replay the planted packs as the
-    per-tick clustering and measure the candidate-match kernels alone;
-    :func:`hotspot_drift_stream` yields the plain ``(t, snapshot)`` view.
+    labels let benches replay the planted packs as the per-tick
+    clustering and measure the candidate-match kernels alone.
 
     Args:
         n_objects: objects per snapshot.
@@ -368,37 +413,6 @@ def hotspot_drift_scenario(n_objects, n_snapshots, seed=0, *, eps=10.0,
         for i, walker in enumerate(walkers):
             snapshot[ids[packed + i]] = (walker.x, walker.y)
         yield t_start + tick, snapshot, groups
-
-
-def hotspot_drift_stream(n_objects, n_snapshots, seed=0, *, eps=10.0,
-                         hotspots=8, background=0.2, drift=None, area=None,
-                         t_start=0, jitter=0, jitter_seed=None):
-    """Generate a seeded hotspot-drift snapshot stream.
-
-    The plain ``(t, snapshot)`` view of :func:`hotspot_drift_scenario`
-    (see there for the workload's shape and arguments); additionally
-    accepts ``jitter`` / ``jitter_seed`` to emit the same ticks out of
-    order through :func:`jitter_ticks`, exactly like the other
-    generators here.
-
-    Yields:
-        ``(t, {object_id: (x, y)})`` with ids ``"h0" .. "h{n-1}"``.
-    """
-    if jitter:
-        yield from jitter_ticks(
-            hotspot_drift_stream(
-                n_objects, n_snapshots, seed, eps=eps, hotspots=hotspots,
-                background=background, drift=drift, area=area,
-                t_start=t_start,
-            ),
-            jitter,
-            seed=jitter_seed if jitter_seed is not None else seed,
-        )
-        return
-    for t, snapshot, _groups in hotspot_drift_scenario(
-            n_objects, n_snapshots, seed, eps=eps, hotspots=hotspots,
-            background=background, drift=drift, area=area, t_start=t_start):
-        yield t, snapshot
 
 
 def churn_stream(n_objects, n_snapshots, seed=0, *, eps=10.0, churn=0.1,

@@ -17,7 +17,7 @@ This package provides:
 """
 
 from repro.trajectory.database import TrajectoryDatabase
-from repro.trajectory.interpolation import interpolate_position, virtual_point
+from repro.trajectory.interpolation import interpolate_position
 from repro.trajectory.point import TrajectoryPoint
 from repro.trajectory.trajectory import Trajectory
 
@@ -26,5 +26,4 @@ __all__ = [
     "TrajectoryDatabase",
     "TrajectoryPoint",
     "interpolate_position",
-    "virtual_point",
 ]

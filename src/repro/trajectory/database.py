@@ -1,4 +1,9 @@
-"""The trajectory database queried for convoys."""
+"""The trajectory database queried for convoys.
+
+The database stores trajectories; it builds no snapshot.  CMC's
+per-tick ``O_t``, virtual points included, comes from one sweep over
+the whole database, :func:`repro.streaming.source.replay_database`.
+"""
 
 from __future__ import annotations
 
@@ -9,13 +14,9 @@ class TrajectoryDatabase:
     """An in-memory collection of :class:`Trajectory` objects.
 
     This is the ``O`` of Definition 3 — the set of object trajectories a
-    convoy query runs against.  Besides storage it provides the snapshot
-    accessors the algorithms need:
-
-    * :meth:`objects_alive_at` / :meth:`snapshot` — the ``O_t`` set of
-      CMC's per-time clustering, with virtual points for missing samples;
-    * the global time domain ``[min_time, max_time]`` and the dataset
-      statistics reported in Table 3.
+    convoy query runs against.  Besides storage it provides the global
+    time domain ``[min_time, max_time]`` and the dataset statistics
+    reported in Table 3.
 
     Args:
         trajectories: iterable of :class:`Trajectory`; object ids must be
@@ -107,25 +108,6 @@ class TrajectoryDatabase:
             "time_domain_length": self.time_domain_length,
             "average_trajectory_length": self.average_trajectory_length,
             "total_points": self.total_points,
-        }
-
-    # ------------------------------------------------------------------
-    # Snapshot access (the O_t of Algorithm 1)
-    # ------------------------------------------------------------------
-    def objects_alive_at(self, t):
-        """Return the trajectories whose time interval covers ``t``."""
-        return [tr for tr in self if tr.is_alive_at(t)]
-
-    def snapshot(self, t):
-        """Return ``O_t``: ``{object_id: (x, y)}`` for every object alive at ``t``.
-
-        Objects without a real sample at ``t`` contribute a virtual
-        (interpolated) point, exactly as CMC requires (Section 4).
-        """
-        return {
-            tr.object_id: tr.location_at(t)
-            for tr in self
-            if tr.is_alive_at(t)
         }
 
     def _require_non_empty(self):

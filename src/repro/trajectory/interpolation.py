@@ -4,10 +4,11 @@ CMC needs every object's location at every clustered time point, but real
 trajectories are sampled irregularly — the paper's Taxi data reports
 "every three minutes ... some once in several minutes".  The paper's fix is
 linear interpolation between the neighbouring real samples; these helpers
-implement it once, behind ``Trajectory.location_at``.  CMC and the CuTS
-refinement walk each trajectory with a cursor instead of a bisect per
-time point, and evaluate the same float expressions in the same order,
-so their positions are bit-identical.
+implement it once, behind ``Trajectory.location_at``.  The snapshot sweep
+(:func:`repro.streaming.source.replay_database`, which CMC and the
+baselines read) and the CuTS refinement walk each trajectory with a
+cursor instead of a bisect per time point, and evaluate the same float
+expressions in the same order, so their positions are bit-identical.
 """
 
 from __future__ import annotations
@@ -48,18 +49,3 @@ def interpolate_position(times, xs, ys, t):
     ratio = (t - times[lo]) / (times[idx] - times[lo])
     return lerp((xs[lo], ys[lo]), (xs[idx], ys[idx]), ratio)
 
-
-def virtual_point(p_before, p_after, t):
-    """Interpolate between two timestamped points ``(x, y, t)``.
-
-    Convenience wrapper over :func:`interpolate_position` for callers that
-    already hold the bracketing samples.
-    """
-    if not (p_before.t <= t <= p_after.t):
-        raise ValueError(
-            f"time {t} outside bracketing interval [{p_before.t}, {p_after.t}]"
-        )
-    if p_after.t == p_before.t:
-        return (p_before.x, p_before.y)
-    ratio = (t - p_before.t) / (p_after.t - p_before.t)
-    return lerp((p_before.x, p_before.y), (p_after.x, p_after.y), ratio)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 
@@ -23,7 +22,3 @@ class TrajectoryPoint(NamedTuple):
     def xy(self):
         """The spatial component ``(x, y)`` as a plain tuple."""
         return (self.x, self.y)
-
-    def distance_to(self, other):
-        """Euclidean distance ``D`` between the spatial components."""
-        return math.hypot(self.x - other.x, self.y - other.y)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import islice
 from math import isfinite
 from operator import lt
@@ -152,20 +151,6 @@ class Trajectory:
         """Length of ``o.tau`` in unit time steps (``t_b - t_a``)."""
         return self._times[-1] - self._times[0]
 
-    def is_alive_at(self, t):
-        """Return True if ``t`` lies inside ``o.tau``."""
-        return self._times[0] <= t <= self._times[-1]
-
-    @property
-    def sample_times(self):
-        """The sorted list of actually sampled time points (read-only view)."""
-        return tuple(self._times)
-
-    def has_sample_at(self, t):
-        """Return True if a *real* (non-virtual) sample exists at time ``t``."""
-        idx = bisect_left(self._times, t)
-        return idx < len(self._times) and self._times[idx] == t
-
     # ------------------------------------------------------------------
     # Location lookup
     # ------------------------------------------------------------------
@@ -177,11 +162,6 @@ class Trajectory:
         raise :class:`ValueError`.
         """
         return interpolate_position(self._times, self._xs, self._ys, t)
-
-    def point_at(self, t):
-        """Like :func:`location_at` but returns a :class:`TrajectoryPoint`."""
-        x, y = self.location_at(t)
-        return TrajectoryPoint(x, y, t)
 
     def coordinates(self):
         """Return the raw parallel arrays ``(times, xs, ys)``.
@@ -214,14 +194,6 @@ class Trajectory:
         tree = SplitTree(self, chord)
         self._trees = trees + (tree,)
         return tree
-
-    def bounding_box(self):
-        """Return the spatial bounding box of all samples."""
-        from repro.geometry.bbox import BoundingBox
-
-        return BoundingBox(
-            min(self._xs), min(self._ys), max(self._xs), max(self._ys)
-        )
 
 
 def _first_bad_sample(object_id, times, xs, ys):

@@ -30,6 +30,15 @@ class TestDiscoverFlocks:
     def test_empty_database(self):
         assert discover_flocks(TrajectoryDatabase(), 2, 2, 1.0) == []
 
+    @pytest.mark.parametrize("name, m, k", [
+        ("m", 0, 2), ("m", 2.5, 2), ("k", 2, 0), ("k", 2, True),
+    ])
+    def test_bad_counts_refused_on_an_empty_database(self, name, m, k):
+        """Regression: an empty database answered ``[]`` before the
+        counts were looked at."""
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            discover_flocks(TrajectoryDatabase(), m, k, 1.0)
+
     def test_tight_group_found(self):
         db = db_of(
             ("a", [(t, 0.0, t) for t in range(8)]),

@@ -1,5 +1,7 @@
 """Tests for the MC2 moving-cluster baseline (Section 2.1, Appendix B.1)."""
 
+import math
+
 import pytest
 
 from repro.baselines.moving_clusters import MovingCluster, mc2, mc2_convoy_answers
@@ -39,6 +41,23 @@ class TestMc2:
             mc2(db, 1.0, 2, 0.0)
         with pytest.raises(ValueError):
             mc2(db, 1.0, 2, 1.5)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, True, "1"])
+    def test_bad_eps_refused_by_name(self, eps):
+        """Regression: with fewer objects than ``min_pts`` no snapshot
+        was clustered, so a NaN eps answered ``[]``."""
+        db = db_of(("a", [(0, 0, 0), (1, 0, 1)]))
+        with pytest.raises(ValueError, match="eps must be positive"):
+            mc2(db, eps, 2, 0.5)
+
+    @pytest.mark.parametrize("min_pts", [0, 2.5, math.nan, True, "2"])
+    def test_bad_min_pts_refused_by_name(self, min_pts):
+        """Regression: ``min_pts`` reached only the snapshot clustering,
+        so an empty database, or ``min_pts=2.5`` with fewer objects,
+        answered ``[]``."""
+        for db in (TrajectoryDatabase(), db_of(("a", [(0, 0, 0)]))):
+            with pytest.raises(ValueError, match="min_pts must be >= 1"):
+                mc2(db, 1.0, min_pts, 0.5)
 
     def test_stable_group_single_chain(self):
         db = db_of(

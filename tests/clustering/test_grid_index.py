@@ -29,10 +29,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             index.insert("a", (1, 1))
 
-    def test_location_of(self):
-        index = GridIndex(1.0, {"a": (3, 4)})
-        assert index.location_of("a") == (3, 4)
-
 
 class TestNeighborQueries:
     def test_includes_self(self):
@@ -202,7 +198,7 @@ class TestMutations:
         index = GridIndex(1.0, {"a": (0, 0), "b": (0.5, 0)})
         index.remove("a")
         index.insert("a", (5.0, 5.0))
-        assert index.location_of("a") == (5.0, 5.0)
+        assert index.neighbors_within((5.0, 5.0), 0.0) == ["a"]
         assert set(index.neighbors_within((5.0, 5.0), 0.1)) == {"a"}
         assert set(index.neighbors_within((0.0, 0.0), 1.0)) == {"b"}
 
@@ -213,7 +209,7 @@ class TestMutations:
         assert set(index.neighbors_of("a", 1.0)) == {"a"}
         index.move("a", (0.5, 0.5))       # and back to the original cell
         assert set(index.neighbors_of("b", 1.0)) == {"a", "b"}
-        assert index.location_of("a") == (0.5, 0.5)
+        assert index.neighbors_within((0.5, 0.5), 0.0) == ["a"]
 
     def test_move_within_cell_updates_distance_filtering(self):
         index = GridIndex(2.0, {"a": (0.1, 0.1), "b": (1.9, 0.1)})
@@ -293,7 +289,7 @@ class TestNonFiniteCoordinates:
         index = GridIndex(1.0, {"a": (1.5, 1.5)})
         with pytest.raises(ValueError, match="finite"):
             index.move("a", bad)
-        assert index.location_of("a") == (1.5, 1.5)
+        assert index.neighbors_within((1.5, 1.5), 0.0) == ["a"]
         assert set(index.neighbors_of("a", 0.5)) == {"a"}
 
     def test_bulk_load_rejects_non_finite(self):

@@ -444,7 +444,7 @@ def unlinked_snapshot_pairs(trajectories, eps, variant, delta, lam,
             alive = [
                 (owner, trajectory.location_at(t))
                 for owner, trajectory in enumerate(trajectories)
-                if trajectory.is_alive_at(t)
+                if trajectory.start_time <= t <= trajectory.end_time
             ]
             for (a, pa), (b, pb) in itertools.combinations(alive, 2):
                 dx = pb[0] - pa[0]

@@ -1,8 +1,6 @@
 """Tests for the CMC algorithm (Section 4)."""
 
-import importlib
 import math
-import random
 
 import pytest
 
@@ -11,9 +9,6 @@ from repro.core.convoy import Convoy
 from repro.core.verification import is_valid_convoy, normalize_convoys
 from repro.trajectory.database import TrajectoryDatabase
 from repro.trajectory.trajectory import Trajectory
-
-# The module, not the function ``repro.core.cmc`` the package exports.
-cmc_module = importlib.import_module("repro.core.cmc")
 
 
 def db_of(*specs):
@@ -145,90 +140,6 @@ class TestIrregularSampling:
         counters = {}
         cmc(db, 2, 5, 2.0, counters=counters)
         assert counters["clustering_calls"] == 10
-        assert counters["interpolated_points"] == 8  # b at t=1..8
-
-
-def irregular_db(seed, n=9, t_hi=40):
-    """Random walks over random sub-intervals, each sample kept with
-    probability 0.6 (the ends always)."""
-    rng = random.Random(seed)
-    specs = []
-    for i in range(n):
-        t0 = rng.randint(0, t_hi // 2)
-        t1 = rng.randint(t0, t_hi)
-        x, y = rng.uniform(0, 10), rng.uniform(0, 10)
-        points = []
-        for t in range(t0, t1 + 1):
-            x += rng.uniform(-1, 1)
-            y += rng.uniform(-1, 1)
-            if t in (t0, t1) or rng.random() < 0.6:
-                points.append((x, y, t))
-        specs.append((f"o{i}", points))
-    return db_of(*specs)
-
-
-class TestCursorWalk:
-    """cmc() walks each trajectory with a cursor: one pass per
-    trajectory, no bisect per object and tick."""
-
-    @pytest.fixture
-    def fed(self, monkeypatch):
-        """Record every snapshot cmc() feeds its miner."""
-        snapshots = []
-
-        class Recording(cmc_module.StreamingConvoyMiner):
-            def feed(self, t, snapshot):
-                snapshots.append((t, dict(snapshot)))
-                return super().feed(t, snapshot)
-
-        monkeypatch.setattr(cmc_module, "StreamingConvoyMiner", Recording)
-        return snapshots
-
-    @pytest.mark.parametrize("time_range", [None, (7, 31)])
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_positions_and_counts_match_interpolate_position(
-        self, fed, seed, time_range
-    ):
-        db = irregular_db(seed)
-        m = 2
-        counters = {}
-        cmc(db, m, 3, 2.5, time_range=time_range, counters=counters)
-        t_lo, t_hi = time_range or (db.min_time, db.max_time)
-        by_start = sorted(db, key=lambda tr: tr.start_time)
-        interpolated = 0
-        assert [t for t, _ in fed] == list(range(t_lo, t_hi + 1))
-        for t, snapshot in fed:
-            alive = [tr for tr in by_start if tr.is_alive_at(t)]
-            assert list(snapshot) == [tr.object_id for tr in alive]
-            for tr in alive:
-                want = tr.location_at(t)
-                got = snapshot[tr.object_id]
-                assert (got[0].hex(), got[1].hex()) == (
-                    want[0].hex(), want[1].hex()
-                ), (t, tr.object_id)
-            if len(alive) >= m:
-                interpolated += sum(
-                    not tr.has_sample_at(t) for tr in alive
-                )
-        assert counters["interpolated_points"] == interpolated
-
-    def test_no_lookup_per_object_and_tick(self, monkeypatch):
-        """Neither the real-sample test nor the bisecting location lookup
-        runs, with or without counters."""
-        db = irregular_db(4)
-        want = cmc(db, 2, 3, 2.5)
-        want_counters = {}
-        cmc(db, 2, 3, 2.5, counters=want_counters)
-
-        def refuse(*_args):
-            raise AssertionError("per-tick lookup")
-
-        monkeypatch.setattr(Trajectory, "has_sample_at", refuse)
-        monkeypatch.setattr(Trajectory, "location_at", refuse)
-        assert cmc(db, 2, 3, 2.5) == want
-        counters = {}
-        assert cmc(db, 2, 3, 2.5, counters=counters) == want
-        assert counters == want_counters
 
 
 class TestSemantics:

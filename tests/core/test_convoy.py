@@ -74,11 +74,6 @@ class TestDominance:
         b = Convoy(["a", "c"], 2, 8)
         assert not a.dominates(b)
 
-    def test_overlaps_time(self):
-        a = Convoy(["a"], 0, 5)
-        assert a.overlaps_time(Convoy(["b"], 5, 9))
-        assert not a.overlaps_time(Convoy(["b"], 6, 9))
-
 
 def test_repr_is_readable():
     c = Convoy(["b", "a"], 2, 4)

@@ -397,8 +397,8 @@ class TestRefinementOverLinks:
             a, b = db["a"], db["b"]
             lo = max(a.start_time, b.start_time)
             hi = min(a.end_time, b.end_time)
-            virtual = [t for t in range(lo, hi + 1)
-                       if not a.has_sample_at(t) or not b.has_sample_at(t)]
+            sampled = set(a.coordinates()[0]) & set(b.coordinates()[0])
+            virtual = [t for t in range(lo, hi + 1) if t not in sampled]
             if not virtual:
                 continue
             t = rng.choice(virtual)

@@ -34,16 +34,6 @@ class TestTimePartitioner:
             covered.extend(range(lo, hi + 1))
         assert covered == list(range(3, 30))
 
-    def test_partition_of(self):
-        partitioner = TimePartitioner(0, 9, 4)
-        assert partitioner.partition_of(0) == (0, 3)
-        assert partitioner.partition_of(5) == (4, 7)
-        assert partitioner.partition_of(9) == (8, 9)
-
-    def test_partition_of_outside_raises(self):
-        with pytest.raises(ValueError):
-            TimePartitioner(0, 9, 4).partition_of(10)
-
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             TimePartitioner(5, 3, 2)

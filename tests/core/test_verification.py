@@ -51,6 +51,17 @@ class TestIsValidConvoy:
         assert not is_valid_convoy(db, Convoy(["a", "b"], 0, 9), 2, 3, 2.0)
         assert is_valid_convoy(db, Convoy(["a", "b"], 0, 4), 2, 3, 2.0)
 
+    def test_empty_database_holds_no_convoy(self):
+        """The snapshot sweep yields no tick for an empty database, so a
+        loop over its ticks alone would accept any convoy there."""
+        convoy = Convoy(["a", "b"], 0, 4)
+        assert not is_valid_convoy(TrajectoryDatabase(), convoy, 2, 2, 1.0)
+
+    def test_interval_past_the_domain_is_invalid(self):
+        db = parallel_pair_db()
+        assert not is_valid_convoy(db, Convoy(["a", "b"], 5, 12), 2, 5, 2.0)
+        assert not is_valid_convoy(db, Convoy(["a", "b"], -3, 4), 2, 5, 2.0)
+
 
 class TestNormalization:
     def test_removes_exact_duplicates(self):

@@ -10,6 +10,7 @@ from repro.datasets.paperlike import (
     synthetic_dataset,
     truck_dataset,
 )
+from tests.oracle import snapshot
 
 # Tiny scales so the whole module runs in a few seconds.
 SMALL = {
@@ -55,8 +56,8 @@ class TestGeneratorShapes:
     def test_seed_changes_data(self):
         a = truck_dataset(seed=1, scale=0.02)
         b = truck_dataset(seed=2, scale=0.02)
-        assert a.database.snapshot(a.database.min_time + 5) != b.database.snapshot(
-            b.database.min_time + 5
+        assert snapshot(a.database, a.database.min_time + 5) != snapshot(
+            b.database, b.database.min_time + 5
         )
 
     def test_cattle_full_lifetimes_regular_sampling(self, specs):

@@ -9,6 +9,7 @@ from repro.core.convoy import Convoy
 from repro.core.verification import normalize_convoys
 from repro.datasets.planting import PlantedConvoy, plant_convoy_group
 from repro.trajectory.database import TrajectoryDatabase
+from tests.oracle import snapshot
 
 
 class TestPlantedConvoy:
@@ -55,7 +56,7 @@ class TestPlantConvoyGroup:
         )
         db = TrajectoryDatabase(trajectories)
         for t in range(planted.t_start, planted.t_end + 1):
-            snap = db.snapshot(t)
+            snap = snapshot(db, t)
             xs = [p[0] for p in snap.values()]
             ys = [p[1] for p in snap.values()]
             assert max(xs) - min(xs) <= eps
@@ -69,7 +70,7 @@ class TestPlantConvoyGroup:
             ramp=10,
         )
         db = TrajectoryDatabase(trajectories)
-        snap = db.snapshot(db.min_time)
+        snap = snapshot(db, db.min_time)
         xs = [p[0] for p in snap.values()]
         ys = [p[1] for p in snap.values()]
         # Fully dispersed at the trajectory start (one full ramp away).

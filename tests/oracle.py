@@ -6,7 +6,7 @@ each of at least ``k`` consecutive time points.  :func:`oracle_convoys`
 answers a query from that sentence alone, with none of the machinery the
 miners share (no candidate chains, no grid index, no simplification):
 
-1. cluster each tick's snapshot ``database.snapshot(t)`` (virtual points
+1. cluster each tick's snapshot :func:`snapshot` (virtual points
    included, as CMC's ``O_t``) with the O(n^2) reference
    :func:`dbscan_brute_force`;
 2. enumerate every object subset ``O`` with ``|O| >= m`` and every
@@ -22,6 +22,11 @@ with the group through the whole run.
 
 The enumeration is exponential in the object count, so the oracle refuses
 inputs above :data:`MAX_OBJECTS` objects or :data:`MAX_TICKS` ticks.
+
+The oracle owns its ``O_t`` (:func:`snapshot`), built independently of
+the library's one sweep, :func:`~repro.streaming.source.replay_database`:
+database order, and one :meth:`~repro.trajectory.Trajectory.location_at`
+per object and tick.
 """
 
 import math
@@ -34,6 +39,20 @@ from repro.core.convoy import Convoy
 #: Largest input the enumeration accepts.
 MAX_OBJECTS = 8
 MAX_TICKS = 12
+
+
+def snapshot(database, t):
+    """``O_t``: ``{object_id: (x, y)}`` for every object alive at ``t``.
+
+    Keys follow the database order.  An object without a real sample at
+    ``t`` contributes the virtual point ``location_at`` interpolates
+    (Section 4).
+    """
+    return {
+        trajectory.object_id: trajectory.location_at(t)
+        for trajectory in database
+        if trajectory.start_time <= t <= trajectory.end_time
+    }
 
 
 def dbscan_brute_force(points, eps, min_pts):
@@ -82,7 +101,7 @@ def oracle_convoys(database, m, k, eps):
             f"{MAX_TICKS} ticks, got {len(objects)} and {len(times)}"
         )
     clusters = {
-        t: [frozenset(c) for c in dbscan_brute_force(database.snapshot(t), eps, m)]
+        t: [frozenset(c) for c in dbscan_brute_force(snapshot(database, t), eps, m)]
         for t in times
     }
 

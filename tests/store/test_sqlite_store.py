@@ -1,4 +1,4 @@
-"""Unit suite for the SQLite :class:`ConvoyStore` backend.
+"""Unit suite for :class:`~repro.store.sqlite.SQLiteConvoyStore`.
 
 Every indexed query is held equal to a brute-force in-memory answer over
 a seeded random population — ``alive_in`` additionally against its own

@@ -36,7 +36,7 @@ def build_miner(pipeline, m, k, eps, *, paper_semantics=False, window=None,
                 reorder=None, store=None):
     """One :class:`StreamingConvoyMiner` for one named pipeline.
 
-    ``store`` (a ConvoyStore or path) forwards to the engine's
+    ``store`` (a SQLiteConvoyStore or path) forwards to the engine's
     write-through persistence sink.
     """
     if pipeline not in PIPELINE_NAMES:

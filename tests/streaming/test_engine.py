@@ -260,7 +260,7 @@ class TestCounters:
         for t in range(5):
             miner.feed(t, pair_snapshot(t))
         assert miner.counters["peak_candidates"] == 1
-        assert miner.live_candidate_count == 1
+        assert len(miner.live_candidates) == 1
         miner.flush()
         assert miner.counters["convoys_emitted"] == 1
 

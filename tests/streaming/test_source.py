@@ -1,22 +1,26 @@
 """Tests for the snapshot-source adapters."""
 
 import math
+import random
 
 import pytest
 
-from repro.io.csv_io import save_trajectories_csv
+from repro.baselines import discover_flocks, mc2
 from repro.clustering.dbscan import dbscan
+from repro.core.cmc import cmc
+from repro.core.verification import is_valid_convoy
+from repro.io.csv_io import save_trajectories_csv
 from repro.streaming import (
     StreamingConvoyMiner,
     churn_stream,
     hotspot_drift_scenario,
-    hotspot_drift_stream,
     replay_csv,
     replay_database,
     synthetic_stream,
 )
 from repro.trajectory.database import TrajectoryDatabase
 from repro.trajectory.trajectory import Trajectory
+from tests.oracle import snapshot
 
 
 @pytest.fixture
@@ -37,8 +41,8 @@ class TestReplayDatabase:
         assert [t for t, _ in ticks] == list(range(10))
 
     def test_snapshots_match_database_snapshot(self, staggered_db):
-        for t, snapshot in replay_database(staggered_db):
-            assert snapshot == staggered_db.snapshot(t)
+        for t, snapshot_t in replay_database(staggered_db):
+            assert snapshot_t == snapshot(staggered_db, t)
 
     def test_interpolates_virtual_points(self, staggered_db):
         snapshots = dict(replay_database(staggered_db))
@@ -68,6 +72,77 @@ class TestReplayDatabase:
         snapshots = dict(replay_database(db))
         assert list(snapshots) == list(range(7))
         assert snapshots[3] == {}
+
+
+def irregular_db(seed, n=9, t_hi=40):
+    """Random walks over random sub-intervals, each sample kept with
+    probability 0.6 (the ends always)."""
+    rng = random.Random(seed)
+    trajectories = []
+    for i in range(n):
+        t0 = rng.randint(0, t_hi // 2)
+        t1 = rng.randint(t0, t_hi)
+        x, y = rng.uniform(0, 10), rng.uniform(0, 10)
+        points = []
+        for t in range(t0, t1 + 1):
+            x += rng.uniform(-1, 1)
+            y += rng.uniform(-1, 1)
+            if t in (t0, t1) or rng.random() < 0.6:
+                points.append((x, y, t))
+        trajectories.append(Trajectory(f"o{i}", points))
+    return TrajectoryDatabase(trajectories)
+
+
+#: Every driver that reads a database's snapshots, each run with
+#: parameters that find convoys on ``irregular_db(4)``.
+SNAPSHOT_READERS = {
+    "cmc": lambda db: cmc(db, 2, 3, 2.5),
+    "replay_database": lambda db: list(replay_database(db)),
+    "mc2": lambda db: mc2(db, 2.5, 2, 0.5),
+    "discover_flocks": lambda db: discover_flocks(db, 2, 3, 2.5),
+    "is_valid_convoy": lambda db: [
+        is_valid_convoy(db, convoy, 2, 3, 2.5)
+        for convoy in cmc(db, 2, 3, 2.5)
+    ],
+}
+
+
+class TestCursorWalk:
+    """replay_database walks each trajectory with a cursor: one pass per
+    trajectory, no bisect per object and tick, and the positions of
+    ``location_at`` bit for bit."""
+
+    @pytest.mark.parametrize("time_range", [None, (7, 31), (-3, 45)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_positions_and_order_match_location_at(self, seed, time_range):
+        db = irregular_db(seed)
+        ticks = list(replay_database(db, time_range))
+        t_lo, t_hi = time_range or (db.min_time, db.max_time)
+        by_start = sorted(db, key=lambda tr: tr.start_time)
+        assert [t for t, _ in ticks] == list(range(t_lo, t_hi + 1))
+        for t, snapshot_t in ticks:
+            alive = [tr for tr in by_start
+                     if tr.start_time <= t <= tr.end_time]
+            assert list(snapshot_t) == [tr.object_id for tr in alive]
+            for tr in alive:
+                want = tr.location_at(t)
+                got = snapshot_t[tr.object_id]
+                assert (got[0].hex(), got[1].hex()) == (
+                    want[0].hex(), want[1].hex()
+                ), (t, tr.object_id)
+
+    @pytest.mark.parametrize("reader", sorted(SNAPSHOT_READERS))
+    def test_no_lookup_per_object_and_tick(self, monkeypatch, reader):
+        """No driver falls back to the bisecting location lookup."""
+        db = irregular_db(4)
+        want = SNAPSHOT_READERS[reader](db)
+        assert want
+
+        def refuse(*_args):
+            raise AssertionError("per-tick lookup")
+
+        monkeypatch.setattr(Trajectory, "location_at", refuse)
+        assert SNAPSHOT_READERS[reader](db) == want
 
 
 class TestReplayCsv:
@@ -192,7 +267,7 @@ class TestChurnStream:
 
 
 #: The generators that take ``jitter=`` / ``jitter_seed=``.
-JITTERABLE = [synthetic_stream, churn_stream, hotspot_drift_stream]
+JITTERABLE = [synthetic_stream, churn_stream]
 
 
 class TestJitteredSources:
@@ -244,22 +319,19 @@ class TestJitteredSources:
 class TestHotspotDrift:
     """The rigid-pack generator behind the dense-candidate workloads."""
 
-    def test_scenario_and_stream_views_agree(self):
+    def test_scenario_is_a_pure_function_of_its_seed(self):
         scenario = list(hotspot_drift_scenario(30, 12, seed=4, eps=6.0,
                                                hotspots=3))
-        stream = list(hotspot_drift_stream(30, 12, seed=4, eps=6.0,
-                                           hotspots=3))
-        assert stream == [(t, snapshot) for t, snapshot, _ in scenario]
-        assert stream == list(hotspot_drift_stream(30, 12, seed=4, eps=6.0,
-                                                   hotspots=3))
-        assert stream != list(hotspot_drift_stream(30, 12, seed=5, eps=6.0,
-                                                   hotspots=3))
-        assert [t for t, _ in stream] == list(range(12))
-        assert all(len(snapshot) == 30 for _, snapshot in stream)
+        assert scenario == list(hotspot_drift_scenario(30, 12, seed=4,
+                                                       eps=6.0, hotspots=3))
+        assert scenario != list(hotspot_drift_scenario(30, 12, seed=5,
+                                                       eps=6.0, hotspots=3))
+        assert [t for t, _, _ in scenario] == list(range(12))
+        assert all(len(snapshot) == 30 for _, snapshot, _ in scenario)
 
     def test_t_start_offsets_every_tick(self):
-        ticks = list(hotspot_drift_stream(8, 5, seed=1, t_start=100))
-        assert [t for t, _ in ticks] == [100, 101, 102, 103, 104]
+        ticks = list(hotspot_drift_scenario(8, 5, seed=1, t_start=100))
+        assert [t for t, _, _ in ticks] == [100, 101, 102, 103, 104]
 
     def test_groups_split_the_packed_ids_round_robin(self):
         n, background, hotspots = 43, 0.3, 4
@@ -342,4 +414,4 @@ class TestHotspotDrift:
         args = dict(n_objects=10, n_snapshots=5)
         args.update(kwargs)
         with pytest.raises(ValueError, match=match):
-            list(hotspot_drift_stream(**args))
+            list(hotspot_drift_scenario(**args))

@@ -2,7 +2,6 @@
 
 import json
 import math
-import time
 
 import pytest
 
@@ -39,35 +38,8 @@ from benchmarks.bench_fig12_cmc_vs_cuts import (
 )
 from benchmarks.common import fresh_database, safe_rate, write_bench_json
 from repro import datasets
-from repro.bench import PhaseTimer, format_series, format_table, time_call
+from repro.bench import format_series, format_table, time_call
 from repro.simplification.dp_star import time_ratio_chord
-
-
-class TestPhaseTimer:
-    def test_records_phases(self):
-        timer = PhaseTimer()
-        with timer.phase("a"):
-            pass
-        with timer.phase("b"):
-            pass
-        assert set(timer.durations) == {"a", "b"}
-        assert timer.total >= 0
-
-    def test_accumulates_repeated_phase(self):
-        timer = PhaseTimer()
-        for _ in range(3):
-            with timer.phase("x"):
-                time.sleep(0.001)
-        assert timer.durations["x"] >= 0.003
-
-    def test_records_on_exception(self):
-        timer = PhaseTimer()
-        try:
-            with timer.phase("boom"):
-                raise RuntimeError
-        except RuntimeError:
-            pass
-        assert "boom" in timer.durations
 
 
 class TestTimeCall:

@@ -1,11 +1,15 @@
 """``eps`` and ``delta`` are each checked once, by
 :func:`repro.checks.check_eps` and :func:`repro.checks.check_delta`, on
-every surface that takes them."""
+every surface that takes them; ``time_range`` is checked once, by
+:func:`repro.streaming.source.replay_database`, which every offline
+driver reads its snapshots from."""
 
 import math
 
 import pytest
 
+from repro.baselines import discover_flocks, mc2
+from repro.baselines.moving_clusters import mc2_convoy_answers
 from repro.clustering.dbscan import dbscan
 from repro.clustering.incremental import IncrementalSnapshotClusterer
 from repro.core.cmc import cmc
@@ -13,7 +17,8 @@ from repro.core.cuts import cuts
 from repro.core.params import compute_delta
 from repro.service import ProtocolError, build_miner
 from repro.simplification import SIMPLIFIERS
-from repro.streaming import StreamingConvoyMiner
+from repro.io import save_trajectories_csv
+from repro.streaming import StreamingConvoyMiner, replay_csv, replay_database
 from repro.trajectory import Trajectory, TrajectoryDatabase
 from tests.oracle import dbscan_brute_force
 
@@ -30,6 +35,7 @@ SURFACES = {
     "incremental": lambda eps: IncrementalSnapshotClusterer(eps, 2),
     "miner": lambda eps: StreamingConvoyMiner(2, 2, eps),
     "cmc": lambda eps: cmc(DB, 2, 2, eps),
+    "mc2": lambda eps: mc2(DB, eps, 2, 0.5),
     "cuts": lambda eps: cuts(DB, 2, 2, eps, variant="cuts*"),
     "compute_delta": lambda eps: compute_delta(DB, eps),
 }
@@ -108,3 +114,76 @@ def test_bad_delta_is_refused_by_name(surface, bad):
 @pytest.mark.parametrize("delta", [0, 0.0, 2.5], ids=["int-zero", "zero", "float"])
 def test_non_negative_finite_delta_is_accepted(surface, delta):
     DELTA_SURFACES[surface](delta)
+
+
+#: Every surface that takes a ``time_range``, run on a database given as
+#: a TrajectoryDatabase (``replay_csv`` reads it from a CSV).
+TIME_RANGE_SURFACES = {
+    "cmc": lambda db, tr: cmc(db, 2, 2, 1.5, time_range=tr),
+    "replay_database": lambda db, tr: list(replay_database(db, tr)),
+    "replay_csv": lambda path, tr: list(replay_csv(path, tr)),
+    "mc2": lambda db, tr: mc2(db, 1.5, 2, 0.5, time_range=tr),
+    "mc2_convoy_answers": lambda db, tr: mc2_convoy_answers(
+        db, 1.5, 2, 0.5, time_range=tr
+    ),
+    "discover_flocks": lambda db, tr: discover_flocks(
+        db, 2, 2, 1.5, time_range=tr
+    ),
+}
+
+#: Ranges that are not a ``(t_lo, t_hi)`` pair of ints.
+BAD_TIME_RANGE = {
+    "float": (0, 2.5),
+    "str": ("0", "3"),
+    "bool": (False, True),
+    "triple": (0, 1, 2),
+    "single": (3,),
+    "scalar": 3,
+    "none-bound": (0, None),
+}
+
+
+def run_time_range_surface(surface, db, time_range, tmp_path):
+    if surface == "replay_csv":
+        path = tmp_path / "db.csv"
+        save_trajectories_csv(db, path)
+        db = path
+    return TIME_RANGE_SURFACES[surface](db, time_range)
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_TIME_RANGE))
+@pytest.mark.parametrize("surface", sorted(TIME_RANGE_SURFACES))
+def test_bad_time_range_is_refused_by_name(surface, bad, tmp_path):
+    """Regression: a float or string bound died with a TypeError from
+    ``range``, ``(False, True)`` ran as ticks 0-1, and a 3-tuple died
+    with an unpack message."""
+    with pytest.raises(ValueError, match="time_range must be a"):
+        run_time_range_surface(surface, DB, BAD_TIME_RANGE[bad], tmp_path)
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_TIME_RANGE) + ["reversed"])
+@pytest.mark.parametrize("surface", sorted(TIME_RANGE_SURFACES))
+def test_empty_database_refuses_a_bad_time_range(surface, bad, tmp_path):
+    """Regression: every surface answered ``[]`` on an empty database
+    before it looked at the range."""
+    time_range = BAD_TIME_RANGE.get(bad, (5, 2))
+    with pytest.raises(ValueError, match="time_range"):
+        run_time_range_surface(
+            surface, TrajectoryDatabase(), time_range, tmp_path
+        )
+
+
+@pytest.mark.parametrize(
+    "surface", ["discover_flocks", "mc2", "mc2_convoy_answers"]
+)
+def test_baselines_refuse_a_reversed_time_range(surface, tmp_path):
+    """Regression: the baselines answered ``[]`` where cmc refused."""
+    with pytest.raises(ValueError, match="time_range reversed"):
+        run_time_range_surface(surface, DB, (5, 2), tmp_path)
+
+
+@pytest.mark.parametrize("surface", sorted(TIME_RANGE_SURFACES))
+@pytest.mark.parametrize("time_range", [(1, 4), (3, 3), (-2, 9)],
+                         ids=["inside", "one-tick", "past-both-ends"])
+def test_int_pair_time_range_is_accepted(surface, time_range, tmp_path):
+    run_time_range_surface(surface, DB, time_range, tmp_path)

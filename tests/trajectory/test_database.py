@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.streaming.source import replay_database
 from repro.trajectory.database import TrajectoryDatabase
 from repro.trajectory.trajectory import Trajectory
+from tests.oracle import snapshot
 
 
 def db_of(*specs):
@@ -52,17 +54,26 @@ class TestStatistics:
 
 
 class TestSnapshots:
+    """``O_t`` of a database: the oracle's per-tick helper and the one
+    sweep the miners read agree on who is alive and where."""
+
+    @staticmethod
+    def views(db, t):
+        replayed = dict(replay_database(db, (t, t)))[t]
+        assert replayed == snapshot(db, t)
+        return replayed
+
     def test_objects_alive_at(self):
         db = db_of(
             ("a", [(0, 0, 0), (1, 1, 10)]),
             ("b", [(0, 0, 5), (1, 1, 9)]),
         )
-        assert {tr.object_id for tr in db.objects_alive_at(3)} == {"a"}
-        assert {tr.object_id for tr in db.objects_alive_at(7)} == {"a", "b"}
+        assert set(self.views(db, 3)) == {"a"}
+        assert set(self.views(db, 7)) == {"a", "b"}
 
     def test_snapshot_interpolates(self):
         db = db_of(("a", [(0, 0, 0), (10, 0, 10)]))
-        snap = db.snapshot(5)
+        snap = self.views(db, 5)
         assert snap["a"] == (5.0, 0.0)
 
     def test_snapshot_excludes_dead(self):
@@ -70,5 +81,5 @@ class TestSnapshots:
             ("a", [(0, 0, 0), (1, 0, 4)]),
             ("b", [(0, 0, 6), (1, 0, 9)]),
         )
-        assert set(db.snapshot(5)) == set()
-        assert set(db.snapshot(4)) == {"a"}
+        assert set(self.views(db, 5)) == set()
+        assert set(self.views(db, 4)) == {"a"}

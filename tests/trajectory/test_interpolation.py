@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.trajectory.interpolation import interpolate_position, virtual_point
-from repro.trajectory.point import TrajectoryPoint
+from repro.trajectory.interpolation import interpolate_position
 
 
 class TestInterpolatePosition:
@@ -39,26 +38,3 @@ class TestInterpolatePosition:
         x, y = interpolate_position(times, xs, ys, t)
         assert min(xs) - 1e-9 <= x <= max(xs) + 1e-9
         assert min(ys) - 1e-9 <= y <= max(ys) + 1e-9
-
-
-class TestVirtualPoint:
-    def test_between_points(self):
-        a = TrajectoryPoint(0, 0, 0)
-        b = TrajectoryPoint(10, 20, 10)
-        assert virtual_point(a, b, 5) == (5.0, 10.0)
-
-    def test_at_endpoints(self):
-        a = TrajectoryPoint(0, 0, 0)
-        b = TrajectoryPoint(10, 20, 10)
-        assert virtual_point(a, b, 0) == (0.0, 0.0)
-        assert virtual_point(a, b, 10) == (10.0, 20.0)
-
-    def test_outside_rejected(self):
-        a = TrajectoryPoint(0, 0, 0)
-        b = TrajectoryPoint(10, 20, 10)
-        with pytest.raises(ValueError):
-            virtual_point(a, b, 11)
-
-    def test_zero_duration_pair(self):
-        a = TrajectoryPoint(3, 4, 5)
-        assert virtual_point(a, a, 5) == (3, 4)

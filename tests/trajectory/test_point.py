@@ -11,12 +11,6 @@ def test_fields_and_xy():
     assert p.xy == (1.5, -2.0)
 
 
-def test_distance_to():
-    a = TrajectoryPoint(0, 0, 0)
-    b = TrajectoryPoint(3, 4, 9)
-    assert a.distance_to(b) == 5.0  # time plays no role in D
-
-
 def test_is_a_tuple():
     # NamedTuple semantics: unpackable, hashable, comparable.
     x, y, t = TrajectoryPoint(1, 2, 3)

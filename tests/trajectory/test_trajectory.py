@@ -146,20 +146,6 @@ class TestTemporalExtent:
         assert tr.end_time == 9
         assert tr.duration == 7
 
-    def test_is_alive_at(self):
-        tr = make_trajectory([(0, 0, 2), (1, 1, 9)])
-        assert tr.is_alive_at(2)
-        assert tr.is_alive_at(5)  # between samples still alive
-        assert tr.is_alive_at(9)
-        assert not tr.is_alive_at(1)
-        assert not tr.is_alive_at(10)
-
-    def test_has_sample_at(self):
-        tr = make_trajectory([(0, 0, 2), (1, 1, 5), (2, 2, 9)])
-        assert tr.has_sample_at(5)
-        assert not tr.has_sample_at(4)
-        assert not tr.has_sample_at(99)
-
 
 class TestLocationLookup:
     def test_exact_sample(self):
@@ -177,11 +163,6 @@ class TestLocationLookup:
             tr.location_at(11)
         with pytest.raises(ValueError):
             tr.location_at(-1)
-
-    def test_point_at_carries_time(self):
-        tr = make_trajectory([(0, 0, 0), (10, 20, 10)])
-        p = tr.point_at(5)
-        assert p.t == 5 and p.xy == (5.0, 10.0)
 
     @given(st.integers(min_value=0, max_value=30))
     def test_interpolation_within_sample_hull(self, t):
@@ -203,11 +184,6 @@ class TestAccessors:
         tr = make_trajectory([(1, 2, 0), (3, 4, 1)])
         assert tr[1] == TrajectoryPoint(3, 4, 1)
         assert tr[-1] == TrajectoryPoint(3, 4, 1)
-
-    def test_bounding_box(self):
-        tr = make_trajectory([(1, 2, 0), (3, -4, 1), (0, 0, 2)])
-        box = tr.bounding_box()
-        assert (box.min_x, box.min_y, box.max_x, box.max_y) == (0, -4, 3, 2)
 
     def test_repr_mentions_id_and_tau(self):
         tr = make_trajectory([(0, 0, 2), (1, 1, 5)], object_id="truck-7")
